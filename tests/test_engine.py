@@ -413,3 +413,112 @@ def test_deep_derivation_does_not_exhaust_host_stack():
     result = Engine(program).solve_collect(Call(Compound("count", (term,))), [])
     assert len(result.solutions) == 1
     assert result.outcome == "exhausted"
+
+
+# ---------------------------------------------------------------------------
+# Pinned machine behaviour: exact trace and Prolog cut
+
+GOLDEN_PROGRAM = """
+q(a).
+q(b).
+loop :- loop.
+c(X, R) :- (q(X), X = b, R = l) # R = r.
+d(S) :- (S = x, fail) # S = y.
+t(X, R, S) :- q(b), c(X, R), d(S), (loop ; true).
+"""
+
+# Covers a head-unify failure before a match (q(b)), a retry of the
+# remaining clauses (q(X) after X = b fails), both sides of '#', a ';'
+# and a depth-limit hit (loop at depth 4).
+GOLDEN_TRACE = [
+    ("reduce", 0, "t(X, R, S)"),
+    ("backchain_enter", 0, "t(X, R, S)"),
+    ("unify_ok", 0, "t(X, R, S) ~ t(X, R, S)"),
+    ("reduce", 1, "q(b), c(X, R), d(S), (loop ; true)"),
+    ("reduce", 1, "q(b)"),
+    ("backchain_enter", 1, "q(b)"),
+    ("unify_fail", 1, "q(a) ~ q(b)"),
+    ("unify_ok", 1, "q(b) ~ q(b)"),
+    ("reduce", 2, "true"),
+    ("backchain_exit", 1, "q(b)"),
+    ("reduce", 1, "c(X, R), d(S), (loop ; true)"),
+    ("reduce", 1, "c(X, R)"),
+    ("backchain_enter", 1, "c(X, R)"),
+    ("unify_ok", 1, "c(X, R) ~ c(X, R)"),
+    ("reduce", 2, "(q(X), X = b, R = l # R = r)"),
+    ("reduce", 2, "q(X), X = b, R = l"),
+    ("reduce", 2, "q(X)"),
+    ("backchain_enter", 2, "q(X)"),
+    ("unify_ok", 2, "q(a) ~ q(X)"),
+    ("reduce", 3, "true"),
+    ("backchain_exit", 2, "q(X)"),
+    ("reduce", 2, "X = b, R = l"),
+    ("reduce", 2, "X = b"),
+    ("unify_fail", 2, "X = b"),
+    ("unify_ok", 2, "q(b) ~ q(X)"),
+    ("reduce", 3, "true"),
+    ("backchain_exit", 2, "q(X)"),
+    ("reduce", 2, "X = b, R = l"),
+    ("reduce", 2, "X = b"),
+    ("unify_ok", 2, "X = b"),
+    ("reduce", 2, "R = l"),
+    ("unify_ok", 2, "R = l"),
+    ("choice_taken", 2, "left q(X), X = b, R = l"),
+    ("choice_discarded", 2, "right R = r"),
+    ("backchain_exit", 1, "c(X, R)"),
+    ("reduce", 1, "d(S), (loop ; true)"),
+    ("reduce", 1, "d(S)"),
+    ("backchain_enter", 1, "d(S)"),
+    ("unify_ok", 1, "d(S) ~ d(S)"),
+    ("reduce", 2, "(S = x, fail # S = y)"),
+    ("reduce", 2, "S = x, fail"),
+    ("reduce", 2, "S = x"),
+    ("unify_ok", 2, "S = x"),
+    ("reduce", 2, "fail"),
+    ("choice_taken", 2, "right S = y"),
+    ("choice_discarded", 2, "left S = x, fail"),
+    ("reduce", 2, "S = y"),
+    ("unify_ok", 2, "S = y"),
+    ("backchain_exit", 1, "d(S)"),
+    ("reduce", 1, "(loop ; true)"),
+    ("reduce", 1, "loop"),
+    ("backchain_enter", 1, "loop"),
+    ("unify_ok", 1, "loop ~ loop"),
+    ("reduce", 2, "loop"),
+    ("backchain_enter", 2, "loop"),
+    ("unify_ok", 2, "loop ~ loop"),
+    ("reduce", 3, "loop"),
+    ("backchain_enter", 3, "loop"),
+    ("unify_ok", 3, "loop ~ loop"),
+    ("reduce", 4, "loop"),
+    ("reduce", 1, "true"),
+    ("backchain_exit", 0, "t(X, R, S)"),
+]
+
+
+def test_golden_trace():
+    events = []
+    engine = Engine(
+        parse_program(GOLDEN_PROGRAM),
+        SolveConfig(depth_limit=4),
+        trace=events.append,
+    )
+    result = engine.run_query("t(X, R, S).")
+    assert [s.render() for s in result.solutions] == ["X = b, R = l, S = y"]
+    assert result.outcome == LIMITED
+    assert [(e.kind, e.depth, e.payload) for e in events] == GOLDEN_TRACE
+
+
+@pytest.mark.parametrize(
+    "query, expected",
+    [
+        ("p(1,Y).", ["Y = a", "Y = b"]),
+        ("p(2,Y).", ["Y = b"]),
+        ("p(X,Y).", ["X = 1, Y = a", "Y = b"]),
+    ],
+)
+def test_prolog_cut_prunes_later_clauses(query, expected):
+    program = parse_program("p(1,a). p(X,b) :- !. p(X,c).", dialect="prolog")
+    goal = parse_query(query, dialect="prolog")
+    sols = Engine(program).solve(goal.goal, goal.answer_vars)
+    assert [s.render() for s in sols] == expected
