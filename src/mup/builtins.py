@@ -177,9 +177,6 @@ class Builtin:
     name: str
     arity: int
     fn: object = field(repr=False)
-    deterministic: bool = True
-    performs_io: bool = False
-    may_error: bool = False
 
 
 def _table(*entries):
@@ -191,12 +188,12 @@ BUILTINS = _table(
     Builtin("fail", 0, _fail),
     Builtin("false", 0, _fail),
     Builtin("=", 2, _unify_builtin),
-    Builtin("<", 2, _cmp("<"), may_error=True),
-    Builtin(">", 2, _cmp(">"), may_error=True),
-    Builtin(">=", 2, _cmp(">="), may_error=True),
-    Builtin("=<", 2, _cmp("=<"), may_error=True),
-    Builtin("is", 2, _is, may_error=True),
-    Builtin("read", 1, _read, performs_io=True, may_error=True),
-    Builtin("write", 1, _write, performs_io=True),
-    Builtin("nl", 0, _nl, performs_io=True),
+    Builtin("<", 2, _cmp("<")),
+    Builtin(">", 2, _cmp(">")),
+    Builtin(">=", 2, _cmp(">=")),
+    Builtin("=<", 2, _cmp("=<")),
+    Builtin("is", 2, _is),
+    Builtin("read", 1, _read),
+    Builtin("write", 1, _write),
+    Builtin("nl", 0, _nl),
 )

@@ -1,6 +1,7 @@
 """Command-line entry point: run, repl, translate, selftest."""
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -258,13 +259,7 @@ def repl_loop(program, cfg, inp=None, out=None, trace_on=False):
                 emit("trace %s\n" % parts[1])
                 continue
             if parts[0] == "commit" and len(parts) == 2 and parts[1] in ("soft", "first"):
-                cfg = SolveConfig(
-                    commit_mode=parts[1],
-                    occurs_check=cfg.occurs_check,
-                    depth_limit=cfg.depth_limit,
-                    max_solutions=cfg.max_solutions,
-                    unknown_predicate=cfg.unknown_predicate,
-                )
+                cfg = dataclasses.replace(cfg, commit_mode=parts[1])
                 emit("commit mode: %s\n" % parts[1])
                 continue
             emit("unknown directive: %s\n" % line)

@@ -9,16 +9,17 @@ deeper.
 
 The search itself is iterative: an explicit continuation (a linked list
 of frames) plus a stack of choicepoints, so derivation depth never eats
-the host call stack.  Committed choice works by planting a commit frame
-after the chosen disjunct; when control passes it, the choicepoint for
-the other disjunct is dropped (and, in ``first`` mode, the chosen
-disjunct's own choicepoints as well, which mirrors the cut-based
-encoding).
+the host call stack.  A choicepoint is a continuation to resume plus a
+trail mark to undo to; a call's untried clauses are one more such
+continuation, and every failure resumes the newest live choicepoint.
+Committed choice works by planting a commit frame after the chosen
+disjunct; when control passes it, the choicepoint for the other
+disjunct is dropped (and, in ``first`` mode, the chosen disjunct's own
+choicepoints as well, which mirrors the cut-based encoding).
 
 Solutions come out of a lazy stream: no search happens between pulls.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 from mup.builtins import BUILTINS, BuiltinContext, IoPorts
@@ -98,47 +99,29 @@ class QueryResult:
 
 # Continuation frames (linked list of tuples):
 #   ("goal", goal, depth, cut_barrier)
-#   ("commit", serial, cp_index, first_mode, trace_info)
+#   ("clauses", goal_term, clauses, idx, depth)  -- try clauses[idx:] in order
+#   ("commit", choicepoint, cp_index, first_mode)
 #   ("exit", depth, payload)           -- tracing only
-#   ("fail",)                          -- force immediate backtracking
-_FAIL_CONT = (("fail",), None)
+#   ("fail",)                          -- resume the newest live choicepoint
+_FAIL = (("fail",), None)
 
 
-class _ClauseCP:
-    """Remaining candidate clauses for one atomic goal."""
+class _ChoicePoint:
+    """An alternative: the continuation to resume and the trail mark to undo to.
 
-    __slots__ = ("goal", "clauses", "idx", "cont", "depth", "barrier", "mark")
+    ``hits`` is set for ``#`` and ``*->`` only: the depth-limit hit count
+    at push time.  ``info`` holds a ``#``'s disjuncts and depth for
+    tracing.  A committed choicepoint is ``disabled`` and never resumed.
+    """
 
-    def __init__(self, goal, clauses, cont, depth, barrier, mark):
-        self.goal = goal
-        self.clauses = clauses
-        self.idx = 0
+    __slots__ = ("cont", "mark", "hits", "info", "disabled")
+
+    def __init__(self, cont, mark, hits=None, info=None):
         self.cont = cont
-        self.depth = depth
-        self.barrier = barrier
         self.mark = mark
-
-
-class _AltCP:
-    """The unattempted branch of a choice / disjunction / if-then-else."""
-
-    __slots__ = (
-        "right", "cont", "depth", "barrier", "mark", "serial",
-        "is_choice", "disabled", "hits_at_push", "info",
-    )
-
-    def __init__(self, right, cont, depth, barrier, mark, serial,
-                 is_choice, hits_at_push, info):
-        self.right = right
-        self.cont = cont
-        self.depth = depth
-        self.barrier = barrier
-        self.mark = mark
-        self.serial = serial
-        self.is_choice = is_choice
-        self.disabled = False
-        self.hits_at_push = hits_at_push
+        self.hits = hits
         self.info = info
+        self.disabled = False
 
 
 class Engine:
@@ -149,7 +132,6 @@ class Engine:
         self.cfg = cfg if cfg is not None else SolveConfig()
         self.io = io if io is not None else IoPorts()
         self.trace = trace
-        self._serial = itertools.count()
 
     # -- public streams ----------------------------------------------------
 
@@ -181,9 +163,8 @@ class Engine:
             clauses = [clauses]
         if hits is None:
             hits = [0]
-        mark = bindings.checkpoint()
-        cp = _ClauseCP(goal, list(clauses), None, 0, 0, mark)
-        yield from self._run(_FAIL_CONT, bindings, [cp], hits)
+        cont = (("clauses", goal, clauses, 0, 0), None)
+        yield from self._run(cont, bindings, [], hits)
 
     def solve_choice(self, left, right, bindings, hits=None):
         """Run ``left # right`` on caller-owned bindings; yields per success."""
@@ -234,6 +215,14 @@ class Engine:
     def _emit(self, kind, depth, payload):
         self.trace(TraceEvent(kind, depth, payload))
 
+    def _emit_choice(self, depth, taken, discarded):
+        """Trace a commit; ``taken`` and ``discarded`` are (side, goal)."""
+        self._emit("choice_taken", depth, "%s %s" % (taken[0], pretty_goal(taken[1])))
+        self._emit(
+            "choice_discarded", depth,
+            "%s %s" % (discarded[0], pretty_goal(discarded[1])),
+        )
+
     def _run(self, cont, bindings, cps, hits):
         """Drive the machine; yields None once per success."""
         cfg = self.cfg
@@ -247,248 +236,192 @@ class Engine:
         ctx = BuiltinContext(bindings, self.io, occ)
         base_mark = bindings.checkpoint()
 
-        while True:
-            if cont is None:
-                yield None
-                cont = self._backtrack(bindings, cps, hits)
+        try:
+            while True:
                 if cont is None:
-                    bindings.undo_to(base_mark)
-                    return
-                continue
+                    yield None
+                    cont = _FAIL
 
-            frame, cont = cont
-            tag = frame[0]
+                frame, cont = cont
+                tag = frame[0]
 
-            if tag == "goal":
-                _, goal, depth, cutb = frame
-                gt = type(goal)
-                if trace is not None:
-                    self._emit("reduce", depth, pretty_goal(goal))
-
-                if gt is TrueGoal:
-                    continue
-
-                if gt is Conj:
-                    cont = (
-                        ("goal", goal.left, depth, cutb),
-                        (("goal", goal.right, depth, cutb), cont),
-                    )
-                    continue
-
-                if gt is Eq:
-                    ok = _kunify(goal.left, goal.right, bmap, btrail, occ)
+                if tag == "goal":
+                    _, goal, depth, cutb = frame
+                    gt = type(goal)
                     if trace is not None:
-                        self._emit(
-                            "unify_ok" if ok else "unify_fail",
-                            depth,
-                            pretty_goal(goal),
-                        )
-                    if not ok:
-                        cont = self._backtrack(bindings, cps, hits)
-                        if cont is None:
-                            bindings.undo_to(base_mark)
-                            return
-                    continue
+                        self._emit("reduce", depth, pretty_goal(goal))
 
-                if gt is Call:
-                    goal_term = bindings.deref(goal.term)
-                    tt = type(goal_term)
-                    if tt is Var:
-                        raise MupError("goal is an unbound variable")
-                    if tt is Num:
-                        raise MupError(
-                            "number is not a callable goal: %s" % pretty(goal_term)
-                        )
-                    key = _indicator(goal_term)
-                    builtin = BUILTINS.get(key)
-                    if builtin is not None:
-                        args = (
-                            goal_term.args if tt is Compound else ()
-                        )
-                        if builtin.fn(ctx, args):
-                            continue
-                        cont = self._backtrack(bindings, cps, hits)
-                        if cont is None:
-                            bindings.undo_to(base_mark)
-                            return
+                    if gt is TrueGoal:
                         continue
-                    clauses = program.clauses_for(*key)
-                    if clauses is None:
-                        if cfg.unknown_predicate == "error":
-                            raise UnknownPredicateError(
-                                "unknown predicate %s/%d" % key
+
+                    if gt is Conj:
+                        cont = (
+                            ("goal", goal.left, depth, cutb),
+                            (("goal", goal.right, depth, cutb), cont),
+                        )
+                        continue
+
+                    if gt is Eq:
+                        ok = _kunify(goal.left, goal.right, bmap, btrail, occ)
+                        if trace is not None:
+                            self._emit(
+                                "unify_ok" if ok else "unify_fail",
+                                depth,
+                                pretty_goal(goal),
                             )
-                        cont = self._backtrack(bindings, cps, hits)
-                        if cont is None:
-                            bindings.undo_to(base_mark)
-                            return
+                        if not ok:
+                            cont = _FAIL
                         continue
-                    if depth_limit is not None and depth + 1 > depth_limit:
-                        hits[0] += 1
-                        cont = self._backtrack(bindings, cps, hits)
-                        if cont is None:
-                            bindings.undo_to(base_mark)
-                            return
+
+                    if gt is Call:
+                        goal_term = bindings.deref(goal.term)
+                        tt = type(goal_term)
+                        if tt is Var:
+                            raise MupError("goal is an unbound variable")
+                        if tt is Num:
+                            raise MupError(
+                                "number is not a callable goal: %s"
+                                % pretty(goal_term)
+                            )
+                        key = _indicator(goal_term)
+                        builtin = BUILTINS.get(key)
+                        if builtin is not None:
+                            args = goal_term.args if tt is Compound else ()
+                            if not builtin.fn(ctx, args):
+                                cont = _FAIL
+                            continue
+                        clauses = program.clauses_for(*key)
+                        if clauses is None:
+                            if cfg.unknown_predicate == "error":
+                                raise UnknownPredicateError(
+                                    "unknown predicate %s/%d" % key
+                                )
+                            cont = _FAIL
+                            continue
+                        if depth_limit is not None and depth + 1 > depth_limit:
+                            hits[0] += 1
+                            cont = _FAIL
+                            continue
+                        if trace is not None:
+                            self._emit("backchain_enter", depth, pretty(goal_term))
+                            cont = (("exit", depth, pretty(goal_term)), cont)
+                        cont = (("clauses", goal_term, clauses, 0, depth), cont)
                         continue
-                    if trace is not None:
-                        self._emit("backchain_enter", depth, pretty(goal_term))
-                        cont = (("exit", depth, pretty(goal_term)), cont)
-                    cp = _ClauseCP(
-                        goal_term, clauses, cont, depth,
-                        len(cps), bindings.checkpoint(),
-                    )
-                    cps.append(cp)
-                    cont = self._backtrack(bindings, cps, hits)
-                    if cont is None:
+
+                    if gt is Choice:
+                        cp = _ChoicePoint(
+                            (("goal", goal.right, depth, cutb), cont),
+                            bindings.checkpoint(), hits[0],
+                            (goal.left, goal.right, depth),
+                        )
+                        cps.append(cp)
+                        cont = (
+                            ("goal", goal.left, depth, cutb),
+                            (("commit", cp, len(cps) - 1, first_mode), cont),
+                        )
+                        continue
+
+                    if gt is ClassicalOr:
+                        cps.append(_ChoicePoint(
+                            (("goal", goal.right, depth, cutb), cont),
+                            bindings.checkpoint(),
+                        ))
+                        cont = (("goal", goal.left, depth, cutb), cont)
+                        continue
+
+                    if gt is Exists:
+                        witness = fresh_var(goal.var.name)
+                        body = subst_goal(goal.body, {goal.var.id: witness})
+                        cont = (("goal", body, depth, cutb), cont)
+                        continue
+
+                    if gt is SoftIfThenElse:
+                        cp = _ChoicePoint(
+                            (("goal", goal.els, depth, cutb), cont),
+                            bindings.checkpoint(), hits[0],
+                        )
+                        cps.append(cp)
+                        cont = (
+                            ("goal", goal.cond, depth, cutb),
+                            (
+                                ("commit", cp, len(cps) - 1, False),
+                                (("goal", goal.then, depth, cutb), cont),
+                            ),
+                        )
+                        continue
+
+                    if gt is Cut:
+                        if cutb < len(cps):
+                            del cps[cutb:]
+                        continue
+
+                    raise MupError("cannot solve goal: %r" % (goal,))
+
+                if tag == "clauses":
+                    # Try the candidates in source order; leave a
+                    # choicepoint only if one matched and others remain.
+                    _, goal_term, clauses, idx, depth = frame
+                    mark = bindings.checkpoint()
+                    while idx < len(clauses):
+                        renamed = fresh_rename(clauses[idx])
+                        idx += 1
+                        ok = _kunify(renamed.head, goal_term, bmap, btrail, occ)
+                        if trace is not None:
+                            self._emit(
+                                "unify_ok" if ok else "unify_fail",
+                                depth,
+                                "%s ~ %s"
+                                % (pretty(renamed.head), pretty(goal_term)),
+                            )
+                        if ok:
+                            break
+                    else:
+                        cont = _FAIL
+                        continue
+                    cutb = len(cps)
+                    if idx < len(clauses):
+                        cps.append(_ChoicePoint(
+                            (("clauses", goal_term, clauses, idx, depth), cont),
+                            mark,
+                        ))
+                    cont = (("goal", renamed.body, depth + 1, cutb), cont)
+                    continue
+
+                if tag == "fail":
+                    while cps:
+                        cp = cps.pop()
+                        bindings.undo_to(cp.mark)
+                        if cp.disabled:
+                            continue
+                        if cp.hits is not None and cp.hits != hits[0]:
+                            # The first branch was cut off by the depth limit,
+                            # so its failure is not finite: do not fall through.
+                            continue
+                        if trace is not None and cp.info is not None:
+                            left, right, depth = cp.info
+                            self._emit_choice(depth, ("right", right), ("left", left))
+                        cont = cp.cont
+                        break
+                    else:
                         bindings.undo_to(base_mark)
                         return
                     continue
 
-                if gt is Choice:
-                    serial = next(self._serial)
-                    cp = _AltCP(
-                        goal.right, cont, depth, cutb,
-                        bindings.checkpoint(), serial,
-                        True, hits[0], (goal.left, goal.right),
-                    )
-                    cps.append(cp)
-                    cont = (
-                        ("goal", goal.left, depth, cutb),
-                        (
-                            ("commit", serial, len(cps) - 1, first_mode,
-                             (goal.left, goal.right, depth)),
-                            cont,
-                        ),
-                    )
-                    continue
-
-                if gt is ClassicalOr:
-                    cp = _AltCP(
-                        goal.right, cont, depth, cutb,
-                        bindings.checkpoint(), next(self._serial),
-                        False, hits[0], None,
-                    )
-                    cps.append(cp)
-                    cont = (("goal", goal.left, depth, cutb), cont)
-                    continue
-
-                if gt is Exists:
-                    witness = fresh_var(goal.var.name)
-                    body = subst_goal(goal.body, {goal.var.id: witness})
-                    cont = (("goal", body, depth, cutb), cont)
-                    continue
-
-                if gt is SoftIfThenElse:
-                    serial = next(self._serial)
-                    cp = _AltCP(
-                        goal.els, cont, depth, cutb,
-                        bindings.checkpoint(), serial,
-                        True, hits[0], None,
-                    )
-                    cps.append(cp)
-                    cont = (
-                        ("goal", goal.cond, depth, cutb),
-                        (
-                            ("commit", serial, len(cps) - 1, False, None),
-                            (("goal", goal.then, depth, cutb), cont),
-                        ),
-                    )
-                    continue
-
-                if gt is Cut:
-                    if cutb < len(cps):
-                        del cps[cutb:]
-                    continue
-
-                raise MupError("cannot solve goal: %r" % (goal,))
-
-            if tag == "commit":
-                _, serial, index, first, info = frame
-                if index < len(cps):
-                    cp = cps[index]
-                    if (
-                        type(cp) is _AltCP
-                        and cp.serial == serial
-                        and not cp.disabled
-                    ):
+                if tag == "commit":
+                    _, cp, index, first = frame
+                    if index < len(cps) and cps[index] is cp and not cp.disabled:
                         cp.disabled = True
-                        if trace is not None and info is not None:
-                            left, right, depth = info
-                            self._emit(
-                                "choice_taken", depth,
-                                "left %s" % pretty_goal(left),
-                            )
-                            self._emit(
-                                "choice_discarded", depth,
-                                "right %s" % pretty_goal(right),
-                            )
+                        if trace is not None and cp.info is not None:
+                            left, right, depth = cp.info
+                            self._emit_choice(depth, ("left", left), ("right", right))
                         if first:
                             del cps[index:]
-                continue
+                    continue
 
-            if tag == "exit":
+                # "exit"
                 self._emit("backchain_exit", frame[1], frame[2])
-                continue
-
-            # "fail": entry point for pre-seeded choicepoints
-            cont = self._backtrack(bindings, cps, hits)
-            if cont is None:
-                bindings.undo_to(base_mark)
-                return
-
-    def _backtrack(self, bindings, cps, hits):
-        """Resume the most recent choicepoint; None when all are spent."""
-        trace = self.trace
-        while cps:
-            cp = cps[-1]
-            if type(cp) is _ClauseCP:
-                cont = self._next_clause(cp, bindings, cps)
-                if cont is not None:
-                    return cont
-                bindings.undo_to(cp.mark)
-                cps.pop()
-                continue
-            cps.pop()
-            bindings.undo_to(cp.mark)
-            if cp.disabled:
-                continue
-            if cp.is_choice and hits[0] != cp.hits_at_push:
-                # The first disjunct was cut off by the depth limit, so its
-                # failure is not finite failure: do not fall through.
-                continue
-            if trace is not None and cp.info is not None:
-                left, right = cp.info
-                self._emit("choice_taken", cp.depth, "right %s" % pretty_goal(right))
-                self._emit("choice_discarded", cp.depth, "left %s" % pretty_goal(left))
-            return (("goal", cp.right, cp.depth, cp.barrier), cp.cont)
-        return None
-
-    def _next_clause(self, cp, bindings, cps):
-        """Try cp's remaining clauses; return the body continuation or None."""
-        trace = self.trace
-        occ = self.cfg.occurs_check
-        bmap = bindings.map
-        btrail = bindings.trail
-        while cp.idx < len(cp.clauses):
-            clause = cp.clauses[cp.idx]
-            cp.idx += 1
-            bindings.undo_to(cp.mark)
-            renamed = fresh_rename(clause)
-            ok = _kunify(renamed.head, cp.goal, bmap, btrail, occ)
-            if trace is not None:
-                self._emit(
-                    "unify_ok" if ok else "unify_fail",
-                    cp.depth,
-                    "%s ~ %s" % (pretty(renamed.head), pretty(cp.goal)),
-                )
-            if ok:
-                if cp.idx >= len(cp.clauses):
-                    cps.pop()  # no candidates left; drop the choicepoint
-                return (
-                    ("goal", renamed.body, cp.depth + 1, cp.barrier),
-                    cp.cont,
-                )
-        return None
+        except RecursionError:
+            raise MupError("term nested too deeply for the host stack") from None
 
 
 def _indicator(term):

@@ -97,19 +97,26 @@ class Solution:
         different runs (or different engines) compare equal.
         """
         numbering = {}
-
-        def walk(t):
-            if type(t) is Var:
-                if t.id not in numbering:
-                    numbering[t.id] = len(numbering)
-                return ("var", numbering[t.id])
-            if type(t) is Const:
-                return ("const", t.name)
-            if type(t) is Num:
-                return ("num", type(t.value).__name__, t.value)
-            return ("compound", t.functor) + tuple(walk(a) for a in t.args)
-
-        return tuple((name, walk(t)) for name, t in self.assignments.items())
+        key = []
+        for name, term in self.assignments.items():
+            # Flat preorder tokens (with arities, so the encoding is
+            # injective); iterative, so long list spines need no host stack.
+            tokens = []
+            stack = [term]
+            while stack:
+                t = stack.pop()
+                tt = type(t)
+                if tt is Var:
+                    tokens += ("var", numbering.setdefault(t.id, len(numbering)))
+                elif tt is Const:
+                    tokens += ("const", t.name)
+                elif tt is Num:
+                    tokens += ("num", type(t.value).__name__, t.value)
+                else:
+                    tokens += ("compound", t.functor, len(t.args))
+                    stack.extend(reversed(t.args))
+            key.append((name, tuple(tokens)))
+        return tuple(key)
 
     def __eq__(self, other):
         return (
@@ -165,16 +172,34 @@ def _display_assignments(assignments):
             renames[v.id] = Var(v.id, candidate)
         return renames[v.id]
 
-    def walk(t):
-        if type(t) is Var:
-            return display_var(t)
-        if type(t) is Compound:
-            return Compound(t.functor, tuple(walk(a) for a in t.args))
-        return t
-
     out = []
     for name, term in assignments.items():
         if type(term) is Var and own_name.get(term.id) == name:
             continue  # variable stayed free
-        out.append((name, walk(term)))
+        out.append((name, _map_vars(term, display_var)))
     return out
+
+
+def _map_vars(term, fn):
+    """Copy ``term`` with each variable ``v`` replaced by ``fn(v)``.
+
+    Variables are visited left to right.  Iterative, so long list spines
+    need no host stack.
+    """
+    if type(term) is not Compound:
+        return fn(term) if type(term) is Var else term
+    stack = [(term, [])]  # frames: node, rebuilt args so far
+    while True:
+        node, built = stack[-1]
+        if len(built) == len(node.args):
+            stack.pop()
+            copy = Compound(node.functor, tuple(built))
+            if not stack:
+                return copy
+            stack[-1][1].append(copy)
+            continue
+        child = node.args[len(built)]
+        if type(child) is Compound:
+            stack.append((child, []))
+        else:
+            built.append(fn(child) if type(child) is Var else child)

@@ -5,9 +5,11 @@ import sys
 
 import pytest
 
+import mup
 from mup.cli import main, repl_loop
 from mup.engine import Engine, SolveConfig
 from mup.syntax import Conj, Eq, parse_program, parse_query
+
 
 MAX_MPL = "max(X,Y,M) :- (X >= Y, M = X) # (X < Y, M = Y).\n"
 MEMBER_MPL = "member(X,[Y|L]) :- (Y = X) # member(X,L).\n"
@@ -191,6 +193,14 @@ def test_repl_commit_directive():
     assert "Y = jim" not in text
 
 
+def test_repl_commit_directive_keeps_other_settings():
+    cfg = SolveConfig(unknown_predicate="fail")
+    text = run_repl(":commit first.\nnope.\n:quit.\n", cfg=cfg)
+    assert "commit mode: first" in text
+    assert "false." in text
+    assert "error" not in text
+
+
 def test_repl_load_directive(tmp_path):
     extra = tmp_path / "facts.mpl"
     extra.write_text("fact(one).\n")
@@ -222,8 +232,15 @@ def test_batch_and_repl_agree(tmp_path):
     assert "false." in text
 
 
+def subprocess_env(**extra):
+    """The environment for a child Python that imports this mup."""
+    src = os.path.dirname(os.path.dirname(mup.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def test_pure_python_fallback_subprocess(max_file):
-    env = dict(os.environ, MUP_PURE_PYTHON="1")
+    env = subprocess_env(MUP_PURE_PYTHON="1")
     proc = subprocess.run(
         [
             sys.executable,
@@ -239,6 +256,35 @@ def test_pure_python_fallback_subprocess(max_file):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["python", "M = 9."]
+
+
+NUM_MPL = "num(0,[]).\nnum(N,[N|T]) :- N > 0, M is N-1, num(M,T).\n"
+
+
+def test_run_long_answer(tmp_path, capsys):
+    path = tmp_path / "num.mpl"
+    path.write_text(NUM_MPL)
+    code, out, err = run_cli(["run", str(path), "-q", "num(3000,L)."], capsys)
+    assert code == 0, err
+    assert out.startswith("L = [3000, 2999, ")
+    assert out.endswith(", 2, 1].\n")
+
+
+def test_run_deep_clause_literal_errors_without_traceback(tmp_path):
+    # The pure-Python kernel renames clauses recursively, so this literal
+    # exceeds the host recursion limit; the compiled kernel solves it.
+    path = tmp_path / "big.mpl"
+    items = ", ".join(str(i) for i in range(5000))
+    path.write_text("p :- X = [%s], X = X.\n" % items)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mup.cli", "run", str(path), "-q", "p."],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(MUP_PURE_PYTHON="1"),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_repl_trace_directive():

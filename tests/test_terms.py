@@ -97,6 +97,17 @@ def test_solution_fresh_name_avoids_query_names():
     assert "f(_G1)" in text  # _G0 taken by the query
 
 
+def test_long_list_answer_keys_and_renders():
+    def answer(n):
+        return Solution({"L": mk_list([Num(i) for i in range(n)], fresh_var("_"))})
+
+    a, b = answer(5000), answer(5000)
+    assert a == b and hash(a) == hash(b)  # tail variables differ, shape equal
+    assert a != answer(4999)
+    assert a.render().startswith("L = [0, 1, 2,")
+    assert a.render().endswith(", 4999|_G0]")
+
+
 def test_fresh_rename_structure_preserved():
     program = parse_program("p(X) :- q(X).")
     clause = program.clauses[0]
