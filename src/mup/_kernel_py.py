@@ -246,15 +246,33 @@ def rename_term(t, mapping, make_var):
 
     ``mapping`` maps old var id -> replacement Var and is extended through
     ``make_var(old_var)`` on first sight, so shared variables stay shared.
+    Iterative postorder rebuild, like ``resolve``; variables are met left
+    to right.
     """
-    tt = type(t)
-    if tt is Var:
-        new = mapping.get(t.id)
-        if new is None:
-            new = make_var(t)
-            mapping[t.id] = new
-        return new
-    if tt is Compound:
-        args = tuple(rename_term(a, mapping, make_var) for a in t.args)
-        return Compound(t.functor, args)
-    return t
+    if type(t) is not Compound:
+        return _rename_leaf(t, mapping, make_var)
+    stack = [(t, [])]  # frames: node, renamed args so far
+    while True:
+        node, built = stack[-1]
+        if len(built) == len(node.args):
+            stack.pop()
+            copy = Compound(node.functor, built)
+            if not stack:
+                return copy
+            stack[-1][1].append(copy)
+            continue
+        child = node.args[len(built)]
+        if type(child) is Compound:
+            stack.append((child, []))
+        else:
+            built.append(_rename_leaf(child, mapping, make_var))
+
+
+def _rename_leaf(t, mapping, make_var):
+    if type(t) is not Var:
+        return t
+    new = mapping.get(t.id)
+    if new is None:
+        new = make_var(t)
+        mapping[t.id] = new
+    return new

@@ -2,10 +2,19 @@
 
 Execution alternates between two phases.  Reducing a goal dispatches on
 its top connective (conjunction splits, equality unifies, committed
-choice picks a disjunct, ...); an atomic goal switches to backchaining,
-which tries the program's candidate clauses in source order, renaming
-each apart, unifying its head and then reducing its body one level
-deeper.
+choice picks a disjunct, ...); an atomic goal switches to backchaining.
+
+Backchaining works on clauses compiled once, when the Program loaded
+(``mup.compiled``): each is a template whose variables are numbered
+slots.  The call's dereferenced first argument selects the candidates
+from the predicate's first-argument index, in source order.  For each
+candidate the head template is unified with the call first, filling the
+slots; only when that succeeds is the body built from the slots (parts
+without variables are shared, not copied) and reduced one level deeper.
+No clause is copied just to fail, and when no other candidate remains
+no choicepoint is left behind.  ``_kunify`` (head unification) and
+``fresh_rename`` (body construction) are looked up as module globals at
+run time, so ``mupbench`` can time them as layers.
 
 The search itself is iterative: an explicit continuation (a linked list
 of frames) plus a stack of choicepoints, so derivation depth never eats
@@ -22,9 +31,12 @@ Solutions come out of a lazy stream: no search happens between pulls.
 
 from dataclasses import dataclass, field
 
+from mup import kernel
 from mup.builtins import BUILTINS, BuiltinContext, IoPorts
+from mup.compiled import compile_clause
+from mup.compiled import build as fresh_rename
+from mup.compiled import unify_head as _kunify
 from mup.errors import MupError, UnknownPredicateError
-from mup.kernel import unify as _kunify
 from mup.syntax import (
     Call,
     Choice,
@@ -35,7 +47,6 @@ from mup.syntax import (
     Exists,
     SoftIfThenElse,
     TrueGoal,
-    fresh_rename,
     free_goal_vars,
     parse_query,
     pretty,
@@ -149,18 +160,23 @@ class Engine:
 
         Yields once per successful derivation with ``bindings`` extended;
         exhausting the stream restores ``bindings``.  ``clauses`` defaults
-        to the program's candidates for the atom; a single Clause is also
-        accepted.  (Abandoning the stream early leaves the bindings of the
-        last success in place.)
+        to the program's candidates for the atom, taken from its
+        first-argument index; clauses given here (a single Clause is also
+        accepted) are compiled first and tried in the order given.
+        (Abandoning the stream early leaves the bindings of the last success
+        in place.)
         """
         goal = bindings.deref(atom)
         if type(goal) is Var or type(goal) is Num:
             raise MupError("atomic goal expected, got %s" % pretty(goal))
         if clauses is None:
-            key = _indicator(goal)
-            clauses = self.program.clauses_for(*key) or []
-        elif not isinstance(clauses, (list, tuple)):
-            clauses = [clauses]
+            pred = self.program.predicates.get(_indicator(goal))
+            clauses = [] if pred is None else pred.candidates(goal, bindings.map)
+        else:
+            if not isinstance(clauses, (list, tuple)):
+                clauses = [clauses]
+            for clause in clauses:
+                compile_clause(clause)
         if hits is None:
             hits = [0]
         cont = (("clauses", goal, clauses, 0, 0), None)
@@ -227,7 +243,7 @@ class Engine:
         """Drive the machine; yields None once per success."""
         cfg = self.cfg
         trace = self.trace
-        program = self.program
+        predicates = self.program.predicates
         bmap = bindings.map
         btrail = bindings.trail
         occ = cfg.occurs_check
@@ -262,7 +278,7 @@ class Engine:
                         continue
 
                     if gt is Eq:
-                        ok = _kunify(goal.left, goal.right, bmap, btrail, occ)
+                        ok = kernel.unify(goal.left, goal.right, bmap, btrail, occ)
                         if trace is not None:
                             self._emit(
                                 "unify_ok" if ok else "unify_fail",
@@ -290,8 +306,8 @@ class Engine:
                             if not builtin.fn(ctx, args):
                                 cont = _FAIL
                             continue
-                        clauses = program.clauses_for(*key)
-                        if clauses is None:
+                        pred = predicates.get(key)
+                        if pred is None:
                             if cfg.unknown_predicate == "error":
                                 raise UnknownPredicateError(
                                     "unknown predicate %s/%d" % key
@@ -305,6 +321,7 @@ class Engine:
                         if trace is not None:
                             self._emit("backchain_enter", depth, pretty(goal_term))
                             cont = (("exit", depth, pretty(goal_term)), cont)
+                        clauses = pred.candidates(goal_term, bmap)
                         cont = (("clauses", goal_term, clauses, 0, depth), cont)
                         continue
 
@@ -358,20 +375,25 @@ class Engine:
                     raise MupError("cannot solve goal: %r" % (goal,))
 
                 if tag == "clauses":
-                    # Try the candidates in source order; leave a
-                    # choicepoint only if one matched and others remain.
+                    # Try the candidates in source order: unify the head
+                    # template, and build the body only on a match.  Leave
+                    # a choicepoint only if other candidates remain.
                     _, goal_term, clauses, idx, depth = frame
                     mark = bindings.checkpoint()
                     while idx < len(clauses):
-                        renamed = fresh_rename(clauses[idx])
+                        clause = clauses[idx]
                         idx += 1
-                        ok = _kunify(renamed.head, goal_term, bmap, btrail, occ)
+                        slots = [None] * clause.nslots
+                        ok = _kunify(
+                            clause.head_template, goal_term, slots, bmap, btrail, occ
+                        )
                         if trace is not None:
+                            # The source head prints as a renamed copy would.
                             self._emit(
                                 "unify_ok" if ok else "unify_fail",
                                 depth,
                                 "%s ~ %s"
-                                % (pretty(renamed.head), pretty(goal_term)),
+                                % (pretty(clause.head), pretty(goal_term)),
                             )
                         if ok:
                             break
@@ -384,7 +406,10 @@ class Engine:
                             (("clauses", goal_term, clauses, idx, depth), cont),
                             mark,
                         ))
-                    cont = (("goal", renamed.body, depth + 1, cutb), cont)
+                    body = clause.body_template
+                    if type(body) is tuple:
+                        body = fresh_rename(body, slots)
+                    cont = (("goal", body, depth + 1, cutb), cont)
                     continue
 
                 if tag == "fail":

@@ -18,7 +18,6 @@ transpiler output) accepts ``!`` and ``*->`` and rejects ``#``.
 
 from mup import builtins as _builtins
 from mup.errors import LoadError, MupSyntaxError
-from mup.kernel import rename_term
 from mup.terms import CONS, EMPTY_LIST, Compound, Const, Num, Var, fresh_var, mk_list
 
 # ---------------------------------------------------------------------------
@@ -136,9 +135,14 @@ class SoftIfThenElse(Goal):
 
 
 class Clause:
-    """``head :- body``; unit clauses carry TRUE as body."""
+    """``head :- body``; unit clauses carry TRUE as body.
 
-    __slots__ = ("head", "body", "span")
+    Loading the clause into a Program compiles it:
+    ``mup.compiled.compile_clause`` sets ``head_template``,
+    ``body_template`` and ``nslots``.
+    """
+
+    __slots__ = ("head", "body", "span", "head_template", "body_template", "nslots")
 
     def __init__(self, head, body=TRUE, span=None):
         self.head = head
@@ -168,21 +172,30 @@ class Program:
     """Ordered clause store with a (name, arity) index.
 
     Clause order is source order; the engine tries candidates in that
-    order.
+    order.  ``predicates`` holds each predicate's compiled clauses and
+    first-argument index (see ``mup.compiled``), built in the same pass.
     """
 
-    __slots__ = ("clauses", "index")
+    __slots__ = ("clauses", "index", "predicates")
 
     def __init__(self, clauses):
+        # mup.compiled imports the goal classes from this module.
+        from mup.compiled import Predicate
+
         self.clauses = list(clauses)
         self.index = {}
+        self.predicates = {}
         for clause in self.clauses:
             key = clause.indicator()
-            if key in _builtins.BUILTINS:
-                raise LoadError(
-                    "cannot redefine built-in predicate %s/%d" % key
-                )
-            self.index.setdefault(key, []).append(clause)
+            pred = self.predicates.get(key)
+            if pred is None:
+                if key in _builtins.BUILTINS:
+                    raise LoadError(
+                        "cannot redefine built-in predicate %s/%d" % key
+                    )
+                pred = self.predicates[key] = Predicate()
+                self.index[key] = pred.clauses
+            pred.add(clause)
 
     def clauses_for(self, name, arity):
         return self.index.get((name, arity))
@@ -847,58 +860,3 @@ def subst_goal(goal, mapping):
             subst_goal(goal.els, mapping),
         )
     raise TypeError("not a goal: %r" % (goal,))
-
-
-def rename_goal(goal, mapping, make_var):
-    """Copy a goal with all terms renamed through the shared ``mapping``."""
-    t = type(goal)
-    if t is TrueGoal or t is Cut:
-        return goal
-    if t is Call:
-        return Call(rename_term(goal.term, mapping, make_var))
-    if t is Eq:
-        return Eq(
-            rename_term(goal.left, mapping, make_var),
-            rename_term(goal.right, mapping, make_var),
-        )
-    if t is Conj:
-        return Conj(
-            rename_goal(goal.left, mapping, make_var),
-            rename_goal(goal.right, mapping, make_var),
-        )
-    if t is Choice:
-        return Choice(
-            rename_goal(goal.left, mapping, make_var),
-            rename_goal(goal.right, mapping, make_var),
-        )
-    if t is ClassicalOr:
-        return ClassicalOr(
-            rename_goal(goal.left, mapping, make_var),
-            rename_goal(goal.right, mapping, make_var),
-        )
-    if t is Exists:
-        var = rename_term(goal.var, mapping, make_var)
-        return Exists(var, rename_goal(goal.body, mapping, make_var))
-    if t is SoftIfThenElse:
-        return SoftIfThenElse(
-            rename_goal(goal.cond, mapping, make_var),
-            rename_goal(goal.then, mapping, make_var),
-            rename_goal(goal.els, mapping, make_var),
-        )
-    raise TypeError("not a goal: %r" % (goal,))
-
-
-def fresh_rename(clause):
-    """Copy ``clause`` with every variable replaced by a fresh one.
-
-    Display names are preserved; identifiers are new, so two renamings of
-    the same clause share no variables.
-    """
-    mapping = {}
-
-    def make_var(old):
-        return fresh_var(old.name)
-
-    head = rename_term(clause.head, mapping, make_var)
-    body = rename_goal(clause.body, mapping, make_var)
-    return Clause(head, body, span=clause.span)

@@ -421,15 +421,18 @@ def test_deep_derivation_does_not_exhaust_host_stack():
 GOLDEN_PROGRAM = """
 q(a).
 q(b).
+r(a, 1).
+r(a, 2).
 loop :- loop.
 c(X, R) :- (q(X), X = b, R = l) # R = r.
 d(S) :- (S = x, fail) # S = y.
 t(X, R, S) :- q(b), c(X, R), d(S), (loop ; true).
 """
 
-# Covers a head-unify failure before a match (q(b)), a retry of the
-# remaining clauses (q(X) after X = b fails), both sides of '#', a ';'
-# and a depth-limit hit (loop at depth 4).
+# Covers a call the first-argument index sends straight to its clause
+# (q(b) never tries q(a)), a retry of the remaining clauses (q(X) after
+# X = b fails), both sides of '#', a ';' and a depth-limit hit (loop at
+# depth 4).
 GOLDEN_TRACE = [
     ("reduce", 0, "t(X, R, S)"),
     ("backchain_enter", 0, "t(X, R, S)"),
@@ -437,7 +440,6 @@ GOLDEN_TRACE = [
     ("reduce", 1, "q(b), c(X, R), d(S), (loop ; true)"),
     ("reduce", 1, "q(b)"),
     ("backchain_enter", 1, "q(b)"),
-    ("unify_fail", 1, "q(a) ~ q(b)"),
     ("unify_ok", 1, "q(b) ~ q(b)"),
     ("reduce", 2, "true"),
     ("backchain_exit", 1, "q(b)"),
@@ -496,17 +498,41 @@ GOLDEN_TRACE = [
 ]
 
 
-def test_golden_trace():
+# A head-unify failure before a match that the index cannot skip: both
+# r/2 clauses share the first argument and differ in the second.
+GOLDEN_MISMATCH_TRACE = [
+    ("reduce", 0, "r(a, 2)"),
+    ("backchain_enter", 0, "r(a, 2)"),
+    ("unify_fail", 0, "r(a, 1) ~ r(a, 2)"),
+    ("unify_ok", 0, "r(a, 2) ~ r(a, 2)"),
+    ("reduce", 1, "true"),
+    ("backchain_exit", 0, "r(a, 2)"),
+]
+
+
+def golden_events(query):
     events = []
     engine = Engine(
         parse_program(GOLDEN_PROGRAM),
         SolveConfig(depth_limit=4),
         trace=events.append,
     )
-    result = engine.run_query("t(X, R, S).")
+    result = engine.run_query(query)
+    return result, [(e.kind, e.depth, e.payload) for e in events]
+
+
+def test_golden_trace():
+    result, events = golden_events("t(X, R, S).")
     assert [s.render() for s in result.solutions] == ["X = b, R = l, S = y"]
     assert result.outcome == LIMITED
-    assert [(e.kind, e.depth, e.payload) for e in events] == GOLDEN_TRACE
+    assert events == GOLDEN_TRACE
+
+
+def test_golden_trace_head_mismatch():
+    result, events = golden_events("r(a, 2).")
+    assert [s.render() for s in result.solutions] == ["true"]
+    assert result.outcome == "exhausted"
+    assert events == GOLDEN_MISMATCH_TRACE
 
 
 @pytest.mark.parametrize(

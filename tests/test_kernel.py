@@ -284,3 +284,28 @@ def test_deep_list_spines_do_not_recurse(k):
     bmap = {1: a}
     resolved = k.resolve(k.Compound(".", (k.Num(-1), x)), bmap)
     assert resolved == k.Compound(".", (k.Num(-1), a))
+
+
+def test_rename_long_list_keeps_sharing_without_recursion():
+    # Pure-Python kernel only: the compiled rename_term still recurses in C.
+    k = kernel_py
+    x = k.Var(1, "X")
+    term = k.Const("[]")
+    for i in range(100_000):
+        term = k.Compound(".", (k.Compound("p", (x, k.Num(i))), term))
+    counter = [100]
+
+    def make_var(old):
+        counter[0] += 1
+        return k.Var(counter[0], old.name)
+
+    out = k.rename_term(term, {}, make_var)
+    assert counter[0] == 101  # one fresh variable, shared by every element
+    cells = 0
+    while type(out) is k.Compound:
+        element = out.args[0]
+        assert element.args[0] == k.Var(101, "X")
+        assert element.args[1] == k.Num(99_999 - cells)
+        out = out.args[1]
+        cells += 1
+    assert cells == 100_000 and out == k.Const("[]")

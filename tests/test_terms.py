@@ -1,7 +1,8 @@
 import pytest
 
 from mup.errors import InternalError
-from mup.syntax import fresh_rename, parse_program
+from mup.compiled import build, compile_clause
+from mup.syntax import Clause, parse_program
 from mup.terms import (
     Bindings,
     Compound,
@@ -106,6 +107,14 @@ def test_long_list_answer_keys_and_renders():
     assert a != answer(4999)
     assert a.render().startswith("L = [0, 1, 2,")
     assert a.render().endswith(", 4999|_G0]")
+
+
+def fresh_rename(clause):
+    """The clause renamed apart: its templates built with every slot empty."""
+    compile_clause(clause)
+    slots = [None] * clause.nslots
+    head = build(clause.head_template, slots)
+    return Clause(head, build(clause.body_template, slots))
 
 
 def test_fresh_rename_structure_preserved():
