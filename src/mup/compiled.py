@@ -249,7 +249,9 @@ class Predicate:
         compile_clause(clause)
         self.clauses.append(clause)
         head = clause.head
-        key = index_key(head.args[0]) if type(head) is Compound else None
+        key = None
+        if type(head) is Compound and head.args:
+            key = index_key(head.args[0])
         if key is None:
             self.blocks.append(clause)
             return

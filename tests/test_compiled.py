@@ -128,6 +128,13 @@ def test_index_size_stays_linear_when_variables_interleave():
     assert answers(text, "p(7, Y).") == ["Y = b"] * 7 + ["Y = a"] + ["Y = b"] * 1993
 
 
+def test_zero_argument_compound_head_is_not_indexed():
+    # Only the API builds p(); it shares the indicator p/0 with the atom.
+    program = Program([Clause(Compound("p", ()))])
+    result = Engine(program).solve_collect(Call(Compound("p", ())), [])
+    assert len(result.solutions) == 1
+
+
 def test_empty_bucket_still_enters_the_predicate():
     events = []
     engine = Engine(parse_program("p(1). p(2)."), trace=events.append)
