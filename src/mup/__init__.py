@@ -29,7 +29,6 @@ from mup.errors import (
     TranslateError,
     UnknownPredicateError,
 )
-from mup.kernel import IMPL as kernel_impl
 from mup.oracle import count_solutions_bruteforce, provable, selftest
 from mup.syntax import (
     Clause,
@@ -46,6 +45,10 @@ from mup.transpile import translate
 from mup.unify import unify
 
 __version__ = "0.1.0"
+
+# The term kernel (``mup.kernel``) is pure Python; benchmark stamps record
+# this name.
+kernel_impl = "python"
 
 __all__ = [
     "ArithTypeError",

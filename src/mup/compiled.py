@@ -19,7 +19,7 @@ instead of instructions.
 ``Predicate`` keeps a predicate's clauses in source order and indexes
 them on the first head argument, as the WAM's ``switch_on_term`` does.
 Everything here is iterative, and is written on top of the kernel's
-``deref``, ``bind`` and ``unify``, so both kernel backends use it.
+``deref``, ``bind`` and ``unify``.
 """
 
 from operator import is_not

@@ -1,34 +1,241 @@
-"""Kernel backend selection.
+"""Term kernel.
 
-Imports the compiled term kernel when available, the pure-Python one
-otherwise.  Set ``MUP_PURE_PYTHON=1`` to force the fallback (used by the
-benchmark to compare both backends and by tests to pin a backend).
+Terms, shallow/deep dereferencing, the binding trail and first-order
+unification.  ``terms``, ``compiled``, ``builtins``, ``engine`` and
+``unify`` build on these names; ``kernel.unify``, ``kernel.undo_to`` and
+``kernel.resolve`` are looked up as module attributes at call time, so
+``mupbench`` can time them as layers.
 
-Everything downstream imports term types and kernel operations from this
-module, never from a backend directly.
+Representation notes:
+
+* A variable is identified by an integer id; two ``Var`` objects denote
+  the same variable iff their ids are equal.  Display names exist only
+  for printing.
+* Bindings live in a plain dict ``{var_id: term}`` plus a trail list of
+  var ids in binding order.  Undoing to a trail mark deletes everything
+  bound after the mark.
+* Lists are ordinary compounds: ``'.'(Head, Tail)`` ending in ``'[]'``.
 """
 
-import os
 
-if os.environ.get("MUP_PURE_PYTHON"):
-    from mup import _kernel_py as _backend
-else:
-    try:
-        from mup import _kernel_c as _backend  # type: ignore[no-redef]
-    except ImportError:
-        from mup import _kernel_py as _backend  # type: ignore[no-redef]
+class Var:
+    __slots__ = ("id", "name")
 
-IMPL = _backend.IMPL
+    def __init__(self, id, name):
+        self.id = id
+        self.name = name
 
-Var = _backend.Var
-Const = _backend.Const
-Num = _backend.Num
-Compound = _backend.Compound
+    def __eq__(self, other):
+        return type(other) is Var and other.id == self.id
 
-deref = _backend.deref
-resolve = _backend.resolve
-bind = _backend.bind
-undo_to = _backend.undo_to
-occurs = _backend.occurs
-unify = _backend.unify
-rename_term = _backend.rename_term
+    def __hash__(self):
+        return hash(self.id)
+
+    def __repr__(self):
+        return "Var(%d, %r)" % (self.id, self.name)
+
+
+class Const:
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
+
+    def __eq__(self, other):
+        return type(other) is Const and other.name == self.name
+
+    def __hash__(self):
+        return hash(("const", self.name))
+
+    def __repr__(self):
+        return "Const(%r)" % (self.name,)
+
+
+class Num:
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        # 3 and 3.0 are distinct terms, so compare classes as well.
+        return (
+            type(other) is Num
+            and type(other.value) is type(self.value)
+            and other.value == self.value
+        )
+
+    def __hash__(self):
+        return hash((type(self.value).__name__, self.value))
+
+    def __repr__(self):
+        return "Num(%r)" % (self.value,)
+
+
+class Compound:
+    __slots__ = ("functor", "args")
+
+    def __init__(self, functor, args):
+        self.functor = functor
+        self.args = tuple(args)
+
+    def __eq__(self, other):
+        # Iterative: lists nest one compound per element, so deep spines
+        # must not recurse through the host stack.
+        if type(other) is not Compound:
+            return False
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            ta = type(a)
+            if ta is not type(b):
+                return False
+            if ta is Compound:
+                if a.functor != b.functor or len(a.args) != len(b.args):
+                    return False
+                stack.extend(zip(a.args, b.args))
+            elif ta is Var:
+                if a.id != b.id:
+                    return False
+            elif ta is Const:
+                if a.name != b.name:
+                    return False
+            elif ta is Num:
+                if type(a.value) is not type(b.value) or a.value != b.value:
+                    return False
+            elif a != b:
+                return False
+        return True
+
+    def __hash__(self):
+        # Spine-friendly: fold functors and leaf hashes along the spine
+        # instead of hashing nested tuples.
+        h = hash("compound")
+        stack = [self]
+        while stack:
+            t = stack.pop()
+            if type(t) is Compound:
+                h = hash((h, t.functor, len(t.args)))
+                stack.extend(t.args)
+            else:
+                h = hash((h, hash(t)))
+        return h
+
+    def __repr__(self):
+        return "Compound(%r, %r)" % (self.functor, self.args)
+
+
+def deref(t, bmap):
+    """Follow the outermost variable chain of ``t`` through ``bmap``.
+
+    Shallow: arguments of a compound result are not touched.
+    """
+    while type(t) is Var:
+        nxt = bmap.get(t.id)
+        if nxt is None:
+            return t
+        t = nxt
+    return t
+
+
+def resolve(t, bmap):
+    """Replace every bound variable in ``t``, at every depth, by its value.
+
+    Iterative postorder rebuild, so arbitrarily long list spines resolve
+    in constant host stack.
+    """
+    t = deref(t, bmap)
+    if type(t) is not Compound:
+        return t
+    stack = [[t, 0, []]]  # frames: node, next arg index, rebuilt args
+    while True:
+        frame = stack[-1]
+        node = frame[0]
+        idx = frame[1]
+        if idx == len(node.args):
+            built = Compound(node.functor, tuple(frame[2]))
+            stack.pop()
+            if not stack:
+                return built
+            stack[-1][2].append(built)
+            continue
+        frame[1] = idx + 1
+        child = deref(node.args[idx], bmap)
+        if type(child) is Compound:
+            stack.append([child, 0, []])
+        else:
+            frame[2].append(child)
+
+
+def bind(bmap, trail, var, t):
+    """Bind ``var`` to ``t`` and record the binding on the trail."""
+    bmap[var.id] = t
+    trail.append(var.id)
+
+
+def undo_to(bmap, trail, mark):
+    """Unbind every variable bound after trail position ``mark``."""
+    while len(trail) > mark:
+        del bmap[trail.pop()]
+
+
+def occurs(vid, t, bmap):
+    """True iff variable ``vid`` occurs in ``t`` under ``bmap``."""
+    stack = [t]
+    while stack:
+        x = deref(stack.pop(), bmap)
+        tx = type(x)
+        if tx is Var:
+            if x.id == vid:
+                return True
+        elif tx is Compound:
+            stack.extend(x.args)
+    return False
+
+
+def unify(t, s, bmap, trail, occurs_check):
+    """Extend ``bmap`` to a most general unifier of ``t`` and ``s``.
+
+    Returns True on success with the new bindings trailed; on failure the
+    store is restored to its pre-call state and False is returned.
+    """
+    mark = len(trail)
+    stack = [(t, s)]
+    while stack:
+        a, b = stack.pop()
+        a = deref(a, bmap)
+        b = deref(b, bmap)
+        ta = type(a)
+        tb = type(b)
+        if ta is Var:
+            if tb is Var and b.id == a.id:
+                continue
+            if occurs_check and occurs(a.id, b, bmap):
+                undo_to(bmap, trail, mark)
+                return False
+            bind(bmap, trail, a, b)
+            continue
+        if tb is Var:
+            if occurs_check and occurs(b.id, a, bmap):
+                undo_to(bmap, trail, mark)
+                return False
+            bind(bmap, trail, b, a)
+            continue
+        if ta is not tb:
+            undo_to(bmap, trail, mark)
+            return False
+        if ta is Const:
+            if a.name != b.name:
+                undo_to(bmap, trail, mark)
+                return False
+        elif ta is Num:
+            if type(a.value) is not type(b.value) or a.value != b.value:
+                undo_to(bmap, trail, mark)
+                return False
+        else:  # Compound
+            if a.functor != b.functor or len(a.args) != len(b.args):
+                undo_to(bmap, trail, mark)
+                return False
+            stack.extend(zip(a.args, b.args))
+    return True
+

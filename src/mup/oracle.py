@@ -95,7 +95,7 @@ def _unify(t, s, subst):
     return subst
 
 
-def _rename_term(term, mapping):
+def _rename_vars(term, mapping):
     tt = type(term)
     if tt is Var:
         new = mapping.get(term.id)
@@ -105,7 +105,7 @@ def _rename_term(term, mapping):
         return new
     if tt is Compound:
         return Compound(
-            term.functor, tuple(_rename_term(a, mapping) for a in term.args)
+            term.functor, tuple(_rename_vars(a, mapping) for a in term.args)
         )
     return term
 
@@ -115,9 +115,9 @@ def _rename_goal(goal, mapping):
     if t is TrueGoal:
         return goal
     if t is Call:
-        return Call(_rename_term(goal.term, mapping))
+        return Call(_rename_vars(goal.term, mapping))
     if t is Eq:
-        return Eq(_rename_term(goal.left, mapping), _rename_term(goal.right, mapping))
+        return Eq(_rename_vars(goal.left, mapping), _rename_vars(goal.right, mapping))
     if t is Conj:
         return Conj(_rename_goal(goal.left, mapping), _rename_goal(goal.right, mapping))
     if t is Choice:
@@ -128,7 +128,7 @@ def _rename_goal(goal, mapping):
         )
     if t is Exists:
         return Exists(
-            _rename_term(goal.var, mapping), _rename_goal(goal.body, mapping)
+            _rename_vars(goal.var, mapping), _rename_goal(goal.body, mapping)
         )
     raise MupError("oracle cannot handle goal: %r" % (goal,))
 
@@ -298,7 +298,7 @@ def _prove_atom(program, term, subst, limit, depth, rec):
     clauses = program.clauses_for(name, arity) or []
     for clause in clauses:
         mapping = {}
-        head = _rename_term(clause.head, mapping)
+        head = _rename_vars(clause.head, mapping)
         body = _rename_goal(clause.body, mapping)
         new = _unify(head, term, subst)
         if new is None:
@@ -406,7 +406,7 @@ def _stream(program, goal, subst, limit, depth, mode, hits):
         clauses = program.clauses_for(name, arity) or []
         for clause in clauses:
             mapping = {}
-            head = _rename_term(clause.head, mapping)
+            head = _rename_vars(clause.head, mapping)
             body = _rename_goal(clause.body, mapping)
             new = _unify(head, term, subst)
             if new is None:

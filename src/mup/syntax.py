@@ -607,26 +607,42 @@ class _Parser:
             self.fail("unexpected input after query")
         return Query(goal, self.var_order)
 
+    def parse_single_term(self):
+        self.begin_scope()
+        term = self.parse_term()
+        self.expect_punct(".")
+        if self.peek().kind != "eof":
+            self.fail("unexpected input after term")
+        return term
+
+
+def _parse(text, dialect, method):
+    """Run one ``_Parser`` method over ``text``.
+
+    The parser descends recursively, so input nested deeper than the host
+    stack allows is reported as a syntax error at the token reached.
+    """
+    parser = _Parser(tokenize(text), dialect)
+    try:
+        return method(parser)
+    except RecursionError:
+        tok = parser.peek()
+        raise MupSyntaxError("nested too deeply", tok.line, tok.col) from None
+
 
 def parse_program(text, dialect="choice"):
     """Parse a full program (clauses terminated by ``.``)."""
-    return _Parser(tokenize(text), dialect).parse_program()
+    return _parse(text, dialect, _Parser.parse_program)
 
 
 def parse_query(text, dialect="choice"):
     """Parse one goal terminated by ``.``; free variables become answers."""
-    return _Parser(tokenize(text), dialect).parse_query()
+    return _parse(text, dialect, _Parser.parse_query)
 
 
 def parse_term(text):
     """Parse a single term terminated by ``.`` (used by read/1)."""
-    parser = _Parser(tokenize(text), "choice")
-    parser.begin_scope()
-    term = parser.parse_term()
-    parser.expect_punct(".")
-    if parser.peek().kind != "eof":
-        parser.fail("unexpected input after term")
-    return term
+    return _parse(text, "choice", _Parser.parse_single_term)
 
 
 # ---------------------------------------------------------------------------
@@ -657,51 +673,69 @@ def pretty(term, quoted=True):
     """Render a term; the result reparses to an equal term.
 
     ``quoted=False`` drops atom quoting (the write/1 convention).
+    Iterative, so terms of any depth render in constant host stack.
     """
-    t = type(term)
-    if t is Var:
-        return term.name
-    if t is Const:
-        return _atom_text(term.name, quoted)
-    if t is Num:
-        return repr(term.value)
-    # compound
-    if term.functor == CONS and len(term.args) == 2:
-        return _pretty_list(term, quoted)
-    if term.functor in _INFIX_PREC and len(term.args) == 2:
-        prec = _INFIX_PREC[term.functor]
-        left = _wrap(term.args[0], prec, tight=False, quoted=quoted)
-        right = _wrap(term.args[1], prec, tight=True, quoted=quoted)
-        return "%s %s %s" % (left, term.functor, right)
-    if term.functor == "-" and len(term.args) == 1:
-        if type(term.args[0]) is Num:
+    out = []
+    todo = [term]  # subterms still to render, and the text (str) between them
+    while todo:
+        t = todo.pop()
+        tt = type(t)
+        if tt is str:
+            out.append(t)
+        elif tt is Var:
+            out.append(t.name)
+        elif tt is Const:
+            out.append(_atom_text(t.name, quoted))
+        elif tt is Num:
+            out.append(repr(t.value))
+        else:
+            todo.extend(reversed(_pieces(t, quoted)))
+    return "".join(out)
+
+
+def _pieces(term, quoted):
+    """One compound's rendering: its text and its subterms, in order."""
+    functor, args = term.functor, term.args
+    if functor == CONS and len(args) == 2:
+        pieces = ["["]
+        while type(term) is Compound and term.functor == CONS and len(term.args) == 2:
+            if len(pieces) > 1:
+                pieces.append(", ")
+            pieces.append(term.args[0])
+            term = term.args[1]
+        if not (type(term) is Const and term.name == EMPTY_LIST):
+            pieces += ("|", term)
+        pieces.append("]")
+        return pieces
+    if functor in _INFIX_PREC and len(args) == 2:
+        prec = _INFIX_PREC[functor]
+        return [
+            *_wrap(args[0], prec, tight=False),
+            " %s " % functor,
+            *_wrap(args[1], prec, tight=True),
+        ]
+    if functor == "-" and len(args) == 1:
+        if type(args[0]) is Num:
             # "-3" would reparse as a negative literal, not as negation.
-            return "-(%s)" % pretty(term.args[0], quoted)
-        inner = _wrap(term.args[0], 200, tight=True, quoted=quoted)
-        return "-%s" % inner
-    args = ", ".join(pretty(a, quoted) for a in term.args)
-    return "%s(%s)" % (_atom_text(term.functor, quoted), args)
+            return ["-(", args[0], ")"]
+        return ["-", *_wrap(args[0], 200, tight=True)]
+    pieces = [_atom_text(functor, quoted) + "("]
+    for i, arg in enumerate(args):
+        if i:
+            pieces.append(", ")
+        pieces.append(arg)
+    pieces.append(")")
+    return pieces
 
 
-def _wrap(arg, parent_prec, tight, quoted):
-    text = pretty(arg, quoted)
+def _wrap(arg, parent_prec, tight):
     if type(arg) is Compound and len(arg.args) == 2:
         prec = _INFIX_PREC.get(arg.functor)
         if prec is not None and (prec > parent_prec or (tight and prec == parent_prec)):
-            return "(%s)" % text
+            return ("(", arg, ")")
     if type(arg) is Num and arg.value < 0:
-        return "(%s)" % text
-    return text
-
-
-def _pretty_list(term, quoted):
-    items = []
-    while type(term) is Compound and term.functor == CONS and len(term.args) == 2:
-        items.append(pretty(term.args[0], quoted))
-        term = term.args[1]
-    if type(term) is Const and term.name == EMPTY_LIST:
-        return "[%s]" % ", ".join(items)
-    return "[%s|%s]" % (", ".join(items), pretty(term, quoted))
+        return ("(", arg, ")")
+    return (arg,)
 
 
 def pretty_goal(goal, quoted=True):

@@ -1,8 +1,8 @@
 """Term store: bindings with an undo trail, fresh variables, solutions.
 
-The term classes themselves (Var, Const, Num, Compound) come from the
-selected kernel backend and are re-exported here; everything else in the
-package should import them from this module.
+The term classes themselves (Var, Const, Num, Compound) come from
+``mup.kernel`` and are re-exported here; everything else in the package
+should import them from this module.
 """
 
 import itertools

@@ -1,8 +1,8 @@
 """Public unification entry point over a Bindings store.
 
-Thin wrapper around the selected kernel's unifier; exists so callers
-deal in Bindings objects and an occurs-check flag rather than raw
-map/trail pairs.
+Thin wrapper around the kernel's unifier; exists so callers deal in
+Bindings objects and an occurs-check flag rather than raw map/trail
+pairs.
 """
 
 from mup import kernel

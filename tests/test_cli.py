@@ -232,30 +232,18 @@ def test_batch_and_repl_agree(tmp_path):
     assert "false." in text
 
 
-def subprocess_env(**extra):
-    """The environment for a child Python that imports this mup."""
+def run_cli_subprocess(tmp_path, program_text, query):
+    """``mup run`` in a child Python with its own, default-sized stack."""
+    path = tmp_path / "prog.mpl"
+    path.write_text(program_text)
     src = os.path.dirname(os.path.dirname(mup.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return dict(os.environ, PYTHONPATH=path, **extra)
-
-
-def test_pure_python_fallback_subprocess(max_file):
-    env = subprocess_env(MUP_PURE_PYTHON="1")
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import mup; print(mup.kernel_impl); "
-            "import mup.cli, sys; "
-            "sys.exit(mup.cli.main(['run', %r, '-q', 'max(3,9,M).']))"
-            % max_file,
-        ],
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "mup.cli", "run", str(path), "-q", query],
         capture_output=True,
         text=True,
-        env=env,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["python", "M = 9."]
 
 
 NUM_MPL = "num(0,[]).\nnum(N,[N|T]) :- N > 0, M is N-1, num(M,T).\n"
@@ -270,32 +258,60 @@ def test_run_long_answer(tmp_path, capsys):
     assert out.endswith(", 2, 1].\n")
 
 
-def run_list_literal_clause(tmp_path, n, **env):
-    """``mup run`` of a clause holding an ``n``-element list literal."""
-    path = tmp_path / "big.mpl"
+@pytest.mark.parametrize("n", [5000, 100_000])
+def test_run_deep_clause_literal_succeeds(tmp_path, n):
+    # The engine builds clause bodies iteratively and shares ground parts.
     items = ", ".join(str(i) for i in range(n))
-    path.write_text("p :- X = [%s], X = X.\n" % items)
-    return subprocess.run(
-        [sys.executable, "-m", "mup.cli", "run", str(path), "-q", "p."],
-        capture_output=True,
-        text=True,
-        env=subprocess_env(**env),
-    )
-
-
-def test_run_deep_clause_literal_succeeds(tmp_path):
-    proc = run_list_literal_clause(tmp_path, 5000, MUP_PURE_PYTHON="1")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "true.\n"
-
-
-def test_run_huge_clause_literal_under_active_kernel(tmp_path):
-    # The engine builds clause bodies iteratively and shares ground parts,
-    # so neither kernel's rename_term is reached from ``mup run``.
-    proc = run_list_literal_clause(tmp_path, 100_000)
+    proc = run_cli_subprocess(tmp_path, "p :- X = [%s], X = X.\n" % items, "p.")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "true.\n"
     assert "Traceback" not in proc.stderr
+
+
+DEPTH = 5000
+DEEP_F = "f(" * DEPTH + "a" + ")" * DEPTH
+MK_MPL = "mk(0, a).\nmk(N, f(T)) :- N > 0, M is N-1, mk(M, T).\n"
+
+
+@pytest.mark.parametrize(
+    "program_text, query, code, expected",
+    [
+        pytest.param(
+            "p :- %s.\n" % ", ".join(["true"] * DEPTH), "p.", 0, "true.\n",
+            id="long_body",
+        ),
+        pytest.param(
+            "p(X) :- %s.\n" % " # ".join("X = %d" % i for i in range(DEPTH)),
+            "p(X).", 0, "X = 0.\n",
+            id="choice_chain",
+        ),
+        pytest.param(
+            "p(X) :- X = %s.\n" % DEEP_F, "p(X).", 2, "error: nested too deeply",
+            id="deep_term_in_clause",
+        ),
+        pytest.param(
+            "p(_).\n", "p(%s)." % DEEP_F, 2, "error: nested too deeply",
+            id="deep_term_in_query",
+        ),
+        pytest.param(
+            MK_MPL, "mk(%d, T)." % DEPTH, 0, "T = %s.\n" % DEEP_F,
+            id="deep_term_in_answer",
+        ),
+        pytest.param(
+            "p(X) :- %sX = 1%s.\n" % ("(" * DEPTH, ")" * DEPTH), "p(X).",
+            2, "error: nested too deeply",
+            id="nested_parentheses",
+        ),
+    ],
+)
+def test_deep_inputs_never_print_a_traceback(tmp_path, program_text, query, code, expected):
+    proc = run_cli_subprocess(tmp_path, program_text, query)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stdout == expected
+    else:
+        assert proc.stderr.startswith(expected)
 
 
 def test_repl_trace_directive():

@@ -1,31 +1,14 @@
-"""Kernel backend tests, run against the pure-Python implementation and,
-when built, the compiled one; both must behave identically."""
+"""Term kernel tests: dereferencing, the trail, unification, resolve."""
 
 import random
 
 import pytest
 
-import mup._kernel_py as kernel_py
+from mup import kernel
 
-try:
-    import mup._kernel_c as kernel_c
-except ImportError:
-    kernel_c = None
-
-BACKENDS = [kernel_py] + ([kernel_c] if kernel_c is not None else [])
-
-
-@pytest.fixture(params=BACKENDS, ids=lambda m: m.IMPL)
-def k(request):
-    return request.param
-
-
-def test_both_backends_available():
-    # The build is expected to produce the compiled kernel in CI; if it is
-    # missing we still run (pure fallback), but say so loudly.
-    if kernel_c is None:
-        pytest.skip("compiled kernel not built; pure fallback only")
-    assert kernel_c.IMPL == "c" and kernel_py.IMPL == "python"
+# Every test takes the kernel module as ``k``; the one parameter keeps the
+# test ids ``name[python]``.
+pytestmark = pytest.mark.parametrize("k", [kernel], ids=["python"])
 
 
 def test_deref_single_binding(k):
@@ -200,72 +183,6 @@ def test_unify_numbers_by_class(k):
     assert k.unify(k.Num(0.5), k.Num(0.5), bmap, trail, False)
 
 
-def test_rename_shares_mapping(k):
-    x = k.Var(1, "X")
-    term = k.Compound("f", (x, x, k.Const("a")))
-    counter = [100]
-
-    def make_var(old):
-        counter[0] += 1
-        return k.Var(counter[0], old.name)
-
-    out = k.rename_term(term, {}, make_var)
-    assert out.args[0] is out.args[1]
-    assert out.args[0].id == 101
-    assert out.args[2] == k.Const("a")
-
-
-def test_backends_agree_on_random_unifications():
-    if kernel_c is None:
-        pytest.skip("compiled kernel not built")
-    rng = random.Random(11)
-    for _ in range(300):
-        terms = {}
-
-        def build(depth, mod):
-            r = rng.random()
-            if depth == 0 or r < 0.3:
-                choice = rng.randint(0, 2)
-                if choice == 0:
-                    return mod.Var(rng.randint(1, 4), "V")
-                if choice == 1:
-                    return mod.Const(rng.choice("abc"))
-                return mod.Num(rng.randint(0, 2))
-            return mod.Compound(
-                rng.choice("fg"),
-                tuple(build(depth - 1, mod) for _ in range(rng.randint(1, 2))),
-            )
-
-        state = rng.getstate()
-        t1 = build(3, kernel_py)
-        s1 = build(3, kernel_py)
-        rng.setstate(state)
-        t2 = build(3, kernel_c)
-        s2 = build(3, kernel_c)
-
-        m1, tr1 = {}, []
-        m2, tr2 = {}, []
-        r1 = kernel_py.unify(t1, s1, m1, tr1, True)
-        r2 = kernel_c.unify(t2, s2, m2, tr2, True)
-        assert r1 == r2
-        if r1:
-            assert _shape(kernel_py.resolve(t1, m1)) == _shape(
-                kernel_c.resolve(t2, m2)
-            )
-
-
-def _shape(term):
-    """Backend-agnostic structural form (each backend has its own classes)."""
-    name = type(term).__name__
-    if name == "Var":
-        return ("var", term.id)
-    if name == "Const":
-        return ("const", term.name)
-    if name == "Num":
-        return ("num", type(term.value).__name__, term.value)
-    return ("compound", term.functor) + tuple(_shape(a) for a in term.args)
-
-
 def test_deep_list_spines_do_not_recurse(k):
     # Equality, hashing and resolve walk list spines iteratively; 5000
     # elements would overflow any per-cell host recursion.
@@ -285,27 +202,3 @@ def test_deep_list_spines_do_not_recurse(k):
     resolved = k.resolve(k.Compound(".", (k.Num(-1), x)), bmap)
     assert resolved == k.Compound(".", (k.Num(-1), a))
 
-
-def test_rename_long_list_keeps_sharing_without_recursion():
-    # Pure-Python kernel only: the compiled rename_term still recurses in C.
-    k = kernel_py
-    x = k.Var(1, "X")
-    term = k.Const("[]")
-    for i in range(100_000):
-        term = k.Compound(".", (k.Compound("p", (x, k.Num(i))), term))
-    counter = [100]
-
-    def make_var(old):
-        counter[0] += 1
-        return k.Var(counter[0], old.name)
-
-    out = k.rename_term(term, {}, make_var)
-    assert counter[0] == 101  # one fresh variable, shared by every element
-    cells = 0
-    while type(out) is k.Compound:
-        element = out.args[0]
-        assert element.args[0] == k.Var(101, "X")
-        assert element.args[1] == k.Num(99_999 - cells)
-        out = out.args[1]
-        cells += 1
-    assert cells == 100_000 and out == k.Const("[]")

@@ -155,6 +155,18 @@ def test_syntax_errors_carry_position():
         parse_program("p :- X.")
 
 
+def test_deep_nesting_is_a_syntax_error_and_prints_back():
+    # read/1 parses with parse_term; the CLI cases are in test_cli.py.
+    text = "f(" * 5000 + "a" + ")" * 5000
+    with pytest.raises(MupSyntaxError, match="nested too deeply") as info:
+        parse_term(text + ".")
+    assert info.value.line == 1
+    term = Const("a")
+    for _ in range(5000):
+        term = Compound("f", (term,))
+    assert pretty(term) == text
+
+
 def test_unterminated_quoted_atom():
     with pytest.raises(MupSyntaxError, match="unterminated"):
         parse_program("p('oops.")
