@@ -29,7 +29,6 @@ from mup.errors import (
     TranslateError,
     UnknownPredicateError,
 )
-from mup.oracle import count_solutions_bruteforce, provable, selftest
 from mup.syntax import (
     Clause,
     Program,
@@ -41,7 +40,6 @@ from mup.syntax import (
     pretty_goal,
 )
 from mup.terms import Bindings, Compound, Const, Num, Solution, Var
-from mup.transpile import translate
 from mup.unify import unify
 
 __version__ = "0.1.0"
@@ -49,6 +47,19 @@ __version__ = "0.1.0"
 # The term kernel (``mup.kernel``) is pure Python; benchmark stamps record
 # this name.
 kernel_impl = "python"
+
+
+def __getattr__(name):
+    # Solving needs neither the oracle nor the transpiler, so ``import mup``
+    # loads them only when one of their names is first read.
+    if name in ("count_solutions_bruteforce", "provable", "selftest"):
+        from mup import oracle as module
+    elif name == "translate":
+        from mup import transpile as module
+    else:
+        raise AttributeError("module 'mup' has no attribute %r" % (name,))
+    return getattr(module, name)
+
 
 __all__ = [
     "ArithTypeError",

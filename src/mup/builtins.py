@@ -114,7 +114,9 @@ def eval_arith(term, bindings):
                 return a % b
             except ZeroDivisionError:
                 raise EvalError("division by zero") from None
-    raise ArithTypeError("not an arithmetic expression: %r" % (t,))
+    from mup.syntax import pretty  # mup.syntax imports this module
+
+    raise ArithTypeError("not an arithmetic expression: %s" % pretty(bindings.resolve(t)))
 
 
 def _cmp(op):

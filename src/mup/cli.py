@@ -9,7 +9,6 @@ from mup.builtins import IoPorts
 from mup.engine import ERRORED, Engine, SolveConfig
 from mup.errors import MupError
 from mup.syntax import Program, parse_program
-from mup.transpile import translate
 
 
 def _engine_flags(parser):
@@ -160,6 +159,8 @@ def _cmd_run(args, out=None, err=None):
 
 
 def _cmd_translate(args):
+    from mup.transpile import translate
+
     program = _load_file(args.file)
     mode = "hard_cut" if args.mode == "hard" else "soft_cut"
     text = translate(program, mode, source_name=os.path.basename(args.file))

@@ -22,10 +22,8 @@ Everything here is iterative, and is written on top of the kernel's
 ``deref``, ``bind`` and ``unify``.
 """
 
-from operator import is_not
-
 from mup.kernel import Compound, Const, Num, Var, bind, deref, occurs, undo_to, unify
-from mup.syntax import TRUE, Exists
+from mup.syntax import TRUE, rebuild
 from mup.terms import fresh_var
 
 
@@ -63,58 +61,20 @@ def compile_clause(clause):
     clause.nslots = len(made)
 
 
-def _children(node):
-    """A compound's arguments, or a goal's fields in constructor order."""
-    if type(node) is Compound:
-        return node.args
-    return [getattr(node, field) for field in type(node).__slots__]
-
-
 def _compile(root, slots, made):
     """The template of a term or goal.
 
     ``slots`` maps a var id to its Slot; ``made`` lists every Slot made so
     far.  An ``Exists`` binder gets a slot of its own for the extent of
     its body, so it never shares a slot with a variable outside it.
+    Parts without variables are kept as they are.
     """
-    stack = []  # suspended parents: node, children, iterator, built, scope
-    # The bottom frame stands for the caller: its one child is ``root``.
-    node, children, scope = None, (root,), None
-    rest = iter(children)
-    built = []
-    while True:
-        for child in rest:
-            ct = type(child)
-            if ct is Var:
-                built.append(_slot(child, slots, made))
-            elif ct is Const or ct is Num:
-                built.append(child)
-            else:
-                stack.append((node, children, rest, built, scope))
-                scope = None
-                if ct is Exists:
-                    vid = child.var.id
-                    scope = (vid, slots.pop(vid, None))
-                node, children = child, _children(child)
-                rest = iter(children)
-                built = []
-                break
-        else:
-            if not stack:
-                return built[0]
-            if scope is not None:
-                vid, shadowed = scope
-                slots.pop(vid, None)
-                if shadowed is not None:
-                    slots[vid] = shadowed
-            if not any(map(is_not, built, children)):
-                out = node  # no variables below: shared as it is
-            elif type(node) is Compound:
-                out = (node.functor, tuple(built))
-            else:
-                out = (type(node), tuple(built))
-            node, children, rest, built, scope = stack.pop()
-            built.append(out)
+    return rebuild(root, slots, lambda var: _slot(var, slots, made), _template)
+
+
+def _template(node, parts):
+    maker = node.functor if type(node) is Compound else type(node)
+    return (maker, tuple(parts))
 
 
 def _slot(var, slots, made):

@@ -605,7 +605,7 @@ def _multiset(solutions):
     return sorted(s.canonical_key() for s in solutions)
 
 
-def selftest(seed=0, cases=300, depth=10, trials_per_mode=True):
+def selftest(seed=0, cases=300, depth=10):
     """Differential run of engine vs both oracles over a random corpus."""
     from mup.engine import Engine, SolveConfig
 
@@ -616,7 +616,7 @@ def selftest(seed=0, cases=300, depth=10, trials_per_mode=True):
             v for v in free_goal_vars(case.goal) if v.name != "_"
         ]
         engine_success = None
-        for mode in ("soft", "first") if trials_per_mode else ("soft",):
+        for mode in ("soft", "first"):
             # Generated programs may leave predicates undefined; both
             # sides read that as plain failure.
             cfg = SolveConfig(

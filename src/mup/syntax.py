@@ -16,6 +16,8 @@ Two dialects share the parser.  The default ``choice`` dialect accepts
 transpiler output) accepts ``!`` and ``*->`` and rejects ``#``.
 """
 
+from operator import is_not
+
 from mup import builtins as _builtins
 from mup.errors import LoadError, MupSyntaxError
 from mup.terms import CONS, EMPTY_LIST, Compound, Const, Num, Var, fresh_var, mk_list
@@ -176,14 +178,13 @@ class Program:
     first-argument index (see ``mup.compiled``), built in the same pass.
     """
 
-    __slots__ = ("clauses", "index", "predicates")
+    __slots__ = ("clauses", "predicates")
 
     def __init__(self, clauses):
         # mup.compiled imports the goal classes from this module.
         from mup.compiled import Predicate
 
         self.clauses = list(clauses)
-        self.index = {}
         self.predicates = {}
         for clause in self.clauses:
             key = clause.indicator()
@@ -194,11 +195,11 @@ class Program:
                         "cannot redefine built-in predicate %s/%d" % key
                     )
                 pred = self.predicates[key] = Predicate()
-                self.index[key] = pred.clauses
             pred.add(clause)
 
     def clauses_for(self, name, arity):
-        return self.index.get((name, arity))
+        pred = self.predicates.get((name, arity))
+        return None if pred is None else pred.clauses
 
     def __len__(self):
         return len(self.clauses)
@@ -670,13 +671,15 @@ def _atom_text(name, quoted=True):
 
 
 def pretty(term, quoted=True):
-    """Render a term; the result reparses to an equal term.
+    """Render a term or a goal; the result reparses to an equal one
+    (``Exists`` has no surface syntax).
 
     ``quoted=False`` drops atom quoting (the write/1 convention).
-    Iterative, so terms of any depth render in constant host stack.
+    Iterative, so terms and goals of any depth render in constant host
+    stack.
     """
     out = []
-    todo = [term]  # subterms still to render, and the text (str) between them
+    todo = [term]  # parts still to render, and the text (str) between them
     while todo:
         t = todo.pop()
         tt = type(t)
@@ -688,9 +691,16 @@ def pretty(term, quoted=True):
             out.append(_atom_text(t.name, quoted))
         elif tt is Num:
             out.append(repr(t.value))
-        else:
+        elif tt is Compound:
             todo.extend(reversed(_pieces(t, quoted)))
+        elif tt is TrueGoal:
+            out.append("true")
+        else:
+            todo.extend(reversed(_goal_pieces(t)))
     return "".join(out)
+
+
+pretty_goal = pretty
 
 
 def _pieces(term, quoted):
@@ -738,45 +748,35 @@ def _wrap(arg, parent_prec, tight):
     return (arg,)
 
 
-def pretty_goal(goal, quoted=True):
-    """Render a goal; reparses to an equal goal (Exists has no syntax)."""
+def _goal_pieces(goal):
+    """One goal's rendering: its text and its parts, in order."""
     t = type(goal)
-    if t is TrueGoal:
-        return "true"
     if t is Call:
-        return pretty(goal.term, quoted)
+        return [goal.term]
     if t is Eq:
-        return "%s = %s" % (
-            pretty(goal.left, quoted),
-            pretty(goal.right, quoted),
-        )
+        return [goal.left, " = ", goal.right]
     if t is Conj:
-        left = pretty_goal(goal.left, quoted)
-        if type(goal.left) is Conj:
-            left = "(%s)" % left
-        return "%s, %s" % (left, pretty_goal(goal.right, quoted))
+        pieces = []
+        while type(goal) is Conj:  # a right-nested chain prints flat
+            left = goal.left
+            pieces += ("(", left, "), ") if type(left) is Conj else (left, ", ")
+            goal = goal.right
+        pieces.append(goal)
+        return pieces
     if t is Choice or t is ClassicalOr:
-        op = "#" if t is Choice else ";"
-        left = pretty_goal(goal.left, quoted)
-        if type(goal.left) is t:
-            left = "(%s)" % left
-        right = pretty_goal(goal.right, quoted)
+        left, right = [goal.left], [goal.right]
+        if type(goal.left) in (Choice, ClassicalOr):
+            left = ["(", goal.left, ")"]
         if type(goal.right) in (Choice, ClassicalOr) and type(goal.right) is not t:
-            right = "(%s)" % right
-        if type(goal.left) in (Choice, ClassicalOr) and type(goal.left) is not t:
-            left = "(%s)" % left
-        return "(%s %s %s)" % (left, op, right)
+            right = ["(", goal.right, ")"]
+        return ["(", *left, " # " if t is Choice else " ; ", *right, ")"]
     if t is Exists:
         # Debug rendering only: existentials have no surface syntax.
-        return "exists(%s, %s)" % (goal.var.name, pretty_goal(goal.body, quoted))
+        return ["exists(", goal.var, ", ", goal.body, ")"]
     if t is Cut:
-        return "!"
+        return ["!"]
     if t is SoftIfThenElse:
-        return "((%s) *-> (%s) ; (%s))" % (
-            pretty_goal(goal.cond, quoted),
-            pretty_goal(goal.then, quoted),
-            pretty_goal(goal.els, quoted),
-        )
+        return ["((", goal.cond, ") *-> (", goal.then, ") ; (", goal.els, "))"]
     raise TypeError("not a goal: %r" % (goal,))
 
 
@@ -791,106 +791,93 @@ def format_program(program):
     return "\n".join(pretty_clause(c) for c in program.clauses) + "\n"
 
 
+
+
 # ---------------------------------------------------------------------------
-# AST utilities shared by the engine, transpiler and oracle
+# Walks over goals and terms, shared by the engine, compiler and transpiler.
+# Each is a loop over an explicit stack, so no goal or term is too deep.
 
 
-def goal_children(goal):
-    t = type(goal)
-    if t is Conj or t is Choice or t is ClassicalOr:
-        return (goal.left, goal.right)
-    if t is Exists:
-        return (goal.body,)
-    if t is SoftIfThenElse:
-        return (goal.cond, goal.then, goal.els)
-    return ()
-
-
-def goal_terms(goal):
-    t = type(goal)
-    if t is Call:
-        return (goal.term,)
-    if t is Eq:
-        return (goal.left, goal.right)
-    return ()
-
-
-def term_vars(term, seen, out):
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        if type(t) is Var:
-            if t.id not in seen:
-                seen.add(t.id)
-                out.append(t)
-        elif type(t) is Compound:
-            stack.extend(reversed(t.args))
+def goal_parts(node):
+    """A compound's arguments, or a goal's fields in constructor order."""
+    if type(node) is Compound:
+        return node.args
+    return [getattr(node, field) for field in type(node).__slots__]
 
 
 def free_goal_vars(goal, bound=frozenset()):
     """Variables free in ``goal`` in first-occurrence order."""
     seen = set(bound)
     out = []
-
-    def walk(g, bound_here):
-        if type(g) is Exists:
-            walk(g.body, bound_here | {g.var.id})
-            return
-        for term in goal_terms(g):
-            collect(term, bound_here)
-        for child in goal_children(g):
-            walk(child, bound_here)
-
-    def collect(term, bound_here):
-        stack = [term]
-        while stack:
-            t = stack.pop()
-            if type(t) is Var:
-                if t.id not in bound_here and t.id not in seen:
-                    seen.add(t.id)
-                    out.append(t)
-            elif type(t) is Compound:
-                stack.extend(reversed(t.args))
-
-    walk(goal, frozenset(bound))
+    stack = [(goal, frozenset(bound))]
+    while stack:
+        node, bound = stack.pop()
+        t = type(node)
+        if t is Var:
+            if node.id not in bound and node.id not in seen:
+                seen.add(node.id)
+                out.append(node)
+        elif t is Exists:
+            stack.append((node.body, bound | {node.var.id}))
+        elif t is not Const and t is not Num:
+            stack.extend((part, bound) for part in reversed(goal_parts(node)))
     return out
 
 
-def subst_term(term, mapping):
-    """Replace variables by id according to ``mapping`` (a dict id->Term)."""
-    t = type(term)
-    if t is Var:
-        return mapping.get(term.id, term)
-    if t is Compound:
-        return Compound(term.functor, tuple(subst_term(a, mapping) for a in term.args))
-    return term
+def rebuild(root, env, leaf, make):
+    """``root``, a goal or a term, rebuilt bottom-up.
+
+    Each variable becomes ``leaf(var)``.  For the extent of an ``Exists``
+    its binder's entry in ``env`` (a dict keyed by var id) is taken out,
+    and put back after.  A node whose parts all came back as they were is
+    kept as it is (shared); any other becomes ``make(node, parts)``.
+    """
+    stack = []  # suspended parents: node, parts, iterator, built, hidden
+    # The bottom frame stands for the caller: its one part is ``root``.
+    node, parts, hidden = None, (root,), None
+    rest = iter(parts)
+    built = []
+    while True:
+        for part in rest:
+            pt = type(part)
+            if pt is Var:
+                built.append(leaf(part))
+            elif pt is Const or pt is Num:
+                built.append(part)
+            else:
+                stack.append((node, parts, rest, built, hidden))
+                hidden = None
+                if pt is Exists:
+                    vid = part.var.id
+                    hidden = (vid, env.pop(vid, None))
+                node, parts = part, goal_parts(part)
+                rest = iter(parts)
+                built = []
+                break
+        else:
+            if not stack:
+                return built[0]
+            if hidden is not None:
+                vid, value = hidden
+                env.pop(vid, None)
+                if value is not None:
+                    env[vid] = value
+            out = make(node, built) if any(map(is_not, built, parts)) else node
+            node, parts, rest, built, hidden = stack.pop()
+            built.append(out)
 
 
-def subst_goal(goal, mapping):
-    """Apply ``mapping`` to every term in ``goal``; Exists binders shadow."""
-    t = type(goal)
-    if t is TrueGoal or t is Cut:
-        return goal
-    if t is Call:
-        return Call(subst_term(goal.term, mapping))
-    if t is Eq:
-        return Eq(subst_term(goal.left, mapping), subst_term(goal.right, mapping))
-    if t is Conj:
-        return Conj(subst_goal(goal.left, mapping), subst_goal(goal.right, mapping))
-    if t is Choice:
-        return Choice(subst_goal(goal.left, mapping), subst_goal(goal.right, mapping))
-    if t is ClassicalOr:
-        return ClassicalOr(
-            subst_goal(goal.left, mapping), subst_goal(goal.right, mapping)
-        )
-    if t is Exists:
-        if goal.var.id in mapping:
-            mapping = {k: v for k, v in mapping.items() if k != goal.var.id}
-        return Exists(goal.var, subst_goal(goal.body, mapping))
-    if t is SoftIfThenElse:
-        return SoftIfThenElse(
-            subst_goal(goal.cond, mapping),
-            subst_goal(goal.then, mapping),
-            subst_goal(goal.els, mapping),
-        )
-    raise TypeError("not a goal: %r" % (goal,))
+def subst_goal(root, mapping):
+    """Replace variables by id according to ``mapping`` (a dict id->Term).
+
+    ``root`` is a goal or a term.  An ``Exists`` binder shadows its
+    variable in its body; parts with nothing replaced are shared.
+    """
+    env = dict(mapping)  # rebuild takes binders out of it in place
+    return rebuild(root, env, lambda var: env.get(var.id, var), _remake)
+
+
+def _remake(node, parts):
+    if type(node) is Compound:
+        return Compound(node.functor, parts)
+    return type(node)(*parts)

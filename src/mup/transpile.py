@@ -28,17 +28,15 @@ from mup.syntax import (
     Conj,
     Cut,
     Exists,
+    Goal,
     SoftIfThenElse,
     TRUE,
     free_goal_vars,
-    goal_children,
-    goal_terms,
+    goal_parts,
     pretty_clause,
     subst_goal,
-    subst_term,
-    term_vars,
 )
-from mup.terms import Compound, Const, Var, fresh_var
+from mup.terms import Compound, Const, Num, Var, fresh_var
 
 MODES = ("hard_cut", "soft_cut")
 
@@ -105,60 +103,76 @@ def _uniquify_names(clause):
     if not mapping:
         return clause
     return Clause(
-        subst_term(clause.head, mapping),
+        subst_goal(clause.head, mapping),
         subst_goal(clause.body, mapping),
         clause.span,
     )
 
 
 def _tx_goal(goal, order, counter, aux_acc, mode):
-    t = type(goal)
-    if t is Choice:
-        left = _tx_goal(goal.left, order, counter, aux_acc, mode)
-        right = _tx_goal(goal.right, order, counter, aux_acc, mode)
-        counter[0] += 1
-        name = "%s%d" % (_AUX_PREFIX, counter[0])
-        in_choice = {v.id for v in free_goal_vars(Conj(left, right))}
-        params = tuple(v for v in order if v.id in in_choice)
-        head = Compound(name, params) if params else Const(name)
-        if mode == "hard_cut":
-            aux_acc.append(Clause(head, Conj(left, Cut())))
-            aux_acc.append(Clause(head, right))
+    """``goal`` with every ``#`` replaced by a call to an auxiliary predicate.
+
+    Inner choices are translated (numbered and emitted) before the choices
+    around them.  ``todo`` holds goals still to translate and connectives
+    whose two sides are done; ``done`` holds translated goals.
+    """
+    todo = [(goal, order, False)]
+    done = []
+    while todo:
+        goal, order, sides_done = todo.pop()
+        t = type(goal)
+        if sides_done:
+            right = done.pop()
+            left = done.pop()
+            if t is not Choice:
+                done.append(t(left, right))
+                continue
+            counter[0] += 1
+            name = "%s%d" % (_AUX_PREFIX, counter[0])
+            in_choice = {v.id for v in free_goal_vars(Conj(left, right))}
+            params = tuple(v for v in order if v.id in in_choice)
+            head = Compound(name, params) if params else Const(name)
+            if mode == "hard_cut":
+                aux_acc.append(Clause(head, Conj(left, Cut())))
+                aux_acc.append(Clause(head, right))
+            else:
+                aux_acc.append(Clause(head, SoftIfThenElse(left, TRUE, right)))
+            done.append(Call(head))
+        elif t is Choice or t is Conj or t is ClassicalOr:
+            todo.append((goal, order, True))
+            todo.append((goal.right, order, False))
+            todo.append((goal.left, order, False))
+        elif t is Exists:
+            # Clause-local variables are implicitly existential in the target,
+            # so drop the quantifier; rename the binder if its display name
+            # collides with anything else in the clause.
+            replacement = fresh_var("_E%d" % goal.var.id)
+            body = subst_goal(goal.body, {goal.var.id: replacement})
+            todo.append((body, order + [replacement], False))
         else:
-            aux_acc.append(Clause(head, SoftIfThenElse(left, TRUE, right)))
-        return Call(head)
-    if t is Conj:
-        return Conj(
-            _tx_goal(goal.left, order, counter, aux_acc, mode),
-            _tx_goal(goal.right, order, counter, aux_acc, mode),
-        )
-    if t is ClassicalOr:
-        return ClassicalOr(
-            _tx_goal(goal.left, order, counter, aux_acc, mode),
-            _tx_goal(goal.right, order, counter, aux_acc, mode),
-        )
-    if t is Exists:
-        # Clause-local variables are implicitly existential in the target,
-        # so drop the quantifier; rename the binder if its display name
-        # collides with anything else in the clause.
-        replacement = fresh_var("_E%d" % goal.var.id)
-        body = subst_goal(goal.body, {goal.var.id: replacement})
-        return _tx_goal(body, order + [replacement], counter, aux_acc, mode)
-    return goal
+            done.append(goal)
+    return done[0]
 
 
 def _clause_var_order(clause):
+    """The clause's variables in first-occurrence order.
+
+    An ``Exists`` binder counts only where it occurs in the body.
+    """
     seen = set()
     out = []
-    term_vars(clause.head, seen, out)
-
-    def walk(goal):
-        for term in goal_terms(goal):
-            term_vars(term, seen, out)
-        for child in goal_children(goal):
-            walk(child)
-
-    walk(clause.body)
+    stack = [clause.body, clause.head]
+    while stack:
+        node = stack.pop()
+        t = type(node)
+        if t is Var:
+            if node.id not in seen:
+                seen.add(node.id)
+                out.append(node)
+        elif t is Exists:
+            stack.append(node.body)
+        elif t is not Const and t is not Num:
+            stack.extend(reversed(goal_parts(node)))
     return out
 
 
@@ -179,11 +193,14 @@ def _check_collisions(program):
 
 
 def _called_names(goal):
-    if type(goal) is Call:
-        term = goal.term
-        if type(term) is Compound:
-            yield term.functor
-        elif type(term) is Const:
-            yield term.name
-    for child in goal_children(goal):
-        yield from _called_names(child)
+    stack = [goal]
+    while stack:
+        goal = stack.pop()
+        if type(goal) is Call:
+            term = goal.term
+            if type(term) is Compound:
+                yield term.functor
+            elif type(term) is Const:
+                yield term.name
+        elif isinstance(goal, Goal):
+            stack.extend(reversed(goal_parts(goal)))

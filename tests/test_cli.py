@@ -59,6 +59,14 @@ def test_run_unknown_predicate_error_exit_two(max_file, capsys):
     assert "unknown predicate" in err
 
 
+def test_run_arithmetic_type_error_shows_the_resolved_term(max_file, capsys):
+    query = "X = f(Y), Y = a, Z is X + 1."
+    code, out, err = run_cli(["run", max_file, "-q", query], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: not an arithmetic expression: f(a)\n"
+
+
 def test_run_parse_error_exit_two(max_file, capsys):
     code, _, err = run_cli(["run", max_file, "-q", "max(3,9."], capsys)
     assert code == 2
@@ -232,18 +240,37 @@ def test_batch_and_repl_agree(tmp_path):
     assert "false." in text
 
 
-def run_cli_subprocess(tmp_path, program_text, query):
+def child_env():
+    """The environment of a child Python that imports this ``mup``."""
+    src = os.path.dirname(os.path.dirname(mup.__file__))
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=pythonpath)
+
+
+def run_cli_subprocess(tmp_path, program_text, query, *options, stderr=subprocess.PIPE):
     """``mup run`` in a child Python with its own, default-sized stack."""
     path = tmp_path / "prog.mpl"
     path.write_text(program_text)
-    src = os.path.dirname(os.path.dirname(mup.__file__))
-    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "mup.cli", "run", str(path), "-q", query],
-        capture_output=True,
+        [sys.executable, "-m", "mup.cli", "run", str(path), "-q", query, *options],
+        stdout=subprocess.PIPE,
+        stderr=stderr,
         text=True,
-        env=dict(os.environ, PYTHONPATH=pythonpath),
+        env=child_env(),
     )
+
+
+def test_import_mup_leaves_oracle_and_transpiler_unloaded():
+    code = (
+        "import sys, mup\n"
+        "print([m for m in ('mup.oracle', 'mup.transpile') if m in sys.modules])\n"
+        "names = ('translate', 'provable', 'selftest', 'count_solutions_bruteforce')\n"
+        "print([callable(getattr(mup, name)) for name in names])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.stdout == "[]\n[True, True, True, True]\n", proc.stderr
 
 
 NUM_MPL = "num(0,[]).\nnum(N,[N|T]) :- N > 0, M is N-1, num(M,T).\n"
@@ -271,20 +298,15 @@ def test_run_deep_clause_literal_succeeds(tmp_path, n):
 DEPTH = 5000
 DEEP_F = "f(" * DEPTH + "a" + ")" * DEPTH
 MK_MPL = "mk(0, a).\nmk(N, f(T)) :- N > 0, M is N-1, mk(M, T).\n"
+LONG_BODY = "p :- %s.\n" % ", ".join(["true"] * DEPTH)
+CHOICE_CHAIN = "p(X) :- %s.\n" % " # ".join("X = %d" % i for i in range(DEPTH))
 
 
 @pytest.mark.parametrize(
     "program_text, query, code, expected",
     [
-        pytest.param(
-            "p :- %s.\n" % ", ".join(["true"] * DEPTH), "p.", 0, "true.\n",
-            id="long_body",
-        ),
-        pytest.param(
-            "p(X) :- %s.\n" % " # ".join("X = %d" % i for i in range(DEPTH)),
-            "p(X).", 0, "X = 0.\n",
-            id="choice_chain",
-        ),
+        pytest.param(LONG_BODY, "p.", 0, "true.\n", id="long_body"),
+        pytest.param(CHOICE_CHAIN, "p(X).", 0, "X = 0.\n", id="choice_chain"),
         pytest.param(
             "p(X) :- X = %s.\n" % DEEP_F, "p(X).", 2, "error: nested too deeply",
             id="deep_term_in_clause",
@@ -312,6 +334,30 @@ def test_deep_inputs_never_print_a_traceback(tmp_path, program_text, query, code
         assert proc.stdout == expected
     else:
         assert proc.stderr.startswith(expected)
+    if program_text not in (LONG_BODY, CHOICE_CHAIN):
+        return
+    # Tracing prints each goal reduced: for the long body, 75 MB in all,
+    # so stderr goes to a file and is scanned line by line.
+    err_path = tmp_path / "trace.txt"
+    with open(err_path, "w") as err:
+        proc = run_cli_subprocess(tmp_path, program_text, query, "--trace", stderr=err)
+    with open(err_path) as err:
+        assert not any("Traceback" in line for line in err)
+    assert proc.returncode == 0
+    assert proc.stdout == expected
+    out_path = tmp_path / "prog.pl"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mup.cli", "translate", str(tmp_path / "prog.mpl"),
+         "-o", str(out_path)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    # Each '#' becomes an auxiliary predicate of two clauses.
+    translated = parse_program(out_path.read_text(), dialect="prolog")
+    assert len(translated) == 1 + 2 * program_text.count("#")
 
 
 def test_repl_trace_directive():

@@ -415,6 +415,24 @@ def test_deep_derivation_does_not_exhaust_host_stack():
     assert result.outcome == "exhausted"
 
 
+def test_long_query_walkers_need_no_host_stack():
+    # solve() without answer variables collects them with free_goal_vars;
+    # it, subst_goal and pretty_goal walk a 3,000-goal query iteratively.
+    from mup.syntax import free_goal_vars, pretty_goal, subst_goal
+
+    text = ", ".join("X%d = %d" % (i, i) for i in range(3000))
+    goal = parse_query(text + ".").goal
+    avs = free_goal_vars(goal)
+    assert [v.name for v in avs] == ["X%d" % i for i in range(3000)]
+    solutions = list(Engine(parse_program("")).solve(goal))
+    assert len(solutions) == 1
+    assert solutions[0].render().endswith(", X2999 = 2999")
+    out = subst_goal(goal, {avs[0].id: Num(7)})
+    assert out.right is goal.right  # the unchanged rest is shared
+    assert pretty_goal(out) == "7 = 0, " + text.split(", ", 1)[1]
+    assert pretty_goal(goal) == text
+
+
 # ---------------------------------------------------------------------------
 # Pinned machine behaviour: exact trace and Prolog cut
 
