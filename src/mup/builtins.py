@@ -73,50 +73,86 @@ class BuiltinContext:
 # Arithmetic
 
 _INT_ONLY = ("//", "mod")
+_BINARY = ("+", "-", "*", "/", "//", "mod")
+_NEGATE = "neg"  # marks a unary minus on the work stack
 
 
 def eval_arith(term, bindings):
     """Evaluate an arithmetic expression to a Python number.
 
     Supports + - * / on ints and floats (/ always yields a float),
-    // and mod on ints only, and unary minus.
+    // and mod on ints only, and unary minus.  Iterative: operands are
+    evaluated left to right on a work stack, so a long chain such as
+    ``1+1+...+1`` needs no host stack.
     """
-    t = bindings.deref(term)
-    tt = type(t)
-    if tt is Num:
+    bmap = bindings.map
+    t = kernel.deref(term, bmap)
+    if type(t) is Num:
         return t.value
-    if tt is Var:
-        raise InstantiationError(
-            "arguments of arithmetic are not sufficiently instantiated"
-        )
-    if tt is Compound:
-        op = t.functor
-        if len(t.args) == 1 and op == "-":
-            return -eval_arith(t.args[0], bindings)
-        if len(t.args) == 2 and op in ("+", "-", "*", "/", "//", "mod"):
-            a = eval_arith(t.args[0], bindings)
-            b = eval_arith(t.args[1], bindings)
-            if op in _INT_ONLY and not (
-                type(a) is int and type(b) is int
-            ):
-                raise ArithTypeError("%s needs integer operands" % op)
-            try:
-                if op == "+":
-                    return a + b
-                if op == "-":
-                    return a - b
-                if op == "*":
-                    return a * b
-                if op == "/":
-                    return a / b
-                if op == "//":
-                    return a // b
-                return a % b
-            except ZeroDivisionError:
-                raise EvalError("division by zero") from None
-    from mup.syntax import pretty  # mup.syntax imports this module
+    todo = [t]  # subterms still to evaluate, and operators to apply
+    values = []  # operands evaluated so far
+    while todo:
+        t = todo.pop()
+        tt = type(t)
+        if tt is str:
+            if t is _NEGATE:
+                values.append(-values.pop())
+            else:
+                b = values.pop()
+                values.append(_apply(t, values.pop(), b))
+            continue
+        if tt is Var:
+            t = kernel.deref(t, bmap)
+            tt = type(t)
+        if tt is Num:
+            values.append(t.value)
+            continue
+        if tt is Var:
+            raise InstantiationError(
+                "arguments of arithmetic are not sufficiently instantiated"
+            )
+        if tt is Compound:
+            op = t.functor
+            args = t.args
+            if len(args) == 1 and op == "-":
+                todo.append(_NEGATE)
+                todo.append(args[0])
+                continue
+            if len(args) == 2 and op in _BINARY:
+                a = kernel.deref(args[0], bmap)
+                b = kernel.deref(args[1], bmap)
+                if type(a) is Num and type(b) is Num:  # the common case
+                    values.append(_apply(op, a.value, b.value))
+                else:
+                    todo.append(op)
+                    todo.append(b)
+                    todo.append(a)
+                continue
+        from mup.syntax import pretty  # mup.syntax imports this module
 
-    raise ArithTypeError("not an arithmetic expression: %s" % pretty(bindings.resolve(t)))
+        raise ArithTypeError(
+            "not an arithmetic expression: %s" % pretty(bindings.resolve(t))
+        )
+    return values[0]
+
+
+def _apply(op, a, b):
+    if op in _INT_ONLY and not (type(a) is int and type(b) is int):
+        raise ArithTypeError("%s needs integer operands" % op)
+    try:
+        if op == "+":
+            return a + b
+        if op == "-":
+            return a - b
+        if op == "*":
+            return a * b
+        if op == "/":
+            return a / b
+        if op == "//":
+            return a // b
+        return a % b
+    except ZeroDivisionError:
+        raise EvalError("division by zero") from None
 
 
 def _cmp(op):

@@ -4,17 +4,17 @@ Execution alternates between two phases.  Reducing a goal dispatches on
 its top connective (conjunction splits, equality unifies, committed
 choice picks a disjunct, ...); an atomic goal switches to backchaining.
 
-Backchaining works on clauses compiled once, when the Program loaded
-(``mup.compiled``): each is a template whose variables are numbered
-slots.  The call's dereferenced first argument selects the candidates
-from the predicate's first-argument index, in source order.  For each
-candidate the head template is unified with the call first, filling the
-slots; only when that succeeds is the body built from the slots (parts
-without variables are shared, not copied) and reduced one level deeper.
-No clause is copied just to fail, and when no other candidate remains
-no choicepoint is left behind.  ``_kunify`` (head unification) and
-``fresh_rename`` (body construction) are looked up as module globals at
-run time, so ``mupbench`` can time them as layers.
+Backchaining works on clauses compiled to Python code the first time
+they are tried (``mup.compiled``).  The call's dereferenced first
+argument selects the candidates from the predicate's first-argument
+index, in source order.  For each candidate the clause's generated head
+matcher runs first; only when it succeeds does the generated body
+builder make the body (parts without variables are shared, not copied),
+which is reduced one level deeper.  No clause is copied just to fail,
+and when no other candidate remains no choicepoint is left behind.
+``_kunify`` (head matching) and ``fresh_rename`` (body building) are
+looked up as module globals at run time, so ``mupbench`` can time them
+as layers.
 
 The search itself is iterative: an explicit continuation (a linked list
 of frames) plus a stack of choicepoints, so derivation depth never eats
@@ -33,9 +33,8 @@ from dataclasses import dataclass, field
 
 from mup import kernel
 from mup.builtins import BUILTINS, BuiltinContext, IoPorts
-from mup.compiled import compile_clause
-from mup.compiled import build as fresh_rename
-from mup.compiled import unify_head as _kunify
+from mup.compiled import build_body as fresh_rename
+from mup.compiled import match_head as _kunify
 from mup.errors import MupError, UnknownPredicateError
 from mup.syntax import (
     Call,
@@ -162,9 +161,8 @@ class Engine:
         exhausting the stream restores ``bindings``.  ``clauses`` defaults
         to the program's candidates for the atom, taken from its
         first-argument index; clauses given here (a single Clause is also
-        accepted) are compiled first and tried in the order given.
-        (Abandoning the stream early leaves the bindings of the last success
-        in place.)
+        accepted) are tried in the order given.  (Abandoning the stream
+        early leaves the bindings of the last success in place.)
         """
         goal = bindings.deref(atom)
         if type(goal) is Var or type(goal) is Num:
@@ -175,8 +173,6 @@ class Engine:
         else:
             if not isinstance(clauses, (list, tuple)):
                 clauses = [clauses]
-            for clause in clauses:
-                compile_clause(clause)
         if hits is None:
             hits = [0]
         cont = (("clauses", goal, clauses, 0, 0), None)
@@ -375,18 +371,16 @@ class Engine:
                     raise MupError("cannot solve goal: %r" % (goal,))
 
                 if tag == "clauses":
-                    # Try the candidates in source order: unify the head
-                    # template, and build the body only on a match.  Leave
-                    # a choicepoint only if other candidates remain.
+                    # Try the candidates in source order: match the head,
+                    # and build the body only on a match.  Leave a
+                    # choicepoint only if other candidates remain.
                     _, goal_term, clauses, idx, depth = frame
                     mark = bindings.checkpoint()
                     while idx < len(clauses):
                         clause = clauses[idx]
                         idx += 1
-                        slots = [None] * clause.nslots
-                        ok = _kunify(
-                            clause.head_template, goal_term, slots, bmap, btrail, occ
-                        )
+                        values = _kunify(clause, goal_term, bmap, btrail, occ)
+                        ok = values is not None
                         if trace is not None:
                             # The source head prints as a renamed copy would.
                             self._emit(
@@ -406,9 +400,7 @@ class Engine:
                             (("clauses", goal_term, clauses, idx, depth), cont),
                             mark,
                         ))
-                    body = clause.body_template
-                    if type(body) is tuple:
-                        body = fresh_rename(body, slots)
+                    body = fresh_rename(clause, values)
                     cont = (("goal", body, depth + 1, cutb), cont)
                     continue
 

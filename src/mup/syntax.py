@@ -139,17 +139,20 @@ class SoftIfThenElse(Goal):
 class Clause:
     """``head :- body``; unit clauses carry TRUE as body.
 
-    Loading the clause into a Program compiles it:
+    The clause is compiled the first time it is tried:
     ``mup.compiled.compile_clause`` sets ``head_template``,
-    ``body_template`` and ``nslots``.
+    ``body_template``, ``nslots`` and ``code``, which is None until then.
     """
 
-    __slots__ = ("head", "body", "span", "head_template", "body_template", "nslots")
+    __slots__ = (
+        "head", "body", "span", "head_template", "body_template", "nslots", "code",
+    )
 
     def __init__(self, head, body=TRUE, span=None):
         self.head = head
         self.body = body
         self.span = span
+        self.code = None
 
     def indicator(self):
         if type(self.head) is Compound:
@@ -174,7 +177,7 @@ class Program:
     """Ordered clause store with a (name, arity) index.
 
     Clause order is source order; the engine tries candidates in that
-    order.  ``predicates`` holds each predicate's compiled clauses and
+    order.  ``predicates`` holds each predicate's clauses and
     first-argument index (see ``mup.compiled``), built in the same pass.
     """
 

@@ -300,6 +300,10 @@ DEEP_F = "f(" * DEPTH + "a" + ")" * DEPTH
 MK_MPL = "mk(0, a).\nmk(N, f(T)) :- N > 0, M is N-1, mk(M, T).\n"
 LONG_BODY = "p :- %s.\n" % ", ".join(["true"] * DEPTH)
 CHOICE_CHAIN = "p(X) :- %s.\n" % " # ".join("X = %d" % i for i in range(DEPTH))
+# A head list of 5,000 variables, matched in write mode (L unbound), then
+# in read mode (L bound).
+LIST_HEAD = "p([%s], X0, X%d).\nq(F, E) :- p(L, a, z), p(L, F, E).\n" % (
+    ", ".join("X%d" % i for i in range(DEPTH)), DEPTH - 1)
 
 
 @pytest.mark.parametrize(
@@ -323,6 +327,15 @@ CHOICE_CHAIN = "p(X) :- %s.\n" % " # ".join("X = %d" % i for i in range(DEPTH))
             "p(X) :- %sX = 1%s.\n" % ("(" * DEPTH, ")" * DEPTH), "p(X).",
             2, "error: nested too deeply",
             id="nested_parentheses",
+        ),
+        pytest.param(
+            "p(X) :- X is %s.\n" % "+".join(["1"] * DEPTH), "p(X).", 0,
+            "X = %d.\n" % DEPTH, id="arith_chain",
+        ),
+        pytest.param(LIST_HEAD, "q(F, E).", 0, "F = a, E = z.\n", id="list_head"),
+        pytest.param(
+            "p(X) :- %s.\nq(1).\n" % ", ".join(["q(X)"] * DEPTH), "p(X).", 0,
+            "X = 1.\n", id="shared_variable_body",
         ),
     ],
 )

@@ -1,16 +1,31 @@
-"""Compiled clauses and the first-argument index: templates share what has
-no variables, head unification binds as a renamed head would, and the
-index keeps source order under every search feature."""
+"""Compiled clauses and the first-argument index: generated code shares
+what has no variables, head matching binds as a renamed head would, and
+the index keeps source order under every search feature."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mup.compiled
 import mup.engine
-from mup.compiled import build
+from mup import kernel
+from mup.compiled import build_body, compile_clause, match_head
 from mup.engine import Engine
-from mup.syntax import Call, Clause, Eq, Exists, Program, parse_program, parse_query
-from mup.terms import Compound, Const, Var, fresh_var
+from mup.syntax import (
+    Call,
+    Choice,
+    Clause,
+    Conj,
+    Eq,
+    Exists,
+    Program,
+    free_goal_vars,
+    goal_parts,
+    parse_program,
+    parse_query,
+    subst_goal,
+)
+from mup.terms import Bindings, Compound, Const, Num, Var, fresh_var, mk_list
 
 from conftest import collect
 
@@ -19,35 +34,48 @@ def answers(program_text, query_text, **cfg):
     return collect(program_text, query_text, **cfg)[0]
 
 
+def answers_for(program, text):
+    return [s.render() for s in Engine(program).run_query(text).solutions]
+
+
 # ---------------------------------------------------------------------------
-# Templates
+# Templates and generated code
 
 
 def test_ground_fact_is_its_own_template():
     clause = parse_program("f(1, v1).").clauses[0]
+    assert clause.code is None  # compiled on its first try, not at load
+    compile_clause(clause)
     assert clause.head_template is clause.head
     assert clause.nslots == 0
+    assert clause.code == (None, None)  # no generated code
 
 
 def test_ground_subterms_and_subgoals_are_shared():
     clause = parse_program("p(X, [a, b]) :- q(X), write(done).").clauses[0]
     ground_list = clause.head.args[1]
-    slots = [Const("x")] * clause.nslots
-    head = build(clause.head_template, slots)
-    body = build(clause.body_template, slots)
-    assert head.args[1] is ground_list
+    store = Bindings()
+    call = Compound("p", (Const("x"), fresh_var("L")))
+    values = match_head(clause, call, store.map, store.trail, False)
+    body = build_body(clause, values)
+    assert store.deref(call.args[1]) is ground_list  # bound to it, not a copy
     assert body.right is clause.body.right  # write(done) is not copied
     assert body.left.term.args[0] == Const("x")
 
 
 def test_empty_slots_get_shared_fresh_variables():
-    clause = parse_program("p(X, Y) :- q(Y, X, Y).").clauses[0]
-    slots = [None] * clause.nslots
-    head = build(clause.head_template, slots)
-    body = build(clause.body_template, slots)
-    x, y = head.args
-    assert type(x) is Var and x.name == "X"
-    assert body.term.args == (y, x, y)
+    # Y is first made when write mode builds f(Y) for the unbound B; the
+    # body shares that variable, and the body-only Z gets a fresh one.
+    clause = parse_program("p(X, f(Y)) :- q(Y, X, Y, Z, Z).").clauses[0]
+    a, b = fresh_var("A"), fresh_var("B")
+    store = Bindings()
+    values = match_head(clause, Compound("p", (a, b)), store.map, store.trail, False)
+    body = build_body(clause, values)
+    y = store.deref(b).args[0]
+    z = body.term.args[3]
+    assert type(y) is Var and y.name == "Y"
+    assert type(z) is Var and z.name == "Z" and z.id != y.id
+    assert body.term.args == (y, a, y, z, z)
 
 
 def test_exists_binder_gets_its_own_slot():
@@ -76,6 +104,133 @@ def test_head_unification_binds_like_a_renamed_head(program, query, expected):
 
 def test_head_unification_occurs_check():
     assert answers("p(X, f(X)).", "p(Y, Y).", occurs_check=True) == []
+
+
+# ---------------------------------------------------------------------------
+# Generated code against the kernel's unify on a freshly renamed clause
+
+CLAUSE_VARS = [fresh_var(name) for name in ("X", "Y", "Z", "W")]
+BODY_VARS = [fresh_var(name) for name in ("U", "V")]  # never in a head
+CALL_VARS = [fresh_var(name) for name in ("A", "B", "C", "D")]
+LEAVES = [Const("a"), Const("b"), Const("[]"), Num(1), Num(2), Num(1.0)]
+
+
+def terms_over(pool):
+    """Terms with nested compounds (f/1 and f/2 clash) and lists."""
+    return st.recursive(
+        st.sampled_from(pool + LEAVES),
+        lambda kids: st.one_of(
+            st.builds(lambda args: Compound("f", args), st.lists(kids, min_size=1, max_size=2)),
+            st.builds(lambda head, tail: Compound(".", (head, tail)), kids, kids),
+            st.builds(mk_list, st.lists(kids, max_size=3)),
+        ),
+        max_leaves=10,
+    )
+
+
+def goals_over(pool):
+    terms = terms_over(pool)
+    return st.recursive(
+        st.one_of(
+            st.builds(lambda t: Call(Compound("q", (t,))), terms),
+            st.builds(Eq, terms, terms),
+        ),
+        lambda kids: st.one_of(
+            st.builds(Conj, kids, kids),
+            st.builds(Choice, kids, kids),
+            st.builds(Exists, st.sampled_from(pool), kids),
+        ),
+        max_leaves=6,
+    )
+
+
+def _shape(roots, bmap, budget=300):
+    """Preorder tokens of terms and goals under ``bmap``, each unbound
+    variable numbered by first appearance and each ``Exists`` binder by
+    its binder, so renamed binders compare equal.  At most ``budget``
+    tokens, so a cyclic binding (occurs check off) still gives an answer."""
+    numbering = {}
+    out = []
+    stack = [(root, {}) for root in reversed(roots)]
+    while stack and len(out) < budget:
+        node, binders = stack.pop()
+        if type(node) is Var and node.id in binders:
+            out.append(("bound", binders[node.id]))
+            continue
+        node = kernel.deref(node, bmap)
+        t = type(node)
+        if t is Var:
+            out.append(("var", numbering.setdefault(node.id, len(numbering))))
+        elif t is Const:
+            out.append(("const", node.name))
+        elif t is Num:
+            out.append(("num", repr(node.value)))
+        elif t is Exists:
+            out.append(("exists", len(out)))
+            stack.append((node.body, {**binders, node.var.id: len(out) - 1}))
+        else:
+            out.append((node.functor, len(node.args)) if t is Compound else t.__name__)
+            stack.extend((part, binders) for part in reversed(goal_parts(node)))
+    return out
+
+
+HEAD_ARGS = {n: st.lists(terms_over(CLAUSE_VARS), min_size=n, max_size=n) for n in (1, 2, 3)}
+# Half of the call's arguments are bare variables, so that heads match often.
+CALL_ARG = st.one_of(st.sampled_from(CALL_VARS), terms_over(CALL_VARS))
+CALL_ARGS = {n: st.lists(CALL_ARG, min_size=n, max_size=n) for n in (1, 2, 3)}
+BODIES = goals_over(CLAUSE_VARS + BODY_VARS)
+# A call variable is bound only to terms over later ones: no cycle at the start.
+BINDINGS = [terms_over(CALL_VARS[i + 1:]) for i in range(len(CALL_VARS))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_generated_code_agrees_with_unify_on_a_renamed_clause(data):
+    arity = data.draw(st.integers(1, 3))
+    head = Compound("p", data.draw(HEAD_ARGS[arity]))
+    body = data.draw(BODIES)
+    call_arity = data.draw(st.sampled_from([arity] * 5 + [arity % 3 + 1]))
+    call = Compound("p", data.draw(CALL_ARGS[call_arity]))
+    bound = {}
+    for var, terms in zip(CALL_VARS, BINDINGS):
+        if data.draw(st.booleans()):
+            bound[var] = data.draw(terms)
+    clause = Clause(head, body)
+    for occurs_check in (True, False):
+        ref, gen = Bindings(), Bindings()
+        for var, term in bound.items():
+            ref.bind(var, term)
+            gen.bind(var, term)
+        start = dict(gen.map)
+        names = {v.id: fresh_var(v.name) for v in free_goal_vars(Conj(Call(head), body))}
+        ok = kernel.unify(subst_goal(head, names), call, ref.map, ref.trail, occurs_check)
+        values = match_head(clause, call, gen.map, gen.trail, occurs_check)
+        assert ok == (values is not None)
+        if ok:
+            expected = _shape([call, subst_goal(body, names)], ref.map)
+            assert _shape([call, build_body(clause, values)], gen.map) == expected
+        else:
+            assert gen.map == start and len(gen.trail) == len(bound)
+
+
+def test_clauses_compile_on_their_first_try():
+    program = parse_program("p(1, X) :- q(X). p(2, X) :- q(X). q(a).")
+    assert all(clause.code is None for clause in program.clauses)
+    assert answers_for(program, "p(2, Y).") == ["Y = a"]
+    assert [clause.code is None for clause in program.clauses] == [True, False, False]
+
+
+def test_same_shape_clauses_share_one_code_object_per_function(monkeypatch):
+    # Constants, functor names and variable names are parameters, so a
+    # reverse scan of 10,000 clauses of one shape compiles one head
+    # matcher and one body builder.
+    monkeypatch.setattr(mup.compiled, "CODE", {})
+    text = "".join("g(%d, X, [X|T]) :- h(X, T).\n" % i for i in range(10000))
+    program = parse_program(text + "h(a, []).")
+    assert answers_for(program, "g(K, a, L), K = 9999.") == ["K = 9999, L = [a]"]
+    assert len(mup.compiled.CODE) == 2
+    codes = {(c.code[0].__code__, c.code[1].__code__) for c in program.clauses[:-1]}
+    assert len(codes) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +379,9 @@ def test_solver_calls_the_wrapped_module_globals(monkeypatch):
         return copy(*args)
 
     def counting_head(*args):
-        ok = head(*args)
-        calls["heads_ok"] += ok
-        return ok
+        values = head(*args)
+        calls["heads_ok"] += values is not None
+        return values
 
     monkeypatch.setattr(mup.engine, "fresh_rename", counting_copy)
     monkeypatch.setattr(mup.engine, "_kunify", counting_head)

@@ -1,8 +1,8 @@
 import pytest
 
 from mup.errors import InternalError
-from mup.compiled import build, compile_clause
-from mup.syntax import Clause, parse_program
+from mup.compiled import build_body, match_head
+from mup.syntax import Clause, parse_program, subst_goal
 from mup.terms import (
     Bindings,
     Compound,
@@ -110,11 +110,17 @@ def test_long_list_answer_keys_and_renders():
 
 
 def fresh_rename(clause):
-    """The clause renamed apart: its templates built with every slot empty."""
-    compile_clause(clause)
-    slots = [None] * clause.nslots
-    head = build(clause.head_template, slots)
-    return Clause(head, build(clause.body_template, slots))
+    """The clause renamed apart: its head matched with a call of fresh
+    variables, then its body built, both with the bindings made applied."""
+    head = clause.head
+    call = head
+    if type(head) is Compound:
+        call = Compound(head.functor, [fresh_var("_") for _ in head.args])
+    store = Bindings()
+    values = match_head(clause, call, store.map, store.trail, False)
+    body = build_body(clause, values)
+    bound = {vid: store.resolve(Var(vid, "_")) for vid in store.map}
+    return Clause(store.resolve(call), subst_goal(body, bound))
 
 
 def test_fresh_rename_structure_preserved():
