@@ -22,12 +22,13 @@ def _engine_flags(parser):
         help="enable the occurs check during unification",
     )
     parser.add_argument(
-        "--depth-limit", type=int, metavar="N",
-        default=_env_int("MUP_DEPTH_LIMIT"),
+        "--depth-limit", type=_positive_int, metavar="N",
+        # argparse passes a string default through ``type`` as well.
+        default=os.environ.get("MUP_DEPTH_LIMIT") or None,
         help="bound on backchaining depth (default: $MUP_DEPTH_LIMIT)",
     )
     parser.add_argument(
-        "--max-solutions", type=int, metavar="N", default=None,
+        "--max-solutions", type=_positive_int, metavar="N", default=None,
         help="stop after N solutions",
     )
     parser.add_argument(
@@ -40,14 +41,15 @@ def _engine_flags(parser):
     )
 
 
-def _env_int(name):
-    value = os.environ.get(name)
-    if not value:
-        return None
+def _positive_int(text):
+    """An argparse type: an integer of at least 1."""
     try:
-        return int(value)
+        value = int(text)
     except ValueError:
-        return None
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
+    return value
 
 
 def _config(args):
@@ -102,7 +104,7 @@ def build_parser():
     )
     p_st.add_argument("--seed", type=int, default=0)
     p_st.add_argument("--cases", type=int, default=300)
-    p_st.add_argument("--depth", type=int, default=10)
+    p_st.add_argument("--depth", type=_positive_int, default=10)
 
     return parser
 

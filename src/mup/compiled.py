@@ -3,35 +3,43 @@ and body building, plus a first-argument index per predicate.
 
 A clause is compiled the first time it is tried, not when its Program
 loads; the index needs only the head's first argument.  Compiling first
-makes the clause's ``head_template``, ``body_template`` and ``nslots``:
-every variable of the clause becomes its slot number, a subterm or
-subgoal without variables is kept as it is (shared, never copied), and
-any other compound or goal becomes a ``(maker, children)`` pair, where
-``maker`` is a functor name or a goal class.  From the templates it
-generates the source of two Python functions and ``compile()``s it:
+makes templates of the head and the body: every variable of the clause
+becomes its slot number, a subterm or subgoal without variables is kept
+as it is (shared, never copied), and any other compound or goal becomes
+a ``(maker, children)`` pair, where ``maker`` is a functor name or a
+goal class.  From the templates it generates the source of two Python
+functions and ``compile()``s it:
 
 * The head matcher takes the call and the binding store.  It visits the
   head in the order the kernel's ``unify`` visits a renamed head
   (preorder, last argument first), so it binds the same variables the
   same way.  A slot's first occurrence takes the call's subterm as it
-  is; a later one calls ``kernel.unify``.  A compound dereferences the
-  call's subterm once: if that is a compound it checks functor and arity
-  and reads the arguments (read mode); if it is an unbound variable, the
-  compound is built from its arguments, checked for occurrence when the
-  occurs check is on, and bound (write mode).  This is the WAM's pair of
-  modes (Warren 1983), with the code specialised on the clause's shape
-  as in Aquarius (Van Roy and Despain 1992).  The matcher returns the
-  values of the slots the body needs, or None with the store restored.
+  is; a later one calls ``kernel.unify``; an atom or a number is
+  checked or bound in place.  Each compound argument, down to ``_DEPTH``
+  levels, is one block that dereferences the call's subterm once.  If
+  that is a compound, the block checks functor and arity and reads the
+  arguments, a compound argument being a block one level deeper (read
+  mode).  If it is an unbound variable, the block builds the whole
+  compound, checks for occurrence when the occurs check is on and binds
+  the variable, where ``kernel.unify`` would bind it (write mode).
+  Anything else fails.  This is the WAM's pair of modes (Warren 1983),
+  with the code specialised on the clause's shape as in Aquarius (Van
+  Roy and Despain 1992).  Below ``_DEPTH``, a compound is built with
+  fresh variables and passed to ``kernel.unify``, which visits it in the
+  same order.  The matcher returns the values of the slots the body
+  needs, or None with the store restored.
 * The body builder takes those values and builds the body, giving each
   slot that only the body has a fresh variable, left to right.
 
-The generated code is flat: one straight run of steps whose nesting does
-not grow with the depth of a term, since CPython caps nested blocks, and
-the generator is a loop over explicit stacks.  Atoms, functor names,
-slot names and ground parts are passed in as default arguments rather
-than written into the source, so clauses that differ only in those share
-one code object: ``CODE`` caches each function's code by its source.  A ground
-clause (``nslots == 0``) gets no code; its head is unified with the call
+Write mode and the body builder share one term builder, ``_build``.  It
+nests calls at most ``_NEST`` deep and builds deeper parts into locals
+first, and ``_DEPTH`` bounds the nesting of blocks, so code for a deep
+term stays within CPython's limits; the generators loop over explicit
+stacks wherever a term's size is unbounded.  Atoms, functor names, slot
+names and ground parts are passed in as default arguments rather than
+written into the source, so clauses that differ only in those share one
+code object: ``CODE`` caches each function's code by its source.  A
+clause without variables gets no code; its head is unified with the call
 by ``kernel.unify`` and its body is used as it is.
 
 ``Predicate`` keeps a predicate's clauses in source order and indexes
@@ -78,6 +86,10 @@ _SCOPE.update(
 CODE = {}
 
 _NEST = 8  # the deepest a generated expression nests calls
+# The deepest head compound matched by a block of its own.  At 1, the
+# second cell of a ``[A, B | T]`` head goes to ``kernel.unify`` and the
+# head reads about 40% slower.
+_DEPTH = 4
 
 _NO_CODE = (None, None)
 
@@ -108,7 +120,7 @@ def build_body(clause, values):
 
 
 def compile_clause(clause):
-    """Set the clause's templates and ``code`` (matcher, builder); return the code."""
+    """Set the clause's ``code`` (matcher, builder) and return it."""
     head = clause.head
     body = clause.body
     if body is TRUE:
@@ -117,9 +129,6 @@ def compile_clause(clause):
             if type(arg) is not Const and type(arg) is not Num:
                 break
         else:
-            clause.head_template = head
-            clause.body_template = body
-            clause.nslots = 0
             clause.code = _NO_CODE
             return _NO_CODE
     # ``rebuild`` takes an Exists binder's entry out of ``slots`` for the
@@ -134,9 +143,8 @@ def compile_clause(clause):
             names.append(var.name)
         return slot
 
-    clause.head_template = head_t = rebuild(head, slots, leaf, _template)
-    clause.body_template = body_t = rebuild(body, slots, leaf, _template)
-    clause.nslots = len(names)
+    head_t = rebuild(head, slots, leaf, _template)
+    body_t = rebuild(body, slots, leaf, _template)
     code = _generate(head_t, body_t, names) if names else _NO_CODE
     clause.code = code
     return code
@@ -154,12 +162,17 @@ def _template(node, parts):
 def _generate(head_t, body_t, names):
     """The (matcher, builder) pair of a clause; either is None if not needed."""
     match = build = None
-    head_slots = ()
+    head_slots = set()
     if type(head_t) is tuple:
         head_lines, head_consts, head_slots = _matcher_lines(head_t, names)
     values = []  # the head's slots that the body uses
     if type(body_t) is tuple:
-        lines, consts, values = _builder_lines(body_t, names, head_slots)
+        consts = []
+        lines = []
+        expr, reused = _build(body_t, names, head_slots, _namer(consts), count(), lines,
+                              "    ")
+        lines.append("    return " + expr)
+        values = sorted(reused)
         build = _function("build", ["v%d" % i for i in values], consts, lines)
     if type(head_t) is tuple:
         head_lines.append("    return " + _tuple(["v%d" % i for i in values]))
@@ -196,21 +209,18 @@ def _namer(consts):
     return k
 
 
-def _builder_lines(template, names, head_slots):
-    """Lines building ``template`` bottom-up, left to right.
+def _build(template, names, have, k, temps, lines, pad):
+    """An expression that builds ``template`` bottom-up, left to right.
 
-    Returns the lines, the constants and the parameters: the slots of
-    ``head_slots`` met, in order.  Any other slot gets a fresh variable
-    where the build first meets it.  A part is built inside its parent's
-    expression unless that would nest calls deeper than ``_NEST``; then
-    it is built into a local first.
+    A slot in ``have`` is read from its local ``v<slot>``; any other gets
+    a fresh variable, on ``lines``, where the build first meets it, and
+    joins ``have``.  A part is built inside its parent's expression unless
+    that would nest calls deeper than ``_NEST``; then it is built into a
+    local first.  Returns the expression and the slots met that were in
+    ``have`` before.
     """
-    consts = []
-    k = _namer(consts)
-    lines = []
-    met = set()
-    params = []
-    temps = count()
+    reused = set()
+    fresh = set()
     stack = []  # suspended parents: maker, iterator over children, parts, depth
     maker, children = template
     rest = iter(children)
@@ -220,12 +230,12 @@ def _builder_lines(template, names, head_slots):
         for child in rest:
             ct = type(child)
             if ct is int:
-                if child not in met:
-                    met.add(child)
-                    if child in head_slots:
-                        params.append(child)
-                    else:
-                        lines.append("    v%d = Var(next(ids), %s)" % (child, k(names[child])))
+                if child not in have:
+                    have.add(child)
+                    fresh.add(child)
+                    lines.append("%sv%d = Var(next(ids), %s)" % (pad, child, k(names[child])))
+                elif child not in fresh:
+                    reused.add(child)
                 parts.append("v%d" % child)
             elif ct is tuple:
                 stack.append((maker, rest, parts, depth))
@@ -243,11 +253,10 @@ def _builder_lines(template, names, head_slots):
                 expr = "%s(%s)" % (maker.__name__, ", ".join(parts))
             depth += 1
             if not stack:
-                lines.append("    return " + expr)
-                return lines, consts, sorted(params)
+                return expr, reused
             if depth == _NEST:
                 name = "b%d" % next(temps)
-                lines.append("    %s = %s" % (name, expr))
+                lines.append("%s%s = %s" % (pad, name, expr))
                 expr = name
                 depth = 0
             maker, rest, parts, outer = stack.pop()
@@ -255,127 +264,98 @@ def _builder_lines(template, names, head_slots):
             depth = max(depth, outer)
 
 
-class _Compound:
-    """A compound of the head while its matcher is written.
-
-    ``reads`` are the locals its arguments go to in read mode (a slot's
-    first occurrence goes straight to the slot's local); ``news`` are the
-    slots of its arguments that write mode makes fresh; ``parts`` are
-    what write mode builds it from.  ``first`` is the read position of
-    the earliest slot occurrence below it that had been filled before it
-    was reached: if that precedes ``pos``, write mode needs an occurs
-    check.
-    """
-
-    __slots__ = ("n", "functor", "pos", "parent", "reads", "news", "parts", "first")
-
-    def __init__(self, n, functor, pos, parent, reads):
-        self.n = n
-        self.functor = functor
-        self.pos = pos
-        self.parent = parent
-        self.reads = reads
-        self.news = []
-        self.parts = list(reads)
-        self.first = pos
-
-
-_CLOSE = object()  # stack marker: every argument of a compound is done
-
-
 def _matcher_lines(template, names):
     """Lines of a head matcher for the compound head ``template``.
 
     Returns the lines, the constants and the set of slots the head fills.
-    The steps come in the kernel's order; each step of a compound's
-    argument is guarded by that compound's read-mode flag ``r<n>``, and
-    a compound built in write mode is bound, after its arguments, by the
-    step that closes it.  No step nests inside another.
+    The steps come in the kernel's order.  A compound argument down to
+    ``_DEPTH`` levels is one block, whose read mode nests the blocks of
+    its own compound arguments one level deeper; below that, a compound
+    is built and passed to ``kernel.unify``.
     """
     consts = []
     k = _namer(consts)
-    lines = []  # strings, and (indent, compound, what) written at the end
-    first_at = {}  # slot -> read position of its first occurrence
+    have = set()  # the slots filled so far
+    temps = count()
     bound = False  # whether a step before this one may have bound anything
     undo = False  # whether some failure must undo bindings
 
-    def fail(indent):
+    def fail(pad):
         nonlocal undo
         undo = undo or bound
-        return " " * indent + ("return undo_to(bmap, trail, mark)" if bound else "return None")
+        return pad + ("return undo_to(bmap, trail, mark)" if bound else "return None")
+
+    def read(children, source, depth, pad):
+        """Read mode: the arguments ``children`` of ``source``, last first."""
+        nonlocal bound
+        targets = ["x%d" % next(temps) for _ in children]
+        out = []
+        for i in range(len(children) - 1, -1, -1):
+            node, here = children[i], targets[i]
+            nt = type(node)
+            if nt is int:
+                if node not in have:  # first occurrence: take the call's subterm
+                    have.add(node)
+                    targets[i] = "v%d" % node
+                    continue
+                test = "v%d" % node
+            elif nt is Compound:  # without variables: shared, never copied
+                test = k(node)
+            elif nt is not tuple:
+                out.extend(_constant_lines(node, here, pad, k, fail))
+                bound = True
+                continue
+            elif depth < _DEPTH:
+                out.extend(block(node, here, depth + 1, pad))
+                continue
+            else:
+                test = _build(node, names, have, k, temps, out, pad)[0]
+            out.append("%sif not unify(%s, %s, bmap, trail, occ):" % (pad, test, here))
+            out.append(fail(pad + "    "))
+            bound = True
+        return ["%s%s = %s.args" % (pad, _tuple(targets)[1:-1], source)] + out
+
+    def block(node, source, depth, pad):
+        """Match the head compound ``node`` with ``source`` in read or write mode."""
+        nonlocal bound
+        functor, children = node
+        before = set(have)
+        entry = bound
+        inner = pad + "    "
+        out = _deref_lines(pad, source)
+        out.append("%sif type(t) is Compound:" % pad)
+        out.append("%sif t.functor != %s or len(t.args) != %d:"
+                   % (inner, k(functor), len(children)))
+        out.append(fail(inner + "    "))
+        out.extend(read(children, "t", depth, inner))
+        bound = entry
+        out.append("%selif type(t) is Var:" % pad)
+        expr, reused = _build(node, names, before, k, temps, out, inner)
+        if reused:  # the compound may hold the variable it is bound to
+            out.append("%sb = %s" % (inner, expr))
+            out.append("%sif occ and occurs(t.id, b, bmap):" % inner)
+            out.append(fail(inner + "    "))
+            expr = "b"
+        out.append("%sbmap[t.id] = %s" % (inner, expr))
+        out.append("%strail.append(t.id)" % inner)
+        out.append("%selse:" % pad)
+        out.append(fail(inner))
+        bound = True
+        return out
 
     functor, children = template
-    temps = count()
-    root = _Compound(None, k(functor), 0, None, ["x%d" % next(temps) for _ in children])
-    lines.append(
+    lines = [
         "    if type(goal) is not Compound or goal.functor != %s or len(goal.args) != %d:"
-        % (root.functor, len(children)))
-    lines.append("        return None")
-    lines.append((4, root, "reads"))
-    stack = [(child, i, root) for i, child in enumerate(children)]
-    pos = 0
-    while stack:
-        node, i, parent = stack.pop()
-        if node is _CLOSE:
-            lines.extend(_close_lines(parent, fail))
-            bound = True
-            if parent.parent is not root:
-                parent.parent.first = min(parent.parent.first, parent.first)
-            continue
-        pos += 1
-        nested = parent is not root
-        guard = "r%d" % parent.n if nested else None
-        here = parent.reads[i]
-        nt = type(node)
-        if nt is int:
-            name = "v%d" % node
-            parent.parts[i] = name
-            if node not in first_at:
-                first_at[node] = pos
-                parent.reads[i] = name
-                if nested:
-                    parent.news.append(node)
-                continue
-            parent.first = min(parent.first, first_at[node])
-            test = "not unify(%s, %s, bmap, trail, occ)" % (name, here)
-            lines.append("    if %s%s:" % ("%s and " % guard if nested else "", test))
-            lines.append(fail(8))
-            bound = True
-            continue
-        if nt is not tuple:
-            parent.parts[i] = k(node)
-            lines.extend(_constant_lines(node, parent.parts[i], here, guard, k, fail))
-            bound = True
-            continue
-        functor, children = node
-        reads = ["x%d" % next(temps) for _ in children]
-        comp = _Compound(next(temps), k(functor), pos, parent, reads)
-        parent.parts[i] = "b%d" % comp.n
-        lines.extend(_open_lines(comp, here, guard, fail))
-        stack.append((_CLOSE, None, comp))
-        stack.extend((child, j, comp) for j, child in enumerate(children))
+        % (k(functor), len(children)),
+        "        return None",
+    ]
+    lines.extend(read(children, "goal", 0, "    "))
     if undo:
         lines.insert(0, "    mark = len(trail)")
-    written = []
-    for line in lines:
-        if type(line) is str:
-            written.append(line)
-            continue
-        # A compound's reads and news are known only once its arguments are.
-        indent, comp, what = line
-        pad = " " * indent
-        if what == "reads":
-            target = ", ".join(comp.reads) + ("," if len(comp.reads) == 1 else "")
-            source = "goal" if comp is root else "t"
-            written.append("%s%s = %s.args" % (pad, target, source))
-        else:
-            written.extend("%sv%d = Var(next(ids), %s)" % (pad, slot, k(names[slot]))
-                           for slot in comp.news)
-    return written, consts, set(first_at)
+    return lines, consts, have
 
 
-def _deref_lines(indent, source):
-    pad = " " * indent
+def _deref_lines(pad, source):
     return [
         "%st = %s" % (pad, source),
         "%swhile type(t) is Var and (u := bmap.get(t.id)) is not None:" % pad,
@@ -383,16 +363,10 @@ def _deref_lines(indent, source):
     ]
 
 
-def _constant_lines(node, const, source, guard, k, fail):
-    """Read mode for an atom, a number or a ground compound ``const`` of the head."""
-    ind = 4 if guard is None else 8
-    out = [] if guard is None else ["    if %s:" % guard]
-    if type(node) is Compound:
-        out.append("%sif not unify(%s, %s, bmap, trail, occ):" % (" " * ind, const, source))
-        out.append(fail(ind + 4))
-        return out
-    out.extend(_deref_lines(ind, source))
-    pad = " " * ind
+def _constant_lines(node, source, pad, k, fail):
+    """Read mode for an atom or a number of the head."""
+    const = k(node)
+    out = _deref_lines(pad, source)
     out.append("%sif type(t) is Var:" % pad)
     out.append("%s    bmap[t.id] = %s" % (pad, const))
     out.append("%s    trail.append(t.id)" % pad)
@@ -403,53 +377,7 @@ def _constant_lines(node, const, source, guard, k, fail):
         test = "type(t) is not Num or t.value != %s or type(t.value) is not %s" % (
             k(value), type(value).__name__)
     out.append("%selif %s:" % (pad, test))
-    out.append(fail(ind + 4))
-    return out
-
-
-def _open_lines(comp, source, guard, fail):
-    """Enter a compound of the head: read mode, write mode or failure."""
-    n = comp.n
-    ind = 4 if guard is None else 8
-    pad = " " * ind
-    out = [] if guard is None else ["    if %s:" % guard]
-    out.extend(_deref_lines(ind, source))
-    out.append("%sif type(t) is Compound:" % pad)
-    out.append("%s    if t.functor != %s or len(t.args) != %d:"
-               % (pad, comp.functor, len(comp.reads)))
-    out.append(fail(ind + 8))
-    out.append((ind + 4, comp, "reads"))
-    out.append("%s    r%d = True" % (pad, n))
-    out.append("%selif type(t) is Var:" % pad)
-    out.append("%s    w%d = t" % (pad, n))
-    out.append("%s    r%d = False" % (pad, n))
-    out.append((ind + 4, comp, "news"))
-    out.append("%selse:" % pad)
-    out.append(fail(ind + 4))
-    if guard is not None:
-        # The enclosing compound is in write mode, so this one is too.
-        out.append("    else:")
-        out.append("        w%d = None" % n)
-        out.append("        r%d = False" % n)
-        out.append((8, comp, "news"))
-    return out
-
-
-def _close_lines(comp, fail):
-    """Build a compound in write mode, and bind it if write mode began there."""
-    n = comp.n
-    out = ["    if not r%d:" % n]
-    out.append("        b%d = Compound(%s, %s)" % (n, comp.functor, _tuple(comp.parts)))
-    ind = 8
-    if comp.parent.n is not None:  # nested: write mode may come from outside
-        out.append("        if w%d is not None:" % n)
-        ind = 12
-    pad = " " * ind
-    if comp.first < comp.pos:
-        out.append("%sif occ and occurs(w%d.id, b%d, bmap):" % (pad, n, n))
-        out.append(fail(ind + 4))
-    out.append("%sbmap[w%d.id] = b%d" % (pad, n, n))
-    out.append("%strail.append(w%d.id)" % (pad, n))
+    out.append(fail(pad + "    "))
     return out
 
 

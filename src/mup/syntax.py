@@ -140,13 +140,11 @@ class Clause:
     """``head :- body``; unit clauses carry TRUE as body.
 
     The clause is compiled the first time it is tried:
-    ``mup.compiled.compile_clause`` sets ``head_template``,
-    ``body_template``, ``nslots`` and ``code``, which is None until then.
+    ``mup.compiled.compile_clause`` sets ``code``, the clause's generated
+    (head matcher, body builder) pair, which is None until then.
     """
 
-    __slots__ = (
-        "head", "body", "span", "head_template", "body_template", "nslots", "code",
-    )
+    __slots__ = ("head", "body", "span", "code")
 
     def __init__(self, head, body=TRUE, span=None):
         self.head = head

@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import subprocess
 import sys
 
@@ -127,6 +128,42 @@ def test_depth_limit_env_default(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert out == "false.\n"
     assert "limited" in err
+
+
+@pytest.mark.parametrize(
+    "args, depth_env",
+    [
+        (["run", "FILE", "-q", "p.", "--depth-limit", "0"], None),
+        (["run", "FILE", "-q", "p.", "--max-solutions", "0"], None),
+        (["run", "FILE", "-q", "p."], "0"),
+        (["run", "FILE", "-q", "p."], "abc"),
+        (["selftest", "--depth", "0"], None),
+    ],
+)
+def test_out_of_range_numeric_options_are_usage_errors(tmp_path, args, depth_env):
+    path = tmp_path / "p.mpl"
+    path.write_text("p.\n")
+    env = child_env()
+    env.pop("MUP_DEPTH_LIMIT", None)
+    if depth_env is not None:
+        env["MUP_DEPTH_LIMIT"] = depth_env
+    argv = [str(path) if arg == "FILE" else arg for arg in args]
+    proc = subprocess.run([sys.executable, "-m", "mup.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "expected a positive integer" in proc.stderr
+
+
+def test_readme_library_example(capsys):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        block = re.search(r"```python\n(.*?)```", handle.read(), re.S).group(1)
+    exec(block, {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "exhausted ['M = 9']"
+    assert lines[1] == "M = 5"
+    assert lines[-1] == "True"
 
 
 def test_translate_command(tmp_path, capsys):

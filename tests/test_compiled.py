@@ -46,9 +46,13 @@ def test_ground_fact_is_its_own_template():
     clause = parse_program("f(1, v1).").clauses[0]
     assert clause.code is None  # compiled on its first try, not at load
     compile_clause(clause)
-    assert clause.head_template is clause.head
-    assert clause.nslots == 0
     assert clause.code == (None, None)  # no generated code
+    # The head is unified with the call as it is: its parts are shared.
+    store = Bindings()
+    call = Compound("f", (fresh_var("X"), Const("v1")))
+    assert match_head(clause, call, store.map, store.trail, False) == ()
+    assert store.deref(call.args[0]) is clause.head.args[0]
+    assert build_body(clause, ()) is clause.body
 
 
 def test_ground_subterms_and_subgoals_are_shared():
@@ -211,6 +215,49 @@ def test_generated_code_agrees_with_unify_on_a_renamed_clause(data):
             assert _shape([call, build_body(clause, values)], gen.map) == expected
         else:
             assert gen.map == start and len(gen.trail) == len(bound)
+
+
+def test_generated_code_agrees_with_unify_when_nested_heads_go_to_the_kernel(monkeypatch):
+    # With one level of blocks, every compound nested in a head argument
+    # is built and passed to kernel.unify.
+    monkeypatch.setattr(mup.compiled, "_DEPTH", 1)
+    monkeypatch.setattr(mup.compiled, "CODE", {})
+    test_generated_code_agrees_with_unify_on_a_renamed_clause()
+
+
+DEEP_HEAD = "p([A, B, C, D, E | T], T, A)."  # five list cells deep
+
+
+@pytest.mark.parametrize("depth", [1, mup.compiled._DEPTH])
+@pytest.mark.parametrize(
+    "query, expected",
+    [
+        ("p(L, R, X).", ["L = [X, _G0, _G1, _G2, _G3|R]"]),
+        ("p([1, 2, 3, 4, 5, 6], R, X).", ["R = [6], X = 1"]),
+        ("p([1, 2, 3, 4], R, X).", []),
+        ("p([1, Y, 3 | Z], [6], X).", ["Z = [_G0, _G1, 6], X = 1"]),
+        ("p([X, 2, 3, 4, 5 | R], R, 1).", ["X = 1"]),
+        ("p([1, 2, 3, 4, 5 | R], R, 2).", []),
+        ("p([1, 2, 3, 4, 5, 6 | R], S, X).", ["S = [6|R], X = 1"]),
+    ],
+)
+def test_head_nested_deeper_than_its_blocks(monkeypatch, depth, query, expected):
+    monkeypatch.setattr(mup.compiled, "_DEPTH", depth)
+    monkeypatch.setattr(mup.compiled, "CODE", {})
+    assert answers(DEEP_HEAD, query) == expected
+    assert answers(DEEP_HEAD, query, occurs_check=True) == expected
+    if query == "p(L, R, X).":  # the tail T would have to hold itself
+        assert answers(DEEP_HEAD, "p(L, L, X).", occurs_check=True) == []
+
+
+def test_generated_code_stays_a_few_lines_per_head_list_element(monkeypatch):
+    # Each block builds its compound once for write mode, so a long list
+    # head costs a few lines per element and per block level.
+    monkeypatch.setattr(mup.compiled, "CODE", {})
+    n = 1000
+    text = "p([%s], X0, X%d)." % (", ".join("X%d" % i for i in range(n)), n - 1)
+    compile_clause(parse_program(text).clauses[0])
+    assert sum(source.count("\n") for source in mup.compiled.CODE) <= 8 * n
 
 
 def test_clauses_compile_on_their_first_try():
