@@ -10,6 +10,7 @@ no choicepoint.  I/O side effects are not undone on backtracking.
 
 import sys
 from dataclasses import dataclass, field
+from math import isfinite
 
 from mup import kernel
 from mup.errors import ArithTypeError, EvalError, InstantiationError
@@ -83,14 +84,18 @@ def eval_arith(term, bindings):
     Supports + - * / on ints and floats (/ always yields a float),
     // and mod on ints only, and unary minus.  Iterative: operands are
     evaluated left to right on a work stack, so a long chain such as
-    ``1+1+...+1`` needs no host stack.
+    ``1+1+...+1`` needs no host stack.  A variable met again inside its
+    own value (a cyclic binding) is an EvalError.
     """
     bmap = bindings.map
     t = kernel.deref(term, bmap)
     if type(t) is Num:
         return t.value
-    todo = [t]  # subterms still to evaluate, and operators to apply
+    # Subterms to evaluate, operators to apply, and the ids of variables
+    # whose values are done; a cycle through ``term`` is caught one level down.
+    todo = [t]
     values = []  # operands evaluated so far
+    expanding = {}  # ids of the variables whose values are being evaluated
     while todo:
         t = todo.pop()
         tt = type(t)
@@ -101,9 +106,18 @@ def eval_arith(term, bindings):
                 b = values.pop()
                 values.append(_apply(t, values.pop(), b))
             continue
+        if tt is int:
+            del expanding[t]
+            continue
         if tt is Var:
+            vid = t.id
             t = kernel.deref(t, bmap)
             tt = type(t)
+            if tt is Compound:
+                if vid in expanding:
+                    raise EvalError("arithmetic on a cyclic term")
+                expanding[vid] = True
+                todo.append(vid)
         if tt is Num:
             values.append(t.value)
             continue
@@ -125,8 +139,8 @@ def eval_arith(term, bindings):
                     values.append(_apply(op, a.value, b.value))
                 else:
                     todo.append(op)
-                    todo.append(b)
-                    todo.append(a)
+                    todo.append(args[1])
+                    todo.append(args[0])
                 continue
         from mup.syntax import pretty  # mup.syntax imports this module
 
@@ -141,18 +155,24 @@ def _apply(op, a, b):
         raise ArithTypeError("%s needs integer operands" % op)
     try:
         if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            return a / b
-        if op == "//":
+            value = a + b
+        elif op == "-":
+            value = a - b
+        elif op == "*":
+            value = a * b
+        elif op == "/":
+            value = a / b
+        elif op == "//":
             return a // b
-        return a % b
+        else:
+            return a % b
     except ZeroDivisionError:
         raise EvalError("division by zero") from None
+    except OverflowError:
+        raise EvalError("arithmetic overflow") from None
+    if type(value) is float and not isfinite(value):
+        raise EvalError("arithmetic overflow")
+    return value
 
 
 def _cmp(op):

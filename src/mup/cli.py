@@ -7,7 +7,7 @@ import sys
 
 from mup.builtins import IoPorts
 from mup.engine import ERRORED, Engine, SolveConfig
-from mup.errors import MupError
+from mup.errors import LoadError, MupError
 from mup.syntax import Program, parse_program
 
 
@@ -70,7 +70,11 @@ def _tracer(args, err):
 
 def _load_file(path, dialect="choice"):
     with open(path, encoding="utf-8") as handle:
-        return parse_program(handle.read(), dialect=dialect)
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise LoadError("%s is not UTF-8 text: %s" % (path, exc)) from None
+    return parse_program(text, dialect=dialect)
 
 
 def build_parser():
@@ -103,7 +107,7 @@ def build_parser():
         help="differential test of the engine against the brute-force oracles",
     )
     p_st.add_argument("--seed", type=int, default=0)
-    p_st.add_argument("--cases", type=int, default=300)
+    p_st.add_argument("--cases", type=_positive_int, default=300)
     p_st.add_argument("--depth", type=_positive_int, default=10)
 
     return parser

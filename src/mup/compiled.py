@@ -58,7 +58,6 @@ from mup.syntax import (
     ClassicalOr,
     Conj,
     Eq,
-    Exists,
     SoftIfThenElse,
     rebuild,
 )
@@ -78,7 +77,7 @@ _SCOPE = {
 }
 _SCOPE.update(
     (cls.__name__, cls)
-    for cls in (Call, Choice, ClassicalOr, Conj, Eq, Exists, SoftIfThenElse)
+    for cls in (Call, Choice, ClassicalOr, Conj, Eq, SoftIfThenElse)
 )
 
 # Code cache: the source of a generated function -> its code object.  It
@@ -131,8 +130,6 @@ def compile_clause(clause):
         else:
             clause.code = _NO_CODE
             return _NO_CODE
-    # ``rebuild`` takes an Exists binder's entry out of ``slots`` for the
-    # extent of its body, so the binder gets a slot of its own.
     slots = {}  # var id -> slot number
     names = []  # slot number -> variable name
 
@@ -143,8 +140,8 @@ def compile_clause(clause):
             names.append(var.name)
         return slot
 
-    head_t = rebuild(head, slots, leaf, _template)
-    body_t = rebuild(body, slots, leaf, _template)
+    head_t = rebuild(head, leaf, _template)
+    body_t = rebuild(body, leaf, _template)
     code = _generate(head_t, body_t, names) if names else _NO_CODE
     clause.code = code
     return code

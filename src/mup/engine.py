@@ -43,16 +43,14 @@ from mup.syntax import (
     Conj,
     Cut,
     Eq,
-    Exists,
     SoftIfThenElse,
     TrueGoal,
     free_goal_vars,
     parse_query,
     pretty,
     pretty_goal,
-    subst_goal,
 )
-from mup.terms import Bindings, Compound, Num, Solution, Var, fresh_var
+from mup.terms import Bindings, Compound, Num, Solution, Var
 
 EXHAUSTED = "exhausted"
 LIMITED = "limited"
@@ -340,12 +338,6 @@ class Engine:
                             bindings.checkpoint(),
                         ))
                         cont = (("goal", goal.left, depth, cutb), cont)
-                        continue
-
-                    if gt is Exists:
-                        witness = fresh_var(goal.var.name)
-                        body = subst_goal(goal.body, {goal.var.id: witness})
-                        cont = (("goal", body, depth, cutb), cont)
                         continue
 
                     if gt is SoftIfThenElse:

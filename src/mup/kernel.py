@@ -17,6 +17,8 @@ Representation notes:
 * Lists are ordinary compounds: ``'.'(Head, Tail)`` ending in ``'[]'``.
 """
 
+from mup.errors import MupError
+
 
 class Var:
     __slots__ = ("id", "name")
@@ -142,12 +144,15 @@ def resolve(t, bmap):
     """Replace every bound variable in ``t``, at every depth, by its value.
 
     Iterative postorder rebuild, so arbitrarily long list spines resolve
-    in constant host stack.
+    in constant host stack.  A variable met again inside its own value (a
+    cyclic binding, which unification without the occurs check allows)
+    has no finite resolution: MupError.
     """
     t = deref(t, bmap)
     if type(t) is not Compound:
         return t
-    stack = [[t, 0, []]]  # frames: node, next arg index, rebuilt args
+    expanding = set()  # ids of the variables whose values are being rebuilt
+    stack = [[t, 0, [], None]]  # frames: node, next arg index, rebuilt args, var id
     while True:
         frame = stack[-1]
         node = frame[0]
@@ -157,14 +162,24 @@ def resolve(t, bmap):
             stack.pop()
             if not stack:
                 return built
+            expanding.discard(frame[3])
             stack[-1][2].append(built)
             continue
         frame[1] = idx + 1
-        child = deref(node.args[idx], bmap)
-        if type(child) is Compound:
-            stack.append([child, 0, []])
-        else:
-            frame[2].append(child)
+        child = node.args[idx]
+        if type(child) is Var:
+            vid = child.id
+            child = deref(child, bmap)
+            if type(child) is Compound:
+                if vid in expanding:
+                    raise MupError("cannot resolve a cyclic term")
+                expanding.add(vid)
+                stack.append([child, 0, [], vid])
+                continue
+        elif type(child) is Compound:
+            stack.append([child, 0, [], None])
+            continue
+        frame[2].append(child)
 
 
 def bind(bmap, trail, var, t):

@@ -30,13 +30,13 @@ from mup.syntax import (
     Clause,
     Conj,
     Eq,
-    Exists,
     Program,
     TRUE,
     TrueGoal,
     format_program,
     free_goal_vars,
     pretty_goal,
+    subst_goal,
 )
 from mup.terms import Compound, Const, Num, Solution, Var, fresh_var
 
@@ -118,53 +118,8 @@ def _rename_goal(goal, mapping):
         return Call(_rename_vars(goal.term, mapping))
     if t is Eq:
         return Eq(_rename_vars(goal.left, mapping), _rename_vars(goal.right, mapping))
-    if t is Conj:
-        return Conj(_rename_goal(goal.left, mapping), _rename_goal(goal.right, mapping))
-    if t is Choice:
-        return Choice(_rename_goal(goal.left, mapping), _rename_goal(goal.right, mapping))
-    if t is ClassicalOr:
-        return ClassicalOr(
-            _rename_goal(goal.left, mapping), _rename_goal(goal.right, mapping)
-        )
-    if t is Exists:
-        return Exists(
-            _rename_vars(goal.var, mapping), _rename_goal(goal.body, mapping)
-        )
-    raise MupError("oracle cannot handle goal: %r" % (goal,))
-
-
-def _subst_term(term, mapping):
-    tt = type(term)
-    if tt is Var:
-        return mapping.get(term.id, term)
-    if tt is Compound:
-        return Compound(
-            term.functor, tuple(_subst_term(a, mapping) for a in term.args)
-        )
-    return term
-
-
-def _subst_goal(goal, mapping):
-    """Replace only the mapped variables (Exists binders shadow)."""
-    t = type(goal)
-    if t is TrueGoal:
-        return goal
-    if t is Call:
-        return Call(_subst_term(goal.term, mapping))
-    if t is Eq:
-        return Eq(_subst_term(goal.left, mapping), _subst_term(goal.right, mapping))
-    if t is Conj:
-        return Conj(_subst_goal(goal.left, mapping), _subst_goal(goal.right, mapping))
-    if t is Choice:
-        return Choice(_subst_goal(goal.left, mapping), _subst_goal(goal.right, mapping))
-    if t is ClassicalOr:
-        return ClassicalOr(
-            _subst_goal(goal.left, mapping), _subst_goal(goal.right, mapping)
-        )
-    if t is Exists:
-        if goal.var.id in mapping:
-            mapping = {k: v for k, v in mapping.items() if k != goal.var.id}
-        return Exists(goal.var, _subst_goal(goal.body, mapping))
+    if t is Conj or t is Choice or t is ClassicalOr:
+        return t(_rename_goal(goal.left, mapping), _rename_goal(goal.right, mapping))
     raise MupError("oracle cannot handle goal: %r" % (goal,))
 
 
@@ -242,11 +197,6 @@ def _prove(program, goal, subst, limit, depth):
     if t is Choice or t is ClassicalOr:
         yield from _prove(program, goal.left, subst, limit, depth)
         yield from _prove(program, goal.right, subst, limit, depth)
-        return
-    if t is Exists:
-        witness = fresh_var(goal.var.name)
-        body = _subst_goal(goal.body, {goal.var.id: witness})
-        yield from _prove(program, body, subst, limit, depth)
         return
     if t is Call:
         yield from _prove_atom(program, goal.term, subst, limit, depth, _prove)
@@ -385,11 +335,6 @@ def _stream(program, goal, subst, limit, depth, mode, hits):
         yield from _stream(program, goal.left, subst, limit, depth, mode, hits)
         yield from _stream(program, goal.right, subst, limit, depth, mode, hits)
         return
-    if t is Exists:
-        witness = fresh_var(goal.var.name)
-        body = _subst_goal(goal.body, {goal.var.id: witness})
-        yield from _stream(program, body, subst, limit, depth, mode, hits)
-        return
     if t is Call:
         term = _walk(goal.term, subst)
         if type(term) is Compound:
@@ -501,12 +446,13 @@ def _gen_goal(rng, pool, tier, depth):
             _gen_goal(rng, pool, tier, depth - 1),
         )
     if r < 0.70:
+        # A body-only variable: each clause try renames it, so it is
+        # existentially quantified.
         var = fresh_var("E")
-        body = Conj(
+        return Conj(
             Eq(var, _gen_term(rng, pool)),
             _gen_goal(rng, pool + [var], tier, depth - 1),
         )
-        return Exists(var, body)
     return _gen_leaf(rng, pool, tier)
 
 
@@ -535,6 +481,10 @@ def generate_program(rng):
                 )
             else:
                 body = _gen_goal(rng, pool, tier, rng.randint(0, 3))
+            # Number the body-only variables, so the clause prints as it is.
+            body_vars = [v for v in free_goal_vars(body) if v.name == "E"]
+            names = {v.id: Var(v.id, "E%d" % i) for i, v in enumerate(body_vars)}
+            body = subst_goal(body, names)
             clauses.append(Clause(head, body))
             budget -= 1
     return Program(clauses)

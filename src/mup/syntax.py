@@ -16,6 +16,7 @@ Two dialects share the parser.  The default ``choice`` dialect accepts
 transpiler output) accepts ``!`` and ``*->`` and rejects ``#``.
 """
 
+from math import isinf
 from operator import is_not
 
 from mup import builtins as _builtins
@@ -72,19 +73,6 @@ class Conj(Goal):
 
     def __repr__(self):
         return "Conj(%r, %r)" % (self.left, self.right)
-
-
-class Exists(Goal):
-    """Explicit existential; no surface syntax, built programmatically."""
-
-    __slots__ = ("var", "body")
-
-    def __init__(self, var, body):
-        self.var = var
-        self.body = body
-
-    def __repr__(self):
-        return "Exists(%r, %r)" % (self.var, self.body)
 
 
 class Choice(Goal):
@@ -272,10 +260,14 @@ def tokenize(text):
                     while i < n and text[i].isdigit():
                         i += 1
             word = text[start:i]
-            if is_float:
-                tokens.append(Token("float", float(word), line, start - linestart + 1))
-            else:
-                tokens.append(Token("int", int(word), line, start - linestart + 1))
+            try:
+                value = float(word) if is_float else int(word)
+            except ValueError:  # more digits than int() converts
+                err("integer literal too long", start)
+            if is_float and isinf(value):
+                err("float literal out of range", start)
+            kind = "float" if is_float else "int"
+            tokens.append(Token(kind, value, line, start - linestart + 1))
             continue
         if ch == "_" or ch.isalpha():
             while i < n and (text[i] == "_" or text[i].isalnum()):
@@ -667,13 +659,13 @@ def _atom_text(name, quoted=True):
         return name
     if not quoted:
         return name
-    escaped = name.replace("\\", "\\\\").replace("'", "\\'")
+    escaped = (name.replace("\\", "\\\\").replace("'", "\\'")
+               .replace("\n", "\\n").replace("\t", "\\t"))
     return "'%s'" % escaped
 
 
 def pretty(term, quoted=True):
-    """Render a term or a goal; the result reparses to an equal one
-    (``Exists`` has no surface syntax).
+    """Render a term or a goal; the result reparses to an equal one.
 
     ``quoted=False`` drops atom quoting (the write/1 convention).
     Iterative, so terms and goals of any depth render in constant host
@@ -771,9 +763,6 @@ def _goal_pieces(goal):
         if type(goal.right) in (Choice, ClassicalOr) and type(goal.right) is not t:
             right = ["(", goal.right, ")"]
         return ["(", *left, " # " if t is Choice else " ; ", *right, ")"]
-    if t is Exists:
-        # Debug rendering only: existentials have no surface syntax.
-        return ["exists(", goal.var, ", ", goal.body, ")"]
     if t is Cut:
         return ["!"]
     if t is SoftIfThenElse:
@@ -792,8 +781,6 @@ def format_program(program):
     return "\n".join(pretty_clause(c) for c in program.clauses) + "\n"
 
 
-
-
 # ---------------------------------------------------------------------------
 # Walks over goals and terms, shared by the engine, compiler and transpiler.
 # Each is a loop over an explicit stack, so no goal or term is too deep.
@@ -806,36 +793,33 @@ def goal_parts(node):
     return [getattr(node, field) for field in type(node).__slots__]
 
 
-def free_goal_vars(goal, bound=frozenset()):
-    """Variables free in ``goal`` in first-occurrence order."""
-    seen = set(bound)
+def free_goal_vars(goal):
+    """Variables of ``goal`` in first-occurrence order."""
+    seen = set()
     out = []
-    stack = [(goal, frozenset(bound))]
+    stack = [goal]
     while stack:
-        node, bound = stack.pop()
+        node = stack.pop()
         t = type(node)
         if t is Var:
-            if node.id not in bound and node.id not in seen:
+            if node.id not in seen:
                 seen.add(node.id)
                 out.append(node)
-        elif t is Exists:
-            stack.append((node.body, bound | {node.var.id}))
         elif t is not Const and t is not Num:
-            stack.extend((part, bound) for part in reversed(goal_parts(node)))
+            stack.extend(reversed(goal_parts(node)))
     return out
 
 
-def rebuild(root, env, leaf, make):
+def rebuild(root, leaf, make):
     """``root``, a goal or a term, rebuilt bottom-up.
 
-    Each variable becomes ``leaf(var)``.  For the extent of an ``Exists``
-    its binder's entry in ``env`` (a dict keyed by var id) is taken out,
-    and put back after.  A node whose parts all came back as they were is
-    kept as it is (shared); any other becomes ``make(node, parts)``.
+    Each variable becomes ``leaf(var)``.  A node whose parts all came back
+    as they were is kept as it is (shared); any other becomes
+    ``make(node, parts)``.
     """
-    stack = []  # suspended parents: node, parts, iterator, built, hidden
+    stack = []  # suspended parents: node, parts, iterator, built
     # The bottom frame stands for the caller: its one part is ``root``.
-    node, parts, hidden = None, (root,), None
+    node, parts = None, (root,)
     rest = iter(parts)
     built = []
     while True:
@@ -846,11 +830,7 @@ def rebuild(root, env, leaf, make):
             elif pt is Const or pt is Num:
                 built.append(part)
             else:
-                stack.append((node, parts, rest, built, hidden))
-                hidden = None
-                if pt is Exists:
-                    vid = part.var.id
-                    hidden = (vid, env.pop(vid, None))
+                stack.append((node, parts, rest, built))
                 node, parts = part, goal_parts(part)
                 rest = iter(parts)
                 built = []
@@ -858,24 +838,17 @@ def rebuild(root, env, leaf, make):
         else:
             if not stack:
                 return built[0]
-            if hidden is not None:
-                vid, value = hidden
-                env.pop(vid, None)
-                if value is not None:
-                    env[vid] = value
             out = make(node, built) if any(map(is_not, built, parts)) else node
-            node, parts, rest, built, hidden = stack.pop()
+            node, parts, rest, built = stack.pop()
             built.append(out)
 
 
 def subst_goal(root, mapping):
     """Replace variables by id according to ``mapping`` (a dict id->Term).
 
-    ``root`` is a goal or a term.  An ``Exists`` binder shadows its
-    variable in its body; parts with nothing replaced are shared.
+    ``root`` is a goal or a term; parts with nothing replaced are shared.
     """
-    env = dict(mapping)  # rebuild takes binders out of it in place
-    return rebuild(root, env, lambda var: env.get(var.id, var), _remake)
+    return rebuild(root, lambda var: mapping.get(var.id, var), _remake)
 
 
 def _remake(node, parts):

@@ -27,7 +27,6 @@ from mup.syntax import (
     Clause,
     Conj,
     Cut,
-    Exists,
     Goal,
     SoftIfThenElse,
     TRUE,
@@ -36,7 +35,7 @@ from mup.syntax import (
     pretty_clause,
     subst_goal,
 )
-from mup.terms import Compound, Const, Num, Var, fresh_var
+from mup.terms import Compound, Const, Var
 
 MODES = ("hard_cut", "soft_cut")
 
@@ -63,8 +62,7 @@ def translate(program, mode="hard_cut", source_name=None):
     for clause in program.clauses:
         clause = _uniquify_names(clause)
         aux_acc = []
-        order = _clause_var_order(clause)
-        body = _tx_goal(clause.body, order, counter, aux_acc, mode)
+        body = _tx_goal(clause.body, _clause_var_order(clause), counter, aux_acc, mode)
         lines.append(pretty_clause(Clause(clause.head, body)))
         for aux in aux_acc:
             lines.append(pretty_clause(aux))
@@ -116,10 +114,10 @@ def _tx_goal(goal, order, counter, aux_acc, mode):
     around them.  ``todo`` holds goals still to translate and connectives
     whose two sides are done; ``done`` holds translated goals.
     """
-    todo = [(goal, order, False)]
+    todo = [(goal, False)]
     done = []
     while todo:
-        goal, order, sides_done = todo.pop()
+        goal, sides_done = todo.pop()
         t = type(goal)
         if sides_done:
             right = done.pop()
@@ -139,41 +137,17 @@ def _tx_goal(goal, order, counter, aux_acc, mode):
                 aux_acc.append(Clause(head, SoftIfThenElse(left, TRUE, right)))
             done.append(Call(head))
         elif t is Choice or t is Conj or t is ClassicalOr:
-            todo.append((goal, order, True))
-            todo.append((goal.right, order, False))
-            todo.append((goal.left, order, False))
-        elif t is Exists:
-            # Clause-local variables are implicitly existential in the target,
-            # so drop the quantifier; rename the binder if its display name
-            # collides with anything else in the clause.
-            replacement = fresh_var("_E%d" % goal.var.id)
-            body = subst_goal(goal.body, {goal.var.id: replacement})
-            todo.append((body, order + [replacement], False))
+            todo.append((goal, True))
+            todo.append((goal.right, False))
+            todo.append((goal.left, False))
         else:
             done.append(goal)
     return done[0]
 
 
 def _clause_var_order(clause):
-    """The clause's variables in first-occurrence order.
-
-    An ``Exists`` binder counts only where it occurs in the body.
-    """
-    seen = set()
-    out = []
-    stack = [clause.body, clause.head]
-    while stack:
-        node = stack.pop()
-        t = type(node)
-        if t is Var:
-            if node.id not in seen:
-                seen.add(node.id)
-                out.append(node)
-        elif t is Exists:
-            stack.append(node.body)
-        elif t is not Const and t is not Num:
-            stack.extend(reversed(goal_parts(node)))
-    return out
+    """The clause's variables in first-occurrence order."""
+    return free_goal_vars(Conj(Call(clause.head), clause.body))
 
 
 def _check_collisions(program):

@@ -14,7 +14,7 @@ def unify(t, s, bindings, occurs_check=False):
     True on success; on failure ``bindings`` is restored exactly (the
     trail rewinds any partial work).  Failure is an expected outcome,
     not an error.  With the occurs check off, unifying a variable with a
-    term containing it builds a cyclic store; that is undefined behaviour,
-    as in standard Prolog.
+    term containing it builds a cyclic store.  Resolving or evaluating a
+    cyclic term raises MupError; unifying two of them may not terminate.
     """
     return kernel.unify(t, s, bindings.map, bindings.trail, occurs_check)

@@ -52,6 +52,29 @@ def test_eval_arith_operations():
     assert eval_arith(expr("1.5 * 2.0"), b) == 3.0
 
 
+def test_eval_arith_shared_values_but_not_cycles():
+    b = Bindings()
+    x, y = fresh_var("X"), fresh_var("Y")
+    b.bind(y, expr("1 + 2"))
+    b.bind(x, Compound("*", (y, y)))
+    assert eval_arith(Compound("-", (x, y)), b) == 6
+    u, v = fresh_var("U"), fresh_var("V")
+    b.bind(u, Compound("*", (v, Num(2))))
+    b.bind(v, Compound("+", (u, Num(1))))  # U and V hold each other
+    for term in (u, Compound("-", (Num(0), v))):
+        with pytest.raises(EvalError, match="cyclic"):
+            eval_arith(term, b)
+
+
+def test_eval_arith_overflow_is_an_error():
+    b = Bindings()
+    big = "1" + "0" * 400
+    for text in (big + " / 1", big + " * 1.0", "1.0e308 * 10", "-(1.0e308) - 1.0e308"):
+        with pytest.raises(EvalError, match="overflow"):
+            eval_arith(expr(text), b)
+    assert eval_arith(expr(big + " * 10"), b) == 10 ** 401  # integers are exact
+
+
 def test_comparisons():
     sols, _ = collect("p.", "1 < 2.")
     assert sols == ["true"]

@@ -1,6 +1,7 @@
 import io
 import os
 import re
+import resource
 import subprocess
 import sys
 
@@ -155,6 +156,28 @@ def test_out_of_range_numeric_options_are_usage_errors(tmp_path, args, depth_env
     assert "expected a positive integer" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["run", "BAD", "-q", "p(X)."], "is not UTF-8 text"),
+        (["translate", "BAD", "-o", "OUT"], "is not UTF-8 text"),
+        (["repl", "BAD"], "is not UTF-8 text"),
+        (["selftest", "--cases", "-3"], "expected a positive integer"),
+    ],
+)
+def test_bad_files_and_counts_exit_two(tmp_path, args, message):
+    bad = tmp_path / "bad.mpl"
+    bad.write_bytes(b"p(\xff).\n")
+    argv = [{"BAD": str(bad), "OUT": str(tmp_path / "out.pl")}.get(a, a) for a in args]
+    proc = subprocess.run([sys.executable, "-m", "mup.cli", *argv], capture_output=True,
+                          text=True, env=child_env(), stdin=subprocess.DEVNULL, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+    if args[0] != "selftest":
+        assert proc.stderr.startswith("error: %s" % bad)
+
+
 def test_readme_library_example(capsys):
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as handle:
@@ -255,6 +278,14 @@ def test_repl_load_directive(tmp_path):
     assert "F = one" in text
 
 
+def test_repl_load_of_a_file_that_is_not_utf8_keeps_looping(tmp_path):
+    bad = tmp_path / "bad.mpl"
+    bad.write_bytes(b"p(\xff).\n")
+    text = run_repl(":load %s.\nX = ok.\n.\n:quit.\n" % bad)
+    assert "error: %s is not UTF-8 text" % bad in text
+    assert "X = ok." in text
+
+
 def test_repl_exhausted_prints_false():
     text = run_repl("member(z,[a,b]).\n:quit.\n")
     assert "false." in text
@@ -284,8 +315,20 @@ def child_env():
     return dict(os.environ, PYTHONPATH=pythonpath)
 
 
+CHILD_MEMORY = 2 << 30  # bytes of address space a child may take
+
+
+def _limit_child_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
+
+
 def run_cli_subprocess(tmp_path, program_text, query, *options, stderr=subprocess.PIPE):
-    """``mup run`` in a child Python with its own, default-sized stack."""
+    """``mup run`` in a child Python with its own, default-sized stack.
+
+    A child that runs away fails the test instead of hanging it or taking
+    the host's memory: it is killed after a timeout, and its address
+    space is capped.
+    """
     path = tmp_path / "prog.mpl"
     path.write_text(program_text)
     return subprocess.run(
@@ -294,6 +337,8 @@ def run_cli_subprocess(tmp_path, program_text, query, *options, stderr=subproces
         stderr=stderr,
         text=True,
         env=child_env(),
+        timeout=120,
+        preexec_fn=_limit_child_memory,
     )
 
 
@@ -337,6 +382,7 @@ DEEP_F = "f(" * DEPTH + "a" + ")" * DEPTH
 MK_MPL = "mk(0, a).\nmk(N, f(T)) :- N > 0, M is N-1, mk(M, T).\n"
 LONG_BODY = "p :- %s.\n" % ", ".join(["true"] * DEPTH)
 CHOICE_CHAIN = "p(X) :- %s.\n" % " # ".join("X = %d" % i for i in range(DEPTH))
+BIG = "1" + "0" * 400  # too large for a float
 # A head list of 5,000 variables, matched in write mode (L unbound), then
 # in read mode (L bound).
 LIST_HEAD = "p([%s], X0, X%d).\nq(F, E) :- p(L, a, z), p(L, F, E).\n" % (
@@ -374,6 +420,25 @@ LIST_HEAD = "p([%s], X0, X%d).\nq(F, E) :- p(L, a, z), p(L, F, E).\n" % (
             "p(X) :- %s.\nq(1).\n" % ", ".join(["q(X)"] * DEPTH), "p(X).", 0,
             "X = 1.\n", id="shared_variable_body",
         ),
+        # Without the occurs check a variable can be bound to a term that
+        # contains it; such a term has no finite answer or value.
+        pytest.param("p.\n", "X = f(X).", 2, "error: cannot resolve a cyclic term",
+                     id="cyclic_answer"),
+        pytest.param("p.\n", "X = f(X), write(X).", 2,
+                     "error: cannot resolve a cyclic term", id="cyclic_write"),
+        pytest.param("p.\n", "X = X + 1, Y is X.", 2,
+                     "error: arithmetic on a cyclic term", id="cyclic_arith"),
+        pytest.param("p.\n", "X is %s / 1." % BIG, 2, "error: arithmetic overflow",
+                     id="big_int_division"),
+        pytest.param("p.\n", "X is %s * 1.0." % BIG, 2, "error: arithmetic overflow",
+                     id="big_int_times_float"),
+        pytest.param("p.\n", "X is 1.0e308 * 10.", 2, "error: arithmetic overflow",
+                     id="float_overflow"),
+        pytest.param("p.\n", "X = 1e999.", 2, "error: float literal out of range",
+                     id="float_literal_overflow"),
+        pytest.param("p.\n", "X = 1%s." % ("0" * 5000), 2,
+                     "error: integer literal too long", id="long_int_literal"),
+        pytest.param("p.\n", "X = 'a\\nb'.", 0, "X = 'a\\nb'.\n", id="newline_atom"),
     ],
 )
 def test_deep_inputs_never_print_a_traceback(tmp_path, program_text, query, code, expected):

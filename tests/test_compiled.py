@@ -17,7 +17,6 @@ from mup.syntax import (
     Clause,
     Conj,
     Eq,
-    Exists,
     Program,
     free_goal_vars,
     goal_parts,
@@ -82,16 +81,6 @@ def test_empty_slots_get_shared_fresh_variables():
     assert body.term.args == (y, a, y, z, z)
 
 
-def test_exists_binder_gets_its_own_slot():
-    # The binder shadows the head variable of the same id, so the head
-    # binding X = b does not reach the existential's X = a.
-    x = fresh_var("X")
-    clause = Clause(Compound("p", (x,)), Exists(x, Eq(x, Const("a"))))
-    engine = Engine(Program([clause]))
-    result = engine.solve_collect(Call(Compound("p", (Const("b"),))), [])
-    assert len(result.solutions) == 1
-
-
 @pytest.mark.parametrize(
     "program, query, expected",
     [
@@ -142,7 +131,6 @@ def goals_over(pool):
         lambda kids: st.one_of(
             st.builds(Conj, kids, kids),
             st.builds(Choice, kids, kids),
-            st.builds(Exists, st.sampled_from(pool), kids),
         ),
         max_leaves=6,
     )
@@ -150,18 +138,13 @@ def goals_over(pool):
 
 def _shape(roots, bmap, budget=300):
     """Preorder tokens of terms and goals under ``bmap``, each unbound
-    variable numbered by first appearance and each ``Exists`` binder by
-    its binder, so renamed binders compare equal.  At most ``budget``
-    tokens, so a cyclic binding (occurs check off) still gives an answer."""
+    variable numbered by first appearance.  At most ``budget`` tokens, so
+    a cyclic binding (occurs check off) still gives an answer."""
     numbering = {}
     out = []
-    stack = [(root, {}) for root in reversed(roots)]
+    stack = list(reversed(roots))
     while stack and len(out) < budget:
-        node, binders = stack.pop()
-        if type(node) is Var and node.id in binders:
-            out.append(("bound", binders[node.id]))
-            continue
-        node = kernel.deref(node, bmap)
+        node = kernel.deref(stack.pop(), bmap)
         t = type(node)
         if t is Var:
             out.append(("var", numbering.setdefault(node.id, len(numbering))))
@@ -169,12 +152,9 @@ def _shape(roots, bmap, budget=300):
             out.append(("const", node.name))
         elif t is Num:
             out.append(("num", repr(node.value)))
-        elif t is Exists:
-            out.append(("exists", len(out)))
-            stack.append((node.body, {**binders, node.var.id: len(out) - 1}))
         else:
             out.append((node.functor, len(node.args)) if t is Compound else t.__name__)
-            stack.extend((part, binders) for part in reversed(goal_parts(node)))
+            stack.extend(reversed(goal_parts(node)))
     return out
 
 

@@ -17,7 +17,6 @@ from mup.syntax import (
     Choice,
     Conj,
     Eq,
-    Exists,
     TRUE,
     parse_program,
     parse_query,
@@ -64,15 +63,6 @@ def test_member_choice_vs_classic(member_choice, member_classic):
 def test_conjunction_left_bindings_flow_right():
     sols, _ = collect("q(a). r(a). r(b).", "q(X), r(X).")
     assert sols == ["X = a"]
-
-
-def test_exists_reduction():
-    program = parse_program("p(a).")
-    x = fresh_var("X")
-    goal = Exists(x, Call(Compound("p", (x,))))
-    result = collect_goal(program, goal)
-    assert len(result.solutions) == 1
-    assert result.solutions[0].assignments == {}  # bound var is not an answer
 
 
 def test_classical_or_enumerates_left_then_right():

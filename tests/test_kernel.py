@@ -60,6 +60,20 @@ def test_resolve_composes_single_steps(k):
     assert combined == k.Compound("p", (k.Compound("g", (k.Const("b"),)),))
 
 
+def test_resolve_shared_values_but_not_cycles(k):
+    from mup.errors import MupError
+
+    x, y, z = k.Var(1, "X"), k.Var(2, "Y"), k.Var(3, "Z")
+    g = k.Compound("g", (k.Const("b"),))
+    # Y is met twice, once inside each of X's arguments: shared, not cyclic.
+    bmap = {1: k.Compound("f", (y, k.Compound("h", (y,)))), 2: g}
+    assert k.resolve(x, bmap) == k.Compound("f", (g, k.Compound("h", (g,))))
+    for bmap in ({1: k.Compound("f", (x,))},  # X = f(X)
+                 {1: k.Compound("f", (y,)), 2: z, 3: k.Compound("g", (x,))}):
+        with pytest.raises(MupError, match="cyclic"):
+            k.resolve(x, bmap)
+
+
 def test_resolve_idempotent_on_fixed_bindings(k):
     x, y = k.Var(1, "X"), k.Var(2, "Y")
     bmap = {1: k.Compound("g", (y,)), 2: k.Num(1)}

@@ -11,6 +11,7 @@ from mup.oracle import (
 from mup.syntax import parse_program, parse_query
 
 from conftest import multiset
+from helpers import clause_equal
 
 
 def goal_of(text):
@@ -108,15 +109,19 @@ def test_selftest_small():
 
 
 def test_selftest_reports_corpus_verbatim():
-    case = generate_case(77)
-    text = case.describe()
-    # The counterexample printout must itself be loadable program text.
-    program_part = "\n".join(
-        line for line in text.splitlines()
-        if line and not line.startswith("%") and not line.startswith("?-")
-    )
-    reparsed = parse_program(program_part)
-    assert len(reparsed.clauses) == len(case.program.clauses)
+    for seed in (77, 50):  # seed 50 has two body-only variables in a clause
+        case = generate_case(seed)
+        text = case.describe()
+        # The counterexample printout must itself be loadable program text,
+        # and read back as the same clauses: body-only variables print apart.
+        program_part = "\n".join(
+            line for line in text.splitlines()
+            if line and not line.startswith("%") and not line.startswith("?-")
+        )
+        reparsed = parse_program(program_part)
+        assert len(reparsed.clauses) == len(case.program.clauses)
+        for clause, back in zip(case.program.clauses, reparsed.clauses):
+            assert clause_equal(clause, back), text
 
 
 def test_oracle_module_has_no_engine_dependencies():
@@ -138,3 +143,32 @@ def test_oracle_module_has_no_engine_dependencies():
         if isinstance(node, ast.Import):
             for alias in node.names:
                 assert not any(f in alias.name for f in forbidden)
+
+
+def test_source_modules_use_every_name_they_import():
+    # An imported name that its module never uses is dead; the names a
+    # module lists in ``__all__`` count as used.
+    import ast
+    import pathlib
+
+    import mup
+
+    unused = []
+    for path in sorted(pathlib.Path(mup.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets
+            ):
+                used.update(ast.literal_eval(node.value))
+        unused += ["%s:%d %s" % (path.name, line, name)
+                   for name, line in imported.items() if name not in used]
+    assert unused == []

@@ -194,6 +194,12 @@ def test_pretty_round_trip_examples():
     assert pretty(parse_term("[a].")) == "[a]"
     assert pretty_goal(parse_query("(p # q).").goal) == "(p # q)"
 
+    # Escapes print the way the tokenizer reads them.
+    for name, text in [("a\nb", "'a\\nb'"), ("t\tab", "'t\\tab'"),
+                       ("it's \\", "'it\\'s \\\\'")]:
+        assert pretty(Const(name)) == text
+        assert parse_term(text + ".") == Const(name)
+
 
 def test_pretty_round_trip_generated_terms():
     gen = AstGen(101)
@@ -230,14 +236,16 @@ def test_pretty_round_trip_generated_goals():
         assert goal_equal(goal, back), text
 
 
-def test_subst_goal_shadowing():
-    from mup.syntax import Exists, subst_goal
+def test_subst_goal_replaces_only_mapped_variables():
+    from mup.syntax import subst_goal
     from mup.terms import fresh_var
 
-    x = fresh_var("X")
+    goal = parse_query("q(X), r(Y, f(Y)), s(a).").goal
+    x, y = goal.left.term.args[0], goal.right.left.term.args[0]
     replacement = fresh_var("W")
-    inner = parse_query("p(Z).").goal
-    shadowed = Exists(x, Call(Compound("q", (x,))))
-    out = subst_goal(Conj(Call(Compound("q", (x,))), shadowed), {x.id: replacement})
+    out = subst_goal(goal, {x.id: replacement})
     assert out.left.term.args[0] is replacement
-    assert out.right.body.term.args[0] is x  # binder shadows the mapping
+    assert out.right is goal.right  # nothing mapped below: shared
+    out = subst_goal(goal, {y.id: Const("b")})
+    assert pretty_goal(out) == "q(X), r(b, f(b)), s(a)"
+    assert out.left is goal.left and out.right.right is goal.right.right

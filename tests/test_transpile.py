@@ -7,6 +7,7 @@ from mup.engine import Engine, SolveConfig
 from mup.errors import TranslateError
 from mup.oracle import generate_case
 from mup.syntax import format_program, parse_program, pretty_goal
+from mup.terms import Const
 from mup.transpile import translate
 
 from conftest import collect_goal, multiset
@@ -74,6 +75,16 @@ def test_output_reparses_in_prolog_dialect():
         out = translate(program, mode)
         reparsed = parse_program(out, dialect="prolog")
         assert len(reparsed.clauses) >= len(program.clauses)
+
+
+def test_translated_quoted_atoms_reparse():
+    program = parse_program("q('a\\nb'). r(X) :- X = 't\\tab' # X = q.")
+    for mode in ("hard_cut", "soft_cut"):
+        out = translate(program, mode)
+        reparsed = parse_program(out, dialect="prolog")
+        assert reparsed.clauses[0].head.args[0] == Const("a\nb")
+        answers = Engine(reparsed).run_query("r(X).").solutions
+        assert [s.render() for s in answers] == ["X = 't\\tab'"]
 
 
 def test_max_translation_behaviour(max_program=None):
