@@ -288,6 +288,7 @@ def _enumerate_answers(stream, inp, emit, last_char):
     while True:
         try:
             solution = next(stream)
+            text = solution.render()
         except StopIteration:
             if last_char[0] != "\n":
                 emit("\n")
@@ -298,7 +299,7 @@ def _enumerate_answers(stream, inp, emit, last_char):
             return
         if last_char[0] != "\n":
             emit("\n")  # separate program output (write/1) from the answer
-        emit(solution.render())
+        emit(text)
         answer = inp.readline()
         if answer is None or answer == "":
             emit(".\n")

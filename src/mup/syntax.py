@@ -1,26 +1,31 @@
 """Concrete syntax and ASTs for programs, clauses and goals.
 
-Grammar summary (``.mpl`` files, UTF-8):
+``.mpl`` files are UTF-8; ``%`` starts a line comment.  Lists are
+``[a, b | T]``, variables start uppercase or ``_``, atoms start lowercase or
+are ``'quoted'``; integers and floats are distinct.  One operator table,
+``_INFIX``, serves the reader and the printer (Prolog's op/3 types):
 
-* clauses end in ``.``; ``%`` starts a line comment
-* ``H :- B.`` is a rule, ``H.`` a unit clause
-* goal connectives, loosest to tightest: ``#`` (committed choice) and
-  ``;`` (classical disjunction) on one tier, then ``,`` (conjunction);
-  mixing ``#`` and ``;`` without parentheses is rejected
-* ``=`` is term equality; ``<  >  >=  =<  is`` are built-in calls
-* lists ``[a, b | T]``, variables start uppercase or ``_``, atoms start
-  lowercase or are ``'quoted'``; integers and floats are distinct
+    1200 xfx  :-                   rule ``H :- B``
+    1100 xfy  #  ;                 committed choice, disjunction (not mixed)
+    1050 xfy  *->                  soft if-then-else, left of ``;``
+    1000 xfy  ,                    conjunction
+     700 xfx  =  <  >  >=  =<  is  unification and built-in calls
+     500 yfx  +  -
+     400 yfx  *  /  //  mod
+     200 fy   -                    prefix; ``- 3`` is the number -3
 
-Two dialects share the parser.  The default ``choice`` dialect accepts
-``#`` and rejects ``!``.  The ``prolog`` dialect (used to re-check
-transpiler output) accepts ``!`` and ``*->`` and rejects ``#``.
+A clause, a query and a read/1 term are each one term read at 1200 and
+ended by ``.``; arguments and list elements are read at 999.  A clause is
+split on ``:-``; its body and a query become goals.  The default
+``choice`` dialect has ``#`` and no ``!``.  The ``prolog`` dialect (used to
+re-check transpiler output) has ``!`` and ``*->`` and no ``#``.
 """
 
 from math import isinf
 from operator import is_not
 
 from mup import builtins as _builtins
-from mup.errors import LoadError, MupSyntaxError
+from mup.errors import LoadError, MupError, MupSyntaxError
 from mup.terms import CONS, EMPTY_LIST, Compound, Const, Num, Var, fresh_var, mk_list
 
 # ---------------------------------------------------------------------------
@@ -30,12 +35,13 @@ from mup.terms import CONS, EMPTY_LIST, Compound, Const, Num, Var, fresh_var, mk
 class Goal:
     __slots__ = ()
 
+    def __repr__(self):
+        fields = ", ".join(repr(getattr(self, f)) for f in type(self).__slots__)
+        return "%s(%s)" % (type(self).__name__, fields)
+
 
 class TrueGoal(Goal):
     __slots__ = ()
-
-    def __repr__(self):
-        return "TrueGoal()"
 
 
 TRUE = TrueGoal()
@@ -49,9 +55,6 @@ class Call(Goal):
     def __init__(self, term):
         self.term = term
 
-    def __repr__(self):
-        return "Call(%r)" % (self.term,)
-
 
 class Eq(Goal):
     __slots__ = ("left", "right")
@@ -60,9 +63,6 @@ class Eq(Goal):
         self.left = left
         self.right = right
 
-    def __repr__(self):
-        return "Eq(%r, %r)" % (self.left, self.right)
-
 
 class Conj(Goal):
     __slots__ = ("left", "right")
@@ -70,9 +70,6 @@ class Conj(Goal):
     def __init__(self, left, right):
         self.left = left
         self.right = right
-
-    def __repr__(self):
-        return "Conj(%r, %r)" % (self.left, self.right)
 
 
 class Choice(Goal):
@@ -84,9 +81,6 @@ class Choice(Goal):
         self.left = left
         self.right = right
 
-    def __repr__(self):
-        return "Choice(%r, %r)" % (self.left, self.right)
-
 
 class ClassicalOr(Goal):
     """Backtracking disjunction (``G0 ; G1``), kept for contrast."""
@@ -97,17 +91,11 @@ class ClassicalOr(Goal):
         self.left = left
         self.right = right
 
-    def __repr__(self):
-        return "ClassicalOr(%r, %r)" % (self.left, self.right)
-
 
 class Cut(Goal):
     """Prolog ``!``; only parsed in the ``prolog`` dialect."""
 
     __slots__ = ()
-
-    def __repr__(self):
-        return "Cut()"
 
 
 class SoftIfThenElse(Goal):
@@ -119,9 +107,6 @@ class SoftIfThenElse(Goal):
         self.cond = cond
         self.then = then
         self.els = els
-
-    def __repr__(self):
-        return "SoftIfThenElse(%r, %r, %r)" % (self.cond, self.then, self.els)
 
 
 class Clause:
@@ -317,22 +302,41 @@ def tokenize(text):
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Reader
 
-_RELOPS = ("=", "<", ">", ">=", "=<")
-_OPERATOR_FUNCTORS = frozenset(
-    ["=", "<", ">", ">=", "=<", "is", "+", "-", "*", "/", "//", "mod", ":-",
-     "#", ";", ",", "|", "!", "."]
-)
+# Infix operators, as in Prolog's op/3 table: name -> (precedence, left max,
+# right max).  Both maxima below the precedence is xfx, the right one equal
+# to it xfy, the left one equal to it yfx.  Prefix minus is fy 200.
+_INFIX = {
+    ":-": (1200, 1199, 1199),
+    "#": (1100, 1099, 1100), ";": (1100, 1099, 1100),
+    "*->": (1050, 1049, 1050),
+    ",": (1000, 999, 1000),
+    "=": (700, 699, 699), "<": (700, 699, 699), ">": (700, 699, 699),
+    ">=": (700, 699, 699), "=<": (700, 699, 699), "is": (700, 699, 699),
+    "+": (500, 500, 499), "-": (500, 500, 499),
+    "*": (400, 400, 399), "/": (400, 400, 399), "//": (400, 400, 399),
+    "mod": (400, 400, 399),
+}
+_MINUS = 200  # prefix minus
+_ARG = 999  # arguments and list elements
+# Functors that no called term has.  Outside the prolog dialect, where it
+# makes ``(C *-> T ; E)``, ``'*->'(A, B)`` is a call.
+_NOT_CALLABLE = frozenset(_INFIX) - {"*->"} | {"|", ".", "!"}
+_GOALS = {  # per dialect: the atoms that are goals, and the connectives
+    "choice": ({"true": TRUE}, {",": Conj, "#": Choice, ";": ClassicalOr}),
+    "prolog": ({"true": TRUE, "!": Cut()}, {",": Conj, ";": ClassicalOr}),
+}
 
 
-class _Parser:
-    def __init__(self, tokens, dialect):
-        if dialect not in ("choice", "prolog"):
+class _Reader:
+    def __init__(self, text, dialect):
+        if dialect not in _GOALS:
             raise ValueError("unknown dialect %r" % (dialect,))
-        self.tokens = tokens
+        self.tokens = tokenize(text)
         self.pos = 0
         self.dialect = dialect
+        self.start = None  # the first token of the sentence being read
         self.scope = {}
         self.var_order = []
 
@@ -346,308 +350,235 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def at_punct(self, *values):
-        tok = self.peek()
-        return tok.kind == "punct" and tok.value in values
+    def at_punct(self, value):
+        tok = self.tokens[self.pos]
+        return tok.kind == "punct" and tok.value == value
 
     def expect_punct(self, value):
         tok = self.next()
         if tok.kind != "punct" or tok.value != value:
             self.fail("expected %r" % value, tok)
-        return tok
 
     def fail(self, msg, tok=None):
         tok = tok or self.peek()
         got = "end of input" if tok.kind == "eof" else repr(tok.value)
         raise MupSyntaxError("%s, got %s" % (msg, got), tok.line, tok.col)
 
-    # -- variables are scoped per clause / per query
-
-    def begin_scope(self):
-        self.scope = {}
-        self.var_order = []
-
-    def lookup_var(self, name):
-        if name == "_":
-            return fresh_var("_")
-        var = self.scope.get(name)
-        if var is None:
-            var = fresh_var(name)
-            self.scope[name] = var
-            self.var_order.append(var)
-        return var
+    def infix(self):
+        """The infix operator at the current token, or None."""
+        tok = self.tokens[self.pos]
+        if tok.kind == "qatom" or tok.value not in _INFIX:
+            return None
+        if tok.value == "#" and self.dialect == "prolog":
+            self.fail("'#' is not available in the prolog dialect")
+        if tok.value == "*->" and self.dialect != "prolog":
+            self.fail("'*->' is only available in the prolog dialect")
+        return tok.value
 
     # -- terms
 
-    def parse_term(self):
-        return self.parse_additive()
-
-    def parse_additive(self):
-        term = self.parse_multiplicative()
-        while self.at_punct("+", "-"):
-            op = self.next().value
-            rhs = self.parse_multiplicative()
-            term = Compound(op, (term, rhs))
-        return term
-
-    def parse_multiplicative(self):
-        term = self.parse_unary()
-        while True:
-            if self.at_punct("*", "/", "//"):
-                op = self.next().value
-            elif self.peek().kind == "atom" and self.peek().value == "mod":
-                self.next()
-                op = "mod"
-            else:
-                return term
-            rhs = self.parse_unary()
-            term = Compound(op, (term, rhs))
-
-    def parse_unary(self):
-        if self.at_punct("-"):
-            tok = self.next()
-            if self.peek().kind in ("int", "float"):
-                return Num(-self.next().value)
-            operand = self.parse_unary()
-            return Compound("-", (operand,))
-        return self.parse_primary()
-
-    def parse_primary(self):
+    def read(self, max_prec):
+        """A term of precedence at most ``max_prec``."""
+        negs = 0  # a run of prefix minus signs is read in a loop
+        while self.at_punct("-"):
+            self.next()
+            negs += 1
         tok = self.peek()
-        if tok.kind in ("int", "float"):
+        if negs and tok.kind in ("int", "float"):
             self.next()
-            return Num(tok.value)
-        if tok.kind == "var":
+            term = Num(-tok.value)
+            negs -= 1
+        else:
+            term = self.primary()
+        for _ in range(negs):
+            term = Compound("-", (term,))
+        prec = _MINUS if negs else 0
+        while True:
+            op = self.infix()
+            if op is None:
+                return term
+            op_prec, left_max, right_max = _INFIX[op]
+            if op_prec > max_prec or prec > left_max:
+                return term
             self.next()
-            return self.lookup_var(tok.value)
-        if tok.kind in ("atom", "qatom"):
-            self.next()
-            if self.at_punct("("):
-                self.next()
-                args = [self.parse_term()]
-                while self.at_punct(","):
+            if right_max < op_prec:
+                term = Compound(op, (term, self.read(right_max)))
+            else:  # a right-associative chain, nested to the right
+                parts = [term, self.read(op_prec - 1)]
+                while True:
+                    nxt = self.infix()
+                    if nxt is None or _INFIX[nxt][0] != op_prec:
+                        break
+                    if nxt != op:
+                        self.fail("mixing %r and %r needs parentheses" % (op, nxt))
                     self.next()
-                    args.append(self.parse_term())
-                self.expect_punct(")")
-                return Compound(tok.value, tuple(args))
-            return Const(tok.value)
-        if self.at_punct("["):
-            return self.parse_list()
-        if self.at_punct("("):
+                    parts.append(self.read(op_prec - 1))
+                term = parts.pop()
+                while parts:
+                    term = Compound(op, (parts.pop(), term))
+            prec = op_prec
+
+    def primary(self):
+        tok = self.next()
+        kind = tok.kind
+        if kind == "int" or kind == "float":
+            return Num(tok.value)
+        if kind == "var":
+            name = tok.value
+            if name == "_":
+                return fresh_var("_")
+            var = self.scope.get(name)
+            if var is None:
+                var = self.scope[name] = fresh_var(name)
+                self.var_order.append(var)
+            return var
+        if kind == "atom" or kind == "qatom":
+            if not self.at_punct("("):
+                return Const(tok.value)
             self.next()
-            term = self.parse_term()
+            args = self.items()
+            self.expect_punct(")")
+            return Compound(tok.value, tuple(args))
+        if tok.value == "(":  # punctuation or end of input from here on
+            term = self.read(1200)
             self.expect_punct(")")
             return term
+        if tok.value == "[":
+            if self.at_punct("]"):
+                self.next()
+                return Const(EMPTY_LIST)
+            items = self.items()
+            tail = None
+            if self.at_punct("|"):
+                self.next()
+                tail = self.read(_ARG)
+            self.expect_punct("]")
+            return mk_list(items, tail)
+        if tok.value == "!":
+            if self.dialect == "prolog":
+                return Const("!")
+            self.fail("cut is not part of this language; use '#' instead", tok)
         self.fail("expected a term", tok)
 
-    def parse_list(self):
-        self.expect_punct("[")
-        if self.at_punct("]"):
-            self.next()
-            return Const(EMPTY_LIST)
-        items = [self.parse_term()]
+    def items(self):
+        """Comma-separated arguments or list elements."""
+        items = [self.read(_ARG)]
         while self.at_punct(","):
             self.next()
-            items.append(self.parse_term())
-        tail = None
-        if self.at_punct("|"):
-            self.next()
-            tail = self.parse_term()
-        self.expect_punct("]")
-        return mk_list(items, tail)
+            items.append(self.read(_ARG))
+        return items
 
-    # -- goals
+    # -- sentences: clauses, queries and read/1 terms
 
-    def parse_goal(self):
-        left = self.parse_conjunction()
-        if self.at_punct("*->"):
-            if self.dialect != "prolog":
-                self.fail("'*->' is only available in the prolog dialect")
-            self.next()
-            then = self.parse_conjunction()
-            if not self.at_punct(";"):
-                self.fail("soft if-then-else needs an else: (C *-> T ; E)")
-            self.next()
-            els = self.parse_goal()
-            return SoftIfThenElse(left, then, els)
-        if not self.at_punct("#", ";"):
-            return left
-        op = self.peek().value
-        if op == "#" and self.dialect == "prolog":
-            self.fail("'#' is not available in the prolog dialect")
-        parts = [left]
-        while self.at_punct("#", ";"):
-            tok = self.next()
-            if tok.value != op:
-                raise MupSyntaxError(
-                    "mixing '#' and ';' needs parentheses", tok.line, tok.col
-                )
-            parts.append(self.parse_conjunction())
-        node = ClassicalOr if op == ";" else Choice
-        goal = parts[-1]
-        for part in reversed(parts[:-1]):
-            goal = node(part, goal)
-        return goal
+    def sentence(self, last=False):
+        """A term read at 1200 up to its ``.`` (the last one if ``last``).
 
-    def parse_conjunction(self):
-        parts = [self.parse_simple_goal()]
-        while self.at_punct(","):
-            self.next()
-            parts.append(self.parse_simple_goal())
-        goal = parts[-1]
-        for part in reversed(parts[:-1]):
-            goal = Conj(part, goal)
-        return goal
+        Reading descends into arguments and parentheses on the host stack.
+        """
+        self.start = self.peek()
+        self.scope = {}
+        self.var_order = []
+        try:
+            term = self.read(1200)
+        except RecursionError:
+            tok = self.peek()
+            raise MupSyntaxError("nested too deeply", tok.line, tok.col) from None
+        self.expect_punct(".")
+        if last and self.peek().kind != "eof":
+            self.fail("unexpected input after '.'")
+        return term
 
-    def parse_simple_goal(self):
-        tok = self.peek()
-        if self.at_punct("("):
-            # "(" is ambiguous here: it may open a parenthesized goal or a
-            # parenthesized term, as in "(X + 1) * 2 = Y".  Try the goal
-            # reading; fall back to the term reading on failure or when a
-            # term-level operator follows the closing parenthesis.
-            save = self.pos
-            try:
-                self.next()
-                goal = self.parse_goal()
-                self.expect_punct(")")
-            except MupSyntaxError as goal_error:
-                self.pos = save
-                try:
-                    return self._term_goal(tok)
-                except MupSyntaxError as term_error:
-                    raise self._further(goal_error, term_error) from None
-            if self.at_punct("+", "-", "*", "/", "//", *_RELOPS) or (
-                self.peek().kind == "atom" and self.peek().value in ("is", "mod")
-            ):
-                self.pos = save
-                return self._term_goal(tok)
-            return goal
-        if self.at_punct("!"):
-            if self.dialect != "prolog":
-                self.fail("cut is not part of this language; use '#' instead")
-            self.next()
-            return Cut()
-        if tok.kind == "atom" and tok.value == "true" and not self._call_ahead():
-            self.next()
-            return TRUE
-        return self._term_goal(tok)
+    def goal(self, term):
+        """The goal that a clause body or query ``term`` stands for."""
+        atoms, connectives = _GOALS[self.dialect]
+        done = []
+        todo = [term]  # terms still to convert, and (goal class, arity) marks
+        while todo:
+            t = todo.pop()
+            tt = type(t)
+            if tt is tuple:  # its parts are the last ``arity`` goals done
+                node, arity = t
+                parts = done[-arity:]
+                del done[-arity:]
+                done.append(node(*parts))
+            elif tt is Const:
+                done.append(atoms.get(t.name) or Call(t))
+            elif tt is Compound:
+                functor, args = t.functor, t.args
+                if len(args) == 2 and functor in connectives:
+                    left, right = args
+                    if (functor == ";" and self.dialect == "prolog"
+                            and type(left) is Compound and left.functor == "*->"
+                            and len(left.args) == 2):
+                        todo += ((SoftIfThenElse, 3), right, *reversed(left.args))
+                    else:
+                        todo += ((connectives[functor], 2), right, left)
+                elif functor == "=" and len(args) == 2:
+                    done.append(Eq(*args))
+                elif functor == "*->" and len(args) == 2 and self.dialect == "prolog":
+                    self.goal_error("soft if-then-else needs an else: (C *-> T ; E)", t)
+                elif functor not in _NOT_CALLABLE or (
+                    len(args) == 2 and _INFIX.get(functor, (0,))[0] == 700
+                ):
+                    done.append(Call(t))
+                else:
+                    self.goal_error("this term cannot be called as a goal", t)
+            elif tt is Var:
+                self.goal_error("a variable is not a goal", t)
+            else:
+                self.goal_error("a number is not a goal", t)
+        return done[0]
 
-    def _term_goal(self, tok):
-        term = self.parse_term()
-        if self.at_punct(*_RELOPS):
-            op = self.next().value
-            rhs = self.parse_term()
-            if op == "=":
-                return Eq(term, rhs)
-            return Call(Compound(op, (term, rhs)))
-        if self.peek().kind == "atom" and self.peek().value == "is":
-            self.next()
-            rhs = self.parse_term()
-            return Call(Compound("is", (term, rhs)))
-        if type(term) is Var:
-            self.fail("a variable is not a goal", tok)
-        if type(term) is Num:
-            self.fail("a number is not a goal", tok)
-        if type(term) is Compound and term.functor in _OPERATOR_FUNCTORS:
-            self.fail("this term cannot be called as a goal", tok)
-        return Call(term)
+    def goal_error(self, msg, term):
+        tok, text = self.start, pretty(term)
+        text = text if len(text) <= 60 else text[:57] + "..."
+        raise MupSyntaxError("%s: %s" % (msg, text), tok.line, tok.col)
 
-    @staticmethod
-    def _further(first, second):
-        """The error that got further into the input (better diagnosis)."""
-        a = (first.line or 0, first.column or 0)
-        b = (second.line or 0, second.column or 0)
-        return first if a >= b else second
-
-    def _call_ahead(self):
-        nxt = self.tokens[self.pos + 1]
-        return nxt.kind == "punct" and nxt.value == "("
-
-    # -- clauses and programs
-
-    def parse_clause(self):
-        self.begin_scope()
-        tok = self.peek()
-        head = self.parse_primary()
+    def clause(self):
+        head = self.sentence()
+        tok = self.start
+        body = TRUE
+        if type(head) is Compound and head.functor == ":-" and len(head.args) == 2:
+            head, body = head.args
+            body = self.goal(body)
         if type(head) is Var or type(head) is Num:
             self.fail("clause head must be an atom or compound", tok)
         if (
             type(head) is Compound
-            and head.functor in _OPERATOR_FUNCTORS
+            and head.functor in _NOT_CALLABLE
             and head.functor not in ("is", "mod")
         ):
             # Word operators fall through so that redefining a built-in
             # like is/2 surfaces as the load-time error it is.
             self.fail("clause head cannot be an operator", tok)
-        body = TRUE
-        if self.at_punct(":-"):
-            self.next()
-            body = self.parse_goal()
-        self.expect_punct(".")
         return Clause(head, body, span=(tok.line, tok.col))
-
-    def parse_program(self):
-        clauses = []
-        while self.peek().kind != "eof":
-            clauses.append(self.parse_clause())
-        return Program(clauses)
-
-    def parse_query(self):
-        self.begin_scope()
-        goal = self.parse_goal()
-        self.expect_punct(".")
-        if self.peek().kind != "eof":
-            self.fail("unexpected input after query")
-        return Query(goal, self.var_order)
-
-    def parse_single_term(self):
-        self.begin_scope()
-        term = self.parse_term()
-        self.expect_punct(".")
-        if self.peek().kind != "eof":
-            self.fail("unexpected input after term")
-        return term
-
-
-def _parse(text, dialect, method):
-    """Run one ``_Parser`` method over ``text``.
-
-    The parser descends recursively, so input nested deeper than the host
-    stack allows is reported as a syntax error at the token reached.
-    """
-    parser = _Parser(tokenize(text), dialect)
-    try:
-        return method(parser)
-    except RecursionError:
-        tok = parser.peek()
-        raise MupSyntaxError("nested too deeply", tok.line, tok.col) from None
 
 
 def parse_program(text, dialect="choice"):
     """Parse a full program (clauses terminated by ``.``)."""
-    return _parse(text, dialect, _Parser.parse_program)
+    reader = _Reader(text, dialect)
+    clauses = []
+    while reader.peek().kind != "eof":
+        clauses.append(reader.clause())
+    return Program(clauses)
 
 
 def parse_query(text, dialect="choice"):
     """Parse one goal terminated by ``.``; free variables become answers."""
-    return _parse(text, dialect, _Parser.parse_query)
+    reader = _Reader(text, dialect)
+    goal = reader.goal(reader.sentence(last=True))
+    return Query(goal, reader.var_order)
 
 
 def parse_term(text):
     """Parse a single term terminated by ``.`` (used by read/1)."""
-    return _parse(text, "choice", _Parser.parse_single_term)
+    return _Reader(text, "choice").sentence(last=True)
 
 
 # ---------------------------------------------------------------------------
 # Pretty printer
 
 _ATOM_BARE = frozenset("abcdefghijklmnopqrstuvwxyz")
-_INFIX_PREC = {
-    "=": 700, "<": 700, ">": 700, ">=": 700, "=<": 700, "is": 700,
-    "+": 500, "-": 500,
-    "*": 400, "/": 400, "//": 400, "mod": 400,
-}
 
 
 def _atom_text(name, quoted=True):
@@ -683,7 +614,10 @@ def pretty(term, quoted=True):
         elif tt is Const:
             out.append(_atom_text(t.name, quoted))
         elif tt is Num:
-            out.append(repr(t.value))
+            try:
+                out.append(repr(t.value))
+            except ValueError:  # more digits than the host converts
+                raise MupError("integer too large to print") from None
         elif tt is Compound:
             todo.extend(reversed(_pieces(t, quoted)))
         elif tt is TrueGoal:
@@ -694,6 +628,17 @@ def pretty(term, quoted=True):
 
 
 pretty_goal = pretty
+
+
+def _prec(term):
+    """The precedence ``pretty`` gives a term: nonzero for an operator."""
+    if type(term) is Compound:
+        if len(term.args) == 2:
+            prec = _INFIX.get(term.functor, (0,))[0]
+            return prec if prec <= 700 else 0  # control prints canonical
+        if term.functor == "-" and len(term.args) == 1:
+            return _MINUS
+    return 0
 
 
 def _pieces(term, quoted):
@@ -710,19 +655,19 @@ def _pieces(term, quoted):
             pieces += ("|", term)
         pieces.append("]")
         return pieces
-    if functor in _INFIX_PREC and len(args) == 2:
-        prec = _INFIX_PREC[functor]
-        return [
-            *_wrap(args[0], prec, tight=False),
-            " %s " % functor,
-            *_wrap(args[1], prec, tight=True),
-        ]
-    if functor == "-" and len(args) == 1:
+    prec = _prec(term)
+    if prec == _MINUS:
         if type(args[0]) is Num:
             # "-3" would reparse as a negative literal, not as negation.
             return ["-(", args[0], ")"]
-        return ["-", *_wrap(args[0], 200, tight=True)]
-    pieces = [_atom_text(functor, quoted) + "("]
+        return ["-", *_wrap(args[0], _MINUS)]
+    if prec:
+        _, left_max, right_max = _INFIX[functor]
+        return [*_wrap(args[0], left_max), " %s " % functor,
+                *_wrap(args[1], right_max)]
+    # '[]' quoted: a bare "[](" does not read as a functor.
+    name = "'[]'" if functor == EMPTY_LIST and quoted else _atom_text(functor, quoted)
+    pieces = [name + "("]
     for i, arg in enumerate(args):
         if i:
             pieces.append(", ")
@@ -731,12 +676,9 @@ def _pieces(term, quoted):
     return pieces
 
 
-def _wrap(arg, parent_prec, tight):
-    if type(arg) is Compound and len(arg.args) == 2:
-        prec = _INFIX_PREC.get(arg.functor)
-        if prec is not None and (prec > parent_prec or (tight and prec == parent_prec)):
-            return ("(", arg, ")")
-    if type(arg) is Num and arg.value < 0:
+def _wrap(arg, max_prec):
+    """``arg`` as an operand of precedence at most ``max_prec``."""
+    if _prec(arg) > max_prec:
         return ("(", arg, ")")
     return (arg,)
 
@@ -747,7 +689,7 @@ def _goal_pieces(goal):
     if t is Call:
         return [goal.term]
     if t is Eq:
-        return [goal.left, " = ", goal.right]
+        return _pieces(Compound("=", (goal.left, goal.right)), True)
     if t is Conj:
         pieces = []
         while type(goal) is Conj:  # a right-nested chain prints flat

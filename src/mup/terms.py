@@ -153,6 +153,8 @@ def _display_assignments(assignments):
     its own query name; any other unbound variable gets ``_G0``, ``_G1``,
     ... avoiding collisions with query names.
     """
+    from mup.syntax import _remake, rebuild  # mup.syntax imports this module
+
     own_name = {}
     for name, term in assignments.items():
         if type(term) is Var and term.name == name:
@@ -176,30 +178,6 @@ def _display_assignments(assignments):
     for name, term in assignments.items():
         if type(term) is Var and own_name.get(term.id) == name:
             continue  # variable stayed free
-        out.append((name, _map_vars(term, display_var)))
+        out.append((name, rebuild(term, display_var, _remake)))
     return out
 
-
-def _map_vars(term, fn):
-    """Copy ``term`` with each variable ``v`` replaced by ``fn(v)``.
-
-    Variables are visited left to right.  Iterative, so long list spines
-    need no host stack.
-    """
-    if type(term) is not Compound:
-        return fn(term) if type(term) is Var else term
-    stack = [(term, [])]  # frames: node, rebuilt args so far
-    while True:
-        node, built = stack[-1]
-        if len(built) == len(node.args):
-            stack.pop()
-            copy = Compound(node.functor, tuple(built))
-            if not stack:
-                return copy
-            stack[-1][1].append(copy)
-            continue
-        child = node.args[len(built)]
-        if type(child) is Compound:
-            stack.append((child, []))
-        else:
-            built.append(fn(child) if type(child) is Var else child)

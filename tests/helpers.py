@@ -11,7 +11,9 @@ from mup.syntax import (
     Choice,
     Clause,
     Conj,
+    Cut,
     Eq,
+    SoftIfThenElse,
     TRUE,
     TrueGoal,
 )
@@ -47,7 +49,7 @@ def goal_equal(a, b, varmap=None):
     ta, tb = type(a), type(b)
     if ta is not tb:
         return False
-    if ta is TrueGoal:
+    if ta is TrueGoal or ta is Cut:
         return True
     if ta is Call:
         return term_equal(a.term, b.term, varmap)
@@ -59,6 +61,9 @@ def goal_equal(a, b, varmap=None):
         return goal_equal(a.left, b.left, varmap) and goal_equal(
             a.right, b.right, varmap
         )
+    if ta is SoftIfThenElse:
+        return all(goal_equal(x, y, varmap) for x, y in
+                   ((a.cond, b.cond), (a.then, b.then), (a.els, b.els)))
     raise AssertionError("unexpected goal in round-trip: %r" % (a,))
 
 

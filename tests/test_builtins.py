@@ -140,6 +140,17 @@ def test_write_unquoted_and_once():
     assert len(result.solutions) == 1
 
 
+def test_read_reads_back_what_write_wrote():
+    io = IoPorts.scripted([])
+    engine = Engine(parse_program("p."), io=io)
+    engine.run_query("write(f(a = b, -(1), 2 - (3 - 4), (x < y) = z)).")
+    written = io.captured()
+    assert written == "f(a = b, -(1), 2 - (3 - 4), (x < y) = z)"
+    engine = Engine(parse_program("p."), io=IoPorts.scripted([written + "."]))
+    result = engine.run_query("read(X).")
+    assert [s.render() for s in result.solutions] == ["X = " + written]
+
+
 def test_write_not_undone_on_backtracking():
     io = IoPorts.scripted([])
     engine = Engine(parse_program("p(a). p(b)."), io=io)

@@ -383,6 +383,7 @@ MK_MPL = "mk(0, a).\nmk(N, f(T)) :- N > 0, M is N-1, mk(M, T).\n"
 LONG_BODY = "p :- %s.\n" % ", ".join(["true"] * DEPTH)
 CHOICE_CHAIN = "p(X) :- %s.\n" % " # ".join("X = %d" % i for i in range(DEPTH))
 BIG = "1" + "0" * 400  # too large for a float
+HUGE = "1" + "0" * 2500  # its square has more digits than Python prints
 # A head list of 5,000 variables, matched in write mode (L unbound), then
 # in read mode (L bound).
 LIST_HEAD = "p([%s], X0, X%d).\nq(F, E) :- p(L, a, z), p(L, F, E).\n" % (
@@ -439,6 +440,11 @@ LIST_HEAD = "p([%s], X0, X%d).\nq(F, E) :- p(L, a, z), p(L, F, E).\n" % (
         pytest.param("p.\n", "X = 1%s." % ("0" * 5000), 2,
                      "error: integer literal too long", id="long_int_literal"),
         pytest.param("p.\n", "X = 'a\\nb'.", 0, "X = 'a\\nb'.\n", id="newline_atom"),
+        # A computed integer can have more digits than the host prints.
+        pytest.param("p.\n", "X is %s * %s." % (HUGE, HUGE), 2,
+                     "error: integer too large to print", id="big_int_answer"),
+        pytest.param("p.\n", "X is %s * %s, write(X)." % (HUGE, HUGE), 2,
+                     "error: integer too large to print", id="big_int_write"),
     ],
 )
 def test_deep_inputs_never_print_a_traceback(tmp_path, program_text, query, code, expected):
@@ -473,6 +479,12 @@ def test_deep_inputs_never_print_a_traceback(tmp_path, program_text, query, code
     # Each '#' becomes an auxiliary predicate of two clauses.
     translated = parse_program(out_path.read_text(), dialect="prolog")
     assert len(translated) == 1 + 2 * program_text.count("#")
+
+
+def test_repl_error_while_printing_an_answer_keeps_looping():
+    text = run_repl("X is %s * %s.\nX = ok.\n.\n:quit.\n" % (HUGE, HUGE))
+    assert "error: integer too large to print" in text
+    assert "X = ok" in text
 
 
 def test_repl_trace_directive():

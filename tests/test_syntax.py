@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
-from mup.errors import LoadError, MupSyntaxError
+from mup.errors import LoadError, MupError, MupSyntaxError
 from mup.syntax import (
+    _INFIX,
     Call,
     Choice,
     ClassicalOr,
@@ -10,6 +13,7 @@ from mup.syntax import (
     Eq,
     SoftIfThenElse,
     TrueGoal,
+    format_program,
     parse_program,
     parse_query,
     parse_term,
@@ -17,9 +21,9 @@ from mup.syntax import (
     pretty_clause,
     pretty_goal,
 )
-from mup.terms import Compound, Const, Num, Var
+from mup.terms import Compound, Const, Num, Var, fresh_var
 
-from helpers import AstGen, clause_equal, goal_equal
+from helpers import AstGen, clause_equal, goal_equal, term_equal
 
 
 def test_parse_max_clause_shape():
@@ -234,6 +238,102 @@ def test_pretty_round_trip_generated_goals():
         text = pretty_goal(goal) + "."
         back = parse_query(text).goal
         assert goal_equal(goal, back), text
+
+
+def test_operators_inside_terms():
+    assert parse_term("f(a = b).") == Compound("f", (Compound("=", (Const("a"), Const("b"))),))
+    goal = parse_query("X = (a, b), Y = [(p :- q), 1 < 2].").goal
+    assert goal.left.right == Compound(",", (Const("a"), Const("b")))
+    assert pretty_goal(goal) == "X = ','(a, b), Y = [':-'(p, q), 1 < 2]"
+    nested = Compound("=", (Compound("=", (Const("a"), Const("b"))), Const("c")))
+    assert pretty(nested) == "(a = b) = c"
+    assert pretty_goal(parse_query("'='('='(a, b), c).").goal) == "(a = b) = c"
+    with pytest.raises(MupSyntaxError):
+        parse_term("a = b = c.")  # = does not associate
+    assert parse_term("- - - a.") == Compound("-", (Compound("-", (Compound("-", (Const("a"),)),)),))
+    assert parse_term("- - 3.") == Compound("-", (Num(-3),))
+
+
+def test_functional_notation_goals():
+    goal = parse_query("'='(X, a), '<'(1, 2), is(Y, 3), ','(p, q).").goal
+    assert type(goal.left) is Eq
+    assert goal.right.left.term.functor == "<"
+    assert goal.right.right.left.term.functor == "is"
+    assert type(goal.right.right.right) is Conj
+    for text in ("'+'(a, b).", "'.'(a, b).", "[a].", "- p.", "X.", "3."):
+        with pytest.raises(MupSyntaxError, match="goal"):
+            parse_query(text)
+    # The error names the term, shortened.
+    with pytest.raises(MupSyntaxError, match=r"goal: 1 \+ 1 .*\.\.\. \(line 1, column 1\)"):
+        parse_query("+".join(["1"] * 5000) + ".")
+
+
+# Every operator functor, plus the list constructors, in every argument
+# position; leaves include atoms that are operators or need quoting.
+_OP_FUNCTORS = sorted(_INFIX) + ["|", ".", "f"]
+_OP_ATOMS = ("a", "mod", "is", "true", "[]", "-", ",", "|", "!", "'", "two words")
+
+
+def _op_term(rng, depth, scope):
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        k = rng.random()
+        if k < 0.3:
+            name = rng.choice("XYZ")
+            if name not in scope:
+                scope[name] = fresh_var(name)
+            return scope[name]
+        if k < 0.6:
+            return Const(rng.choice(_OP_ATOMS))
+        return Num(rng.choice((-3, -1, 0, 2, -1.5, 0.5)))
+    if r < 0.4:
+        return Compound("-", (_op_term(rng, depth - 1, scope),))
+    functor = rng.choice(_OP_FUNCTORS)
+    arity = rng.choice((1, 2, 2, 2, 2, 3))
+    return Compound(functor, tuple(_op_term(rng, depth - 1, scope) for _ in range(arity)))
+
+
+def test_pretty_round_trip_operator_terms():
+    rng = random.Random(2024)
+    for _ in range(20000):
+        term = _op_term(rng, 4, {})
+        text = pretty(term)
+        assert term_equal(term, parse_term(text + " ."), {}), text
+
+
+_SOUP = ("a", "b", "f", "p", "true", "fail", "is", "mod", "X", "Y", "_", "1",
+         "0", "2.5", "'q a'", "'true'", "'!'", "'='", "'-'", "','", "'#'",
+         "'*->'", "'|'", "'.'", "'[]'", "[]", "(", ")", "[", "]", ",", "|", "#",
+         ";", "*->", ":-", "=", "<", ">=", "=<", "+", "-", "*", "//", "!", ".")
+
+
+def test_token_soup_raises_or_reads_back():
+    """Whatever the reader accepts prints back to text it reads the same."""
+    rng = random.Random(7)
+    for _ in range(3000):
+        tokens = rng.choices(_SOUP, k=rng.randint(1, 12)) + ["."]
+        text = " ".join(tokens) if rng.random() < 0.8 else "".join(tokens)
+        for dialect in ("choice", "prolog"):
+            try:
+                program = parse_program(text, dialect)
+            except MupError:
+                pass
+            else:
+                back = parse_program(format_program(program), dialect)
+                assert len(back) == len(program), text
+                assert all(map(clause_equal, program.clauses, back.clauses)), text
+            try:
+                query = parse_query(text, dialect)
+            except MupError:
+                pass
+            else:
+                back = parse_query(pretty_goal(query.goal) + ".", dialect)
+                assert goal_equal(query.goal, back.goal), text
+        try:
+            term = parse_term(text)
+        except MupError:
+            continue
+        assert term_equal(term, parse_term(pretty(term) + " ."), {}), text
 
 
 def test_subst_goal_replaces_only_mapped_variables():

@@ -87,6 +87,17 @@ def test_translated_quoted_atoms_reparse():
         assert [s.render() for s in answers] == ["X = 't\\tab'"]
 
 
+def test_translated_operator_arguments_reparse():
+    # '='(X, b) and '<'(X, 1) are arguments here, not goals.
+    program = parse_program("p(X) :- q('='(X, b)) # q('<'(X, 1)).\nq(_).")
+    for mode in ("hard_cut", "soft_cut"):
+        out = translate(program, mode)
+        assert "q(X = b)" in out and "q(X < 1)" in out
+        reparsed = parse_program(out, dialect="prolog")
+        answers = Engine(reparsed).run_query("p(X).").solutions
+        assert [s.render() for s in answers] == ["true"]
+
+
 def test_max_translation_behaviour(max_program=None):
     program = parse_program("max(X,Y,M) :- (X >= Y, M = X) # (X < Y, M = Y).")
     translated = parse_program(translate(program, "hard_cut"), dialect="prolog")
