@@ -56,18 +56,17 @@ def _stdin_line():
 
 
 class BuiltinContext:
-    """What a built-in may touch: the binding store and the I/O ports."""
+    """What a built-in may touch: the binding trail and the I/O ports."""
 
-    __slots__ = ("bindings", "io", "occurs_check")
+    __slots__ = ("trail", "io", "occurs_check")
 
-    def __init__(self, bindings, io, occurs_check=False):
-        self.bindings = bindings
+    def __init__(self, trail, io, occurs_check=False):
+        self.trail = trail
         self.io = io
         self.occurs_check = occurs_check
 
     def unify(self, t, s):
-        b = self.bindings
-        return kernel.unify(t, s, b.map, b.trail, self.occurs_check)
+        return kernel.unify(t, s, self.trail, self.occurs_check)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +77,7 @@ _BINARY = ("+", "-", "*", "/", "//", "mod")
 _NEGATE = "neg"  # marks a unary minus on the work stack
 
 
-def eval_arith(term, bindings):
+def eval_arith(term):
     """Evaluate an arithmetic expression to a Python number.
 
     Supports + - * / on ints and floats (/ always yields a float),
@@ -87,8 +86,7 @@ def eval_arith(term, bindings):
     ``1+1+...+1`` needs no host stack.  A variable met again inside its
     own value (a cyclic binding) is an EvalError.
     """
-    bmap = bindings.map
-    t = kernel.deref(term, bmap)
+    t = kernel.deref(term)
     if type(t) is Num:
         return t.value
     # Subterms to evaluate, operators to apply, and the ids of variables
@@ -111,7 +109,7 @@ def eval_arith(term, bindings):
             continue
         if tt is Var:
             vid = t.id
-            t = kernel.deref(t, bmap)
+            t = kernel.deref(t)
             tt = type(t)
             if tt is Compound:
                 if vid in expanding:
@@ -133,8 +131,8 @@ def eval_arith(term, bindings):
                 todo.append(args[0])
                 continue
             if len(args) == 2 and op in _BINARY:
-                a = kernel.deref(args[0], bmap)
-                b = kernel.deref(args[1], bmap)
+                a = kernel.deref(args[0])
+                b = kernel.deref(args[1])
                 if type(a) is Num and type(b) is Num:  # the common case
                     values.append(_apply(op, a.value, b.value))
                 else:
@@ -145,7 +143,7 @@ def eval_arith(term, bindings):
         from mup.syntax import pretty  # mup.syntax imports this module
 
         raise ArithTypeError(
-            "not an arithmetic expression: %s" % pretty(bindings.resolve(t))
+            "not an arithmetic expression: %s" % pretty(kernel.resolve(t))
         )
     return values[0]
 
@@ -177,8 +175,8 @@ def _apply(op, a, b):
 
 def _cmp(op):
     def run(ctx, args):
-        a = eval_arith(args[0], ctx.bindings)
-        b = eval_arith(args[1], ctx.bindings)
+        a = eval_arith(args[0])
+        b = eval_arith(args[1])
         if op == "<":
             return a < b
         if op == ">":
@@ -191,7 +189,7 @@ def _cmp(op):
 
 
 def _is(ctx, args):
-    value = eval_arith(args[1], ctx.bindings)
+    value = eval_arith(args[1])
     return ctx.unify(args[0], Num(value))
 
 
@@ -220,7 +218,7 @@ def _read(ctx, args):
 def _write(ctx, args):
     from mup.syntax import pretty
 
-    term = ctx.bindings.resolve(args[0])
+    term = kernel.resolve(args[0])
     ctx.io.write(pretty(term, quoted=False))
     return True
 

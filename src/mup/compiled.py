@@ -10,7 +10,7 @@ a ``(maker, children)`` pair, where ``maker`` is a functor name or a
 goal class.  From the templates it generates the source of two Python
 functions and ``compile()``s it:
 
-* The head matcher takes the call and the binding store.  It visits the
+* The head matcher takes the call and the trail.  It visits the
   head in the order the kernel's ``unify`` visits a renamed head
   (preorder, last argument first), so it binds the same variables the
   same way.  A slot's first occurrence takes the call's subterm as it
@@ -27,7 +27,7 @@ functions and ``compile()``s it:
   Roy and Despain 1992).  Below ``_DEPTH``, a compound is built with
   fresh variables and passed to ``kernel.unify``, which visits it in the
   same order.  The matcher returns the values of the slots the body
-  needs, or None with the store restored.
+  needs, or None with its bindings undone.
 * The body builder takes those values and builds the body, giving each
   slot that only the body has a fresh variable, left to right.
 
@@ -93,11 +93,11 @@ _DEPTH = 4
 _NO_CODE = (None, None)
 
 
-def match_head(clause, goal, bmap, trail, occurs_check):
+def match_head(clause, goal, trail, occurs_check):
     """Match the head of ``clause`` with the dereferenced call ``goal``.
 
-    Returns the values ``build_body`` needs, or None with the store
-    restored, like the kernel's ``unify``.  Compiles the clause on its
+    Returns the values ``build_body`` needs, or None with its bindings
+    undone, like the kernel's ``unify``.  Compiles the clause on its
     first try.
     """
     code = clause.code
@@ -105,8 +105,8 @@ def match_head(clause, goal, bmap, trail, occurs_check):
         code = compile_clause(clause)
     match = code[0]
     if match is None:  # a head without variables
-        return () if unify(clause.head, goal, bmap, trail, occurs_check) else None
-    return match(goal, bmap, trail, occurs_check)
+        return () if unify(clause.head, goal, trail, occurs_check) else None
+    return match(goal, trail, occurs_check)
 
 
 def build_body(clause, values):
@@ -173,7 +173,7 @@ def _generate(head_t, body_t, names):
         build = _function("build", ["v%d" % i for i in values], consts, lines)
     if type(head_t) is tuple:
         head_lines.append("    return " + _tuple(["v%d" % i for i in values]))
-        match = _function("match", ["goal", "bmap", "trail", "occ"], head_consts,
+        match = _function("match", ["goal", "trail", "occ"], head_consts,
                           head_lines)
     return (match, build)
 
@@ -280,7 +280,7 @@ def _matcher_lines(template, names):
     def fail(pad):
         nonlocal undo
         undo = undo or bound
-        return pad + ("return undo_to(bmap, trail, mark)" if bound else "return None")
+        return pad + ("return undo_to(trail, mark)" if bound else "return None")
 
     def read(children, source, depth, pad):
         """Read mode: the arguments ``children`` of ``source``, last first."""
@@ -307,7 +307,7 @@ def _matcher_lines(template, names):
                 continue
             else:
                 test = _build(node, names, have, k, temps, out, pad)[0]
-            out.append("%sif not unify(%s, %s, bmap, trail, occ):" % (pad, test, here))
+            out.append("%sif not unify(%s, %s, trail, occ):" % (pad, test, here))
             out.append(fail(pad + "    "))
             bound = True
         return ["%s%s = %s.args" % (pad, _tuple(targets)[1:-1], source)] + out
@@ -330,11 +330,11 @@ def _matcher_lines(template, names):
         expr, reused = _build(node, names, before, k, temps, out, inner)
         if reused:  # the compound may hold the variable it is bound to
             out.append("%sb = %s" % (inner, expr))
-            out.append("%sif occ and occurs(t.id, b, bmap):" % inner)
+            out.append("%sif occ and occurs(t, b):" % inner)
             out.append(fail(inner + "    "))
             expr = "b"
-        out.append("%sbmap[t.id] = %s" % (inner, expr))
-        out.append("%strail.append(t.id)" % inner)
+        out.append("%st.ref = %s" % (inner, expr))
+        out.append("%strail.append(t)" % inner)
         out.append("%selse:" % pad)
         out.append(fail(inner))
         bound = True
@@ -355,7 +355,7 @@ def _matcher_lines(template, names):
 def _deref_lines(pad, source):
     return [
         "%st = %s" % (pad, source),
-        "%swhile type(t) is Var and (u := bmap.get(t.id)) is not None:" % pad,
+        "%swhile type(t) is Var and (u := t.ref) is not None:" % pad,
         "%s    t = u" % pad,
     ]
 
@@ -365,8 +365,8 @@ def _constant_lines(node, source, pad, k, fail):
     const = k(node)
     out = _deref_lines(pad, source)
     out.append("%sif type(t) is Var:" % pad)
-    out.append("%s    bmap[t.id] = %s" % (pad, const))
-    out.append("%s    trail.append(t.id)" % pad)
+    out.append("%s    t.ref = %s" % (pad, const))
+    out.append("%s    trail.append(t)" % pad)
     if type(node) is Const:
         test = "type(t) is not Const or t.name != %s" % k(node.name)
     else:
@@ -440,11 +440,11 @@ class Predicate:
         else:
             run[key] = [bucket, clause]
 
-    def candidates(self, goal, bmap):
+    def candidates(self, goal):
         """The clauses that may match the dereferenced call ``goal``."""
         if not self.keyed or type(goal) is not Compound:
             return self.clauses
-        key = index_key(deref(goal.args[0], bmap))
+        key = index_key(deref(goal.args[0]))
         if key is None:
             return self.clauses
         blocks = self.blocks

@@ -144,30 +144,30 @@ class Engine:
     # -- public streams ----------------------------------------------------
 
     def solve(self, goal, answer_vars=None):
-        """Lazily yield every Solution of ``goal``, in derivation order."""
-        if answer_vars is None:
-            answer_vars = [v for v in free_goal_vars(goal) if v.name != "_"]
-        bindings = Bindings()
-        hits = [0]
-        for _ in self._run((("goal", goal, 0, 0), None), bindings, [], hits):
-            yield Solution.from_bindings(answer_vars, bindings)
+        """Lazily yield every Solution of ``goal``, in derivation order.
+
+        ``goal`` is solved in place: its own variables hold the bindings
+        until the stream is exhausted, closed or dropped, or raises.
+        """
+        answer_vars, _, stream = self._query(goal, answer_vars)
+        for _ in stream:
+            yield Solution.from_bindings(answer_vars)
 
     def backchain(self, atom, bindings, clauses=None, hits=None):
         """Prove the atomic goal ``atom`` against ``clauses``.
 
         Yields once per successful derivation with ``bindings`` extended;
-        exhausting the stream restores ``bindings``.  ``clauses`` defaults
-        to the program's candidates for the atom, taken from its
-        first-argument index; clauses given here (a single Clause is also
-        accepted) are tried in the order given.  (Abandoning the stream
-        early leaves the bindings of the last success in place.)
+        exhausting, closing or dropping the stream restores ``bindings``.
+        ``clauses`` defaults to the program's candidates for the atom,
+        taken from its first-argument index; clauses given here (a single
+        Clause is also accepted) are tried in the order given.
         """
         goal = bindings.deref(atom)
         if type(goal) is Var or type(goal) is Num:
             raise MupError("atomic goal expected, got %s" % pretty(goal))
         if clauses is None:
             pred = self.program.predicates.get(_indicator(goal))
-            clauses = [] if pred is None else pred.candidates(goal, bindings.map)
+            clauses = [] if pred is None else pred.candidates(goal)
         else:
             if not isinstance(clauses, (list, tuple)):
                 clauses = [clauses]
@@ -185,35 +185,26 @@ class Engine:
 
     def solve_collect(self, goal, answer_vars=None):
         """Collect up to max_solutions answers for an already-parsed goal."""
-        if answer_vars is None:
-            answer_vars = [v for v in free_goal_vars(goal) if v.name != "_"]
-        cfg = self.cfg
-        hits = [0]
-        bindings = Bindings()
-        stream = self._run((("goal", goal, 0, 0), None), bindings, [], hits)
+        answer_vars, hits, stream = self._query(goal, answer_vars)
         solutions = []
-        error = None
-        truncated = False
         try:
             for _ in stream:
-                solutions.append(Solution.from_bindings(answer_vars, bindings))
-                if (
-                    cfg.max_solutions is not None
-                    and len(solutions) >= cfg.max_solutions
-                ):
-                    try:
-                        next(stream)
-                        truncated = True
-                    except StopIteration:
-                        pass
-                    break
+                if len(solutions) == self.cfg.max_solutions:  # one answer too many
+                    return QueryResult(solutions, LIMITED)
+                solutions.append(Solution.from_bindings(answer_vars))
         except MupError as exc:
-            error = exc
-        if error is not None:
-            return QueryResult(solutions, ERRORED, error)
-        if truncated or hits[0]:
-            return QueryResult(solutions, LIMITED)
-        return QueryResult(solutions, EXHAUSTED)
+            return QueryResult(solutions, ERRORED, exc)
+        finally:
+            stream.close()
+        return QueryResult(solutions, LIMITED if hits[0] else EXHAUSTED)
+
+    def _query(self, goal, answer_vars):
+        """The answer variables, hit counter and stream of a query."""
+        if answer_vars is None:
+            answer_vars = [v for v in free_goal_vars(goal) if v.name != "_"]
+        hits = [0]
+        stream = self._run((("goal", goal, 0, 0), None), Bindings(), [], hits)
+        return answer_vars, hits, stream
 
     def run_query(self, text):
         """Parse and solve ``text``; collect up to max_solutions answers."""
@@ -234,17 +225,17 @@ class Engine:
         )
 
     def _run(self, cont, bindings, cps, hits):
-        """Drive the machine; yields None once per success."""
+        """Drive the machine; yields None once per success.  However it
+        ends, it undoes every binding it made."""
         cfg = self.cfg
         trace = self.trace
         predicates = self.program.predicates
-        bmap = bindings.map
         btrail = bindings.trail
         occ = cfg.occurs_check
         depth_limit = cfg.depth_limit
         first_mode = cfg.commit_mode == "first"
-        ctx = BuiltinContext(bindings, self.io, occ)
-        base_mark = bindings.checkpoint()
+        ctx = BuiltinContext(btrail, self.io, occ)
+        base_mark = len(btrail)
 
         try:
             while True:
@@ -272,7 +263,7 @@ class Engine:
                         continue
 
                     if gt is Eq:
-                        ok = kernel.unify(goal.left, goal.right, bmap, btrail, occ)
+                        ok = kernel.unify(goal.left, goal.right, btrail, occ)
                         if trace is not None:
                             self._emit(
                                 "unify_ok" if ok else "unify_fail",
@@ -284,7 +275,7 @@ class Engine:
                         continue
 
                     if gt is Call:
-                        goal_term = bindings.deref(goal.term)
+                        goal_term = kernel.deref(goal.term)
                         tt = type(goal_term)
                         if tt is Var:
                             raise MupError("goal is an unbound variable")
@@ -315,14 +306,14 @@ class Engine:
                         if trace is not None:
                             self._emit("backchain_enter", depth, pretty(goal_term))
                             cont = (("exit", depth, pretty(goal_term)), cont)
-                        clauses = pred.candidates(goal_term, bmap)
+                        clauses = pred.candidates(goal_term)
                         cont = (("clauses", goal_term, clauses, 0, depth), cont)
                         continue
 
                     if gt is Choice:
                         cp = _ChoicePoint(
                             (("goal", goal.right, depth, cutb), cont),
-                            bindings.checkpoint(), hits[0],
+                            len(btrail), hits[0],
                             (goal.left, goal.right, depth),
                         )
                         cps.append(cp)
@@ -335,7 +326,7 @@ class Engine:
                     if gt is ClassicalOr:
                         cps.append(_ChoicePoint(
                             (("goal", goal.right, depth, cutb), cont),
-                            bindings.checkpoint(),
+                            len(btrail),
                         ))
                         cont = (("goal", goal.left, depth, cutb), cont)
                         continue
@@ -343,7 +334,7 @@ class Engine:
                     if gt is SoftIfThenElse:
                         cp = _ChoicePoint(
                             (("goal", goal.els, depth, cutb), cont),
-                            bindings.checkpoint(), hits[0],
+                            len(btrail), hits[0],
                         )
                         cps.append(cp)
                         cont = (
@@ -367,11 +358,11 @@ class Engine:
                     # and build the body only on a match.  Leave a
                     # choicepoint only if other candidates remain.
                     _, goal_term, clauses, idx, depth = frame
-                    mark = bindings.checkpoint()
+                    mark = len(btrail)
                     while idx < len(clauses):
                         clause = clauses[idx]
                         idx += 1
-                        values = _kunify(clause, goal_term, bmap, btrail, occ)
+                        values = _kunify(clause, goal_term, btrail, occ)
                         ok = values is not None
                         if trace is not None:
                             # The source head prints as a renamed copy would.
@@ -399,7 +390,7 @@ class Engine:
                 if tag == "fail":
                     while cps:
                         cp = cps.pop()
-                        bindings.undo_to(cp.mark)
+                        kernel.undo_to(btrail, cp.mark)
                         if cp.disabled:
                             continue
                         if cp.hits is not None and cp.hits != hits[0]:
@@ -412,7 +403,6 @@ class Engine:
                         cont = cp.cont
                         break
                     else:
-                        bindings.undo_to(base_mark)
                         return
                     continue
 
@@ -431,6 +421,8 @@ class Engine:
                 self._emit("backchain_exit", frame[1], frame[2])
         except RecursionError:
             raise MupError("term nested too deeply for the host stack") from None
+        finally:
+            kernel.undo_to(btrail, base_mark)
 
 
 def _indicator(term):

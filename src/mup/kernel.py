@@ -8,12 +8,12 @@ unification.  ``terms``, ``compiled``, ``builtins``, ``engine`` and
 
 Representation notes:
 
-* A variable is identified by an integer id; two ``Var`` objects denote
-  the same variable iff their ids are equal.  Display names exist only
-  for printing.
-* Bindings live in a plain dict ``{var_id: term}`` plus a trail list of
-  var ids in binding order.  Undoing to a trail mark deletes everything
-  bound after the mark.
+* A variable is a ``Var`` cell.  Its ``ref`` is None while it is
+  unbound and its value once bound, as in the WAM (Warren 1983).  Its
+  integer id orders and names it: terms compare equal by ids, and
+  display names exist only for printing.
+* The trail is a list of the bound cells in binding order.  Undoing to a
+  trail mark clears every cell bound after the mark.
 * Lists are ordinary compounds: ``'.'(Head, Tail)`` ending in ``'[]'``.
 """
 
@@ -21,11 +21,12 @@ from mup.errors import MupError
 
 
 class Var:
-    __slots__ = ("id", "name")
+    __slots__ = ("id", "name", "ref")
 
     def __init__(self, id, name):
         self.id = id
         self.name = name
+        self.ref = None
 
     def __eq__(self, other):
         return type(other) is Var and other.id == self.id
@@ -127,20 +128,20 @@ class Compound:
         return "Compound(%r, %r)" % (self.functor, self.args)
 
 
-def deref(t, bmap):
-    """Follow the outermost variable chain of ``t`` through ``bmap``.
+def deref(t):
+    """Follow the outermost variable chain of ``t``.
 
     Shallow: arguments of a compound result are not touched.
     """
     while type(t) is Var:
-        nxt = bmap.get(t.id)
+        nxt = t.ref
         if nxt is None:
             return t
         t = nxt
     return t
 
 
-def resolve(t, bmap):
+def resolve(t):
     """Replace every bound variable in ``t``, at every depth, by its value.
 
     Iterative postorder rebuild, so arbitrarily long list spines resolve
@@ -148,7 +149,7 @@ def resolve(t, bmap):
     cyclic binding, which unification without the occurs check allows)
     has no finite resolution: MupError.
     """
-    t = deref(t, bmap)
+    t = deref(t)
     if type(t) is not Compound:
         return t
     expanding = set()  # ids of the variables whose values are being rebuilt
@@ -169,7 +170,7 @@ def resolve(t, bmap):
         child = node.args[idx]
         if type(child) is Var:
             vid = child.id
-            child = deref(child, bmap)
+            child = deref(child)
             if type(child) is Compound:
                 if vid in expanding:
                     raise MupError("cannot resolve a cyclic term")
@@ -182,74 +183,74 @@ def resolve(t, bmap):
         frame[2].append(child)
 
 
-def bind(bmap, trail, var, t):
+def bind(trail, var, t):
     """Bind ``var`` to ``t`` and record the binding on the trail."""
-    bmap[var.id] = t
-    trail.append(var.id)
+    var.ref = t
+    trail.append(var)
 
 
-def undo_to(bmap, trail, mark):
+def undo_to(trail, mark):
     """Unbind every variable bound after trail position ``mark``."""
     while len(trail) > mark:
-        del bmap[trail.pop()]
+        trail.pop().ref = None
 
 
-def occurs(vid, t, bmap):
-    """True iff variable ``vid`` occurs in ``t`` under ``bmap``."""
+def occurs(var, t):
+    """True iff the unbound ``var`` occurs in ``t``."""
     stack = [t]
     while stack:
-        x = deref(stack.pop(), bmap)
+        x = deref(stack.pop())
         tx = type(x)
         if tx is Var:
-            if x.id == vid:
+            if x is var:
                 return True
         elif tx is Compound:
             stack.extend(x.args)
     return False
 
 
-def unify(t, s, bmap, trail, occurs_check):
-    """Extend ``bmap`` to a most general unifier of ``t`` and ``s``.
+def unify(t, s, trail, occurs_check):
+    """Bind variables so that ``t`` and ``s`` become equal, most generally.
 
-    Returns True on success with the new bindings trailed; on failure the
-    store is restored to its pre-call state and False is returned.
+    Returns True on success with the new bindings trailed; on failure every
+    binding made is undone and False is returned.
     """
     mark = len(trail)
     stack = [(t, s)]
     while stack:
         a, b = stack.pop()
-        a = deref(a, bmap)
-        b = deref(b, bmap)
+        a = deref(a)
+        b = deref(b)
         ta = type(a)
         tb = type(b)
         if ta is Var:
-            if tb is Var and b.id == a.id:
+            if b is a:
                 continue
-            if occurs_check and occurs(a.id, b, bmap):
-                undo_to(bmap, trail, mark)
+            if occurs_check and occurs(a, b):
+                undo_to(trail, mark)
                 return False
-            bind(bmap, trail, a, b)
+            bind(trail, a, b)
             continue
         if tb is Var:
-            if occurs_check and occurs(b.id, a, bmap):
-                undo_to(bmap, trail, mark)
+            if occurs_check and occurs(b, a):
+                undo_to(trail, mark)
                 return False
-            bind(bmap, trail, b, a)
+            bind(trail, b, a)
             continue
         if ta is not tb:
-            undo_to(bmap, trail, mark)
+            undo_to(trail, mark)
             return False
         if ta is Const:
             if a.name != b.name:
-                undo_to(bmap, trail, mark)
+                undo_to(trail, mark)
                 return False
         elif ta is Num:
             if type(a.value) is not type(b.value) or a.value != b.value:
-                undo_to(bmap, trail, mark)
+                undo_to(trail, mark)
                 return False
         else:  # Compound
             if a.functor != b.functor or len(a.args) != len(b.args):
-                undo_to(bmap, trail, mark)
+                undo_to(trail, mark)
                 return False
             stack.extend(zip(a.args, b.args))
     return True

@@ -182,8 +182,8 @@ class Program:
 # ---------------------------------------------------------------------------
 # Lexer
 
-_SYMBOLS = ("*->", ":-", ">=", "=<", "//", "(", ")", "[", "]", ",", "|", ".",
-            "#", ";", "=", "<", ">", "+", "-", "*", "/", "!")
+_SYMBOLS = frozenset(("*->", ":-", ">=", "=<", "//", "(", ")", "[", "]", ",", "|",
+                      ".", "#", ";", "=", "<", ">", "+", "-", "*", "/", "!"))
 
 _ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", "'": "'"}
 
@@ -290,8 +290,9 @@ def tokenize(text):
                 i += 1
             tokens.append(Token("qatom", "".join(chars), line, start - linestart + 1))
             continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
+        for size in (3, 2, 1):  # the longest symbol that starts here
+            sym = text[i:i + size]
+            if sym in _SYMBOLS:
                 tokens.append(Token("punct", sym, line, start - linestart + 1))
                 i += len(sym)
                 break

@@ -1,4 +1,4 @@
-"""Term store: bindings with an undo trail, fresh variables, solutions.
+"""Term store: the binding trail, fresh variables, solutions.
 
 The term classes themselves (Var, Const, Num, Compound) come from
 ``mup.kernel`` and are re-exported here; everything else in the package
@@ -31,17 +31,16 @@ def mk_list(items, tail=None):
 
 
 class Bindings:
-    """Mutable substitution with a trail for cheap undo.
+    """The trail of the variables bound in their cells, for cheap undo.
 
     Owned by a single engine instance; never shared across threads.
     Checkpoint marks are trail positions: undoing to a mark unbinds
     exactly the variables bound after it.
     """
 
-    __slots__ = ("map", "trail")
+    __slots__ = ("trail",)
 
     def __init__(self):
-        self.map = {}
         self.trail = []
 
     def checkpoint(self):
@@ -56,21 +55,18 @@ class Bindings:
         """
         if not 0 <= mark <= len(self.trail):
             raise InternalError("stale or foreign checkpoint mark: %r" % (mark,))
-        kernel.undo_to(self.map, self.trail, mark)
+        kernel.undo_to(self.trail, mark)
 
     def bind(self, var, term):
-        kernel.bind(self.map, self.trail, var, term)
+        kernel.bind(self.trail, var, term)
 
     def deref(self, term):
         """Resolve the outermost variable chain only."""
-        return kernel.deref(term, self.map)
+        return kernel.deref(term)
 
     def resolve(self, term):
         """Resolve bound variables at every depth; unbound ones remain."""
-        return kernel.resolve(term, self.map)
-
-    def __len__(self):
-        return len(self.map)
+        return kernel.resolve(term)
 
 
 class Solution:
@@ -86,8 +82,9 @@ class Solution:
         self.assignments = dict(assignments)
 
     @classmethod
-    def from_bindings(cls, answer_vars, bindings):
-        return cls((v.name, bindings.resolve(v)) for v in answer_vars)
+    def from_bindings(cls, answer_vars):
+        """The current values of ``answer_vars``, resolved."""
+        return cls((v.name, kernel.resolve(v)) for v in answer_vars)
 
     def canonical_key(self):
         """Hashable form, invariant under renaming of unbound variables.

@@ -43,6 +43,28 @@ def term_equal(a, b, varmap):
     return all(term_equal(x, y, varmap) for x, y in zip(a.args, b.args))
 
 
+def cells(*terms):
+    """Each variable reachable from ``terms``, through arguments and
+    bindings, paired with its current ``ref``."""
+    seen = {}
+    stack = list(terms)
+    while stack:
+        t = stack.pop()
+        if type(t) is Var:
+            if id(t) not in seen:
+                seen[id(t)] = (t, t.ref)
+                if t.ref is not None:
+                    stack.append(t.ref)
+        elif type(t) is Compound:
+            stack.extend(t.args)
+    return list(seen.values())
+
+
+def same_cells(snapshot):
+    """True iff every variable of a ``cells`` snapshot holds the same ref."""
+    return all(var.ref is ref for var, ref in snapshot)
+
+
 def goal_equal(a, b, varmap=None):
     if varmap is None:
         varmap = {}

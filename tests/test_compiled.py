@@ -27,6 +27,7 @@ from mup.syntax import (
 from mup.terms import Bindings, Compound, Const, Num, Var, fresh_var, mk_list
 
 from conftest import collect
+from helpers import cells, same_cells
 
 
 def answers(program_text, query_text, **cfg):
@@ -49,7 +50,7 @@ def test_ground_fact_is_its_own_template():
     # The head is unified with the call as it is: its parts are shared.
     store = Bindings()
     call = Compound("f", (fresh_var("X"), Const("v1")))
-    assert match_head(clause, call, store.map, store.trail, False) == ()
+    assert match_head(clause, call, store.trail, False) == ()
     assert store.deref(call.args[0]) is clause.head.args[0]
     assert build_body(clause, ()) is clause.body
 
@@ -59,7 +60,7 @@ def test_ground_subterms_and_subgoals_are_shared():
     ground_list = clause.head.args[1]
     store = Bindings()
     call = Compound("p", (Const("x"), fresh_var("L")))
-    values = match_head(clause, call, store.map, store.trail, False)
+    values = match_head(clause, call, store.trail, False)
     body = build_body(clause, values)
     assert store.deref(call.args[1]) is ground_list  # bound to it, not a copy
     assert body.right is clause.body.right  # write(done) is not copied
@@ -72,7 +73,7 @@ def test_empty_slots_get_shared_fresh_variables():
     clause = parse_program("p(X, f(Y)) :- q(Y, X, Y, Z, Z).").clauses[0]
     a, b = fresh_var("A"), fresh_var("B")
     store = Bindings()
-    values = match_head(clause, Compound("p", (a, b)), store.map, store.trail, False)
+    values = match_head(clause, Compound("p", (a, b)), store.trail, False)
     body = build_body(clause, values)
     y = store.deref(b).args[0]
     z = body.term.args[3]
@@ -136,15 +137,15 @@ def goals_over(pool):
     )
 
 
-def _shape(roots, bmap, budget=300):
-    """Preorder tokens of terms and goals under ``bmap``, each unbound
-    variable numbered by first appearance.  At most ``budget`` tokens, so
-    a cyclic binding (occurs check off) still gives an answer."""
+def _shape(roots, budget=300):
+    """Preorder tokens of terms and goals under the current bindings, each
+    unbound variable numbered by first appearance.  At most ``budget``
+    tokens, so a cyclic binding (occurs check off) still gives an answer."""
     numbering = {}
     out = []
     stack = list(reversed(roots))
     while stack and len(out) < budget:
-        node = kernel.deref(stack.pop(), bmap)
+        node = kernel.deref(stack.pop())
         t = type(node)
         if t is Var:
             out.append(("var", numbering.setdefault(node.id, len(numbering))))
@@ -180,21 +181,29 @@ def test_generated_code_agrees_with_unify_on_a_renamed_clause(data):
         if data.draw(st.booleans()):
             bound[var] = data.draw(terms)
     clause = Clause(head, body)
-    for occurs_check in (True, False):
-        ref, gen = Bindings(), Bindings()
-        for var, term in bound.items():
-            ref.bind(var, term)
-            gen.bind(var, term)
-        start = dict(gen.map)
-        names = {v.id: fresh_var(v.name) for v in free_goal_vars(Conj(Call(head), body))}
-        ok = kernel.unify(subst_goal(head, names), call, ref.map, ref.trail, occurs_check)
-        values = match_head(clause, call, gen.map, gen.trail, occurs_check)
-        assert ok == (values is not None)
-        if ok:
-            expected = _shape([call, subst_goal(body, names)], ref.map)
-            assert _shape([call, build_body(clause, values)], gen.map) == expected
-        else:
-            assert gen.map == start and len(gen.trail) == len(bound)
+    store = Bindings()
+    for var, term in bound.items():
+        store.bind(var, term)
+    start = store.checkpoint()
+    start_cells = cells(call)
+    try:
+        for occurs_check in (True, False):
+            names = {v.id: fresh_var(v.name) for v in free_goal_vars(Conj(Call(head), body))}
+            ok = kernel.unify(subst_goal(head, names), call, store.trail, occurs_check)
+            if ok:
+                expected = _shape([call, subst_goal(body, names)])
+                # Bindings live in the call's variables: undo the renamed
+                # clause's match before the generated code runs on them.
+                store.undo_to(start)
+            values = match_head(clause, call, store.trail, occurs_check)
+            assert ok == (values is not None)
+            if ok:
+                assert _shape([call, build_body(clause, values)]) == expected
+                store.undo_to(start)
+            else:
+                assert same_cells(start_cells) and len(store.trail) == len(bound)
+    finally:
+        store.undo_to(0)  # the call's variables are shared by every example
 
 
 def test_generated_code_agrees_with_unify_when_nested_heads_go_to_the_kernel(monkeypatch):

@@ -18,6 +18,7 @@ from mup.syntax import (
     Conj,
     Eq,
     TRUE,
+    free_goal_vars,
     parse_program,
     parse_query,
 )
@@ -94,7 +95,7 @@ def test_backchain_source_order():
     for _ in backchain(None, program, Compound("p", (x,)), b):
         found.append(b.resolve(x))
     assert found == [Const("a"), Const("b")]
-    assert b.map == {}  # exhaustion restored the store
+    assert b.trail == [] and x.ref is None  # exhaustion restored the store
 
 
 def test_backchain_explicit_clause_group():
@@ -312,6 +313,48 @@ def test_stream_exhaustion_is_repeatable():
     for _ in range(3):
         with pytest.raises(StopIteration):
             next(stream)
+
+
+IN_PLACE_PROGRAM = "p(1). p(2). p(3). q(N, f(N, _))."
+
+
+def _end_a_stream(how, program, query):
+    """Solve ``query`` in place and end the run the way ``how`` names."""
+    engine = Engine(program)
+    if how == "exhausted":
+        assert len(list(engine.solve(query.goal, query.answer_vars))) == 3
+    elif how in ("closed", "dropped"):
+        stream = engine.solve(query.goal, query.answer_vars)
+        assert next(stream).render() == "X = 1, Y = f(1, _G0)"
+        # The first answer's bindings are in the query's own variables.
+        assert query.answer_vars[0].ref == Num(1)
+        if how == "closed":
+            stream.close()
+        else:
+            del stream
+    elif how == "truncated":
+        engine = Engine(program, SolveConfig(max_solutions=1))
+        assert engine.solve_collect(query.goal, query.answer_vars).outcome == LIMITED
+    else:  # an error after a binding
+        with pytest.raises(UnknownPredicateError):
+            list(engine.solve(query.goal, query.answer_vars))
+        assert engine.solve_collect(query.goal, query.answer_vars).outcome == "errored"
+
+
+@pytest.mark.parametrize("how", ["exhausted", "closed", "dropped", "truncated", "error"])
+def test_no_binding_outlives_a_stream(how):
+    program = parse_program(IN_PLACE_PROGRAM)
+    text = "X = a, nosuch(X)." if how == "error" else "p(X), q(X, Y)."
+    expected = Engine(program).run_query(text)  # on a query of its own
+    query = parse_query(text)
+    _end_a_stream(how, program, query)
+    assert all(var.ref is None for var in free_goal_vars(query.goal))
+    again = Engine(program).solve_collect(query.goal, query.answer_vars)
+    assert again.outcome == expected.outcome
+    assert [s.render() for s in again.solutions] == [
+        s.render() for s in expected.solutions
+    ]
+    assert all(var.ref is None for var in free_goal_vars(query.goal))
 
 
 def test_determinism_same_sequences_and_traces():

@@ -11,51 +11,64 @@ from mup import kernel
 pytestmark = pytest.mark.parametrize("k", [kernel], ids=["python"])
 
 
+def bound(pairs):
+    """Bind each (variable, value) pair in order; returns the trail."""
+    trail = []
+    for var, value in pairs:
+        kernel.bind(trail, var, value)
+    return trail
+
+
 def test_deref_single_binding(k):
     x = k.Var(1, "X")
-    bmap = {1: k.Const("a")}
-    assert k.deref(x, bmap) == k.Const("a")
+    bound([(x, k.Const("a"))])
+    assert k.deref(x) == k.Const("a")
 
 
 def test_deref_chain(k):
     x, y = k.Var(1, "X"), k.Var(2, "Y")
-    bmap = {1: y, 2: k.Num(3)}
-    assert k.deref(x, bmap) == k.Num(3)
+    bound([(x, y), (y, k.Num(3))])
+    assert k.deref(x) == k.Num(3)
 
 
 def test_deref_is_shallow(k):
     x = k.Var(1, "X")
     term = k.Compound("f", (x,))
-    bmap = {1: k.Const("a")}
-    out = k.deref(term, bmap)
+    bound([(x, k.Const("a"))])
+    out = k.deref(term)
     assert out is term  # arguments untouched
 
 
 def test_deref_idempotent(k):
     x, y = k.Var(1, "X"), k.Var(2, "Y")
-    bmap = {1: y}
-    once = k.deref(x, bmap)
-    assert k.deref(once, bmap) == once
+    bound([(x, y)])
+    once = k.deref(x)
+    assert k.deref(once) == once
 
 
 def test_resolve_partial(k):
     x, y = k.Var(1, "X"), k.Var(2, "Y")
     term = k.Compound("f", (x, y))
-    out = k.resolve(term, {1: k.Const("a")})
+    bound([(x, k.Const("a"))])
+    out = k.resolve(term)
     assert out == k.Compound("f", (k.Const("a"), y))
 
 
 def test_resolve_identity_on_ground(k):
-    assert k.resolve(k.Const("a"), {}) == k.Const("a")
+    assert k.resolve(k.Const("a")) == k.Const("a")
 
 
 def test_resolve_composes_single_steps(k):
     # Oracle: composing the two single-variable substitutions by hand.
     x, y = k.Var(1, "X"), k.Var(2, "Y")
     term = k.Compound("p", (x,))
-    step1 = k.resolve(term, {1: k.Compound("g", (y,))})
-    step2 = k.resolve(step1, {2: k.Const("b")})
-    combined = k.resolve(term, {1: k.Compound("g", (y,)), 2: k.Const("b")})
+    trail = bound([(x, k.Compound("g", (y,)))])
+    step1 = k.resolve(term)
+    k.undo_to(trail, 0)
+    bound([(y, k.Const("b"))])
+    step2 = k.resolve(step1)
+    bound([(x, k.Compound("g", (y,)))])
+    combined = k.resolve(term)
     assert combined == step2
     assert combined == k.Compound("p", (k.Compound("g", (k.Const("b"),)),))
 
@@ -66,135 +79,139 @@ def test_resolve_shared_values_but_not_cycles(k):
     x, y, z = k.Var(1, "X"), k.Var(2, "Y"), k.Var(3, "Z")
     g = k.Compound("g", (k.Const("b"),))
     # Y is met twice, once inside each of X's arguments: shared, not cyclic.
-    bmap = {1: k.Compound("f", (y, k.Compound("h", (y,)))), 2: g}
-    assert k.resolve(x, bmap) == k.Compound("f", (g, k.Compound("h", (g,))))
-    for bmap in ({1: k.Compound("f", (x,))},  # X = f(X)
-                 {1: k.Compound("f", (y,)), 2: z, 3: k.Compound("g", (x,))}):
+    trail = bound([(x, k.Compound("f", (y, k.Compound("h", (y,))))), (y, g)])
+    assert k.resolve(x) == k.Compound("f", (g, k.Compound("h", (g,))))
+    k.undo_to(trail, 0)
+    for pairs in ([(x, k.Compound("f", (x,)))],  # X = f(X)
+                  [(x, k.Compound("f", (y,))), (y, z), (z, k.Compound("g", (x,)))]):
+        trail = bound(pairs)
         with pytest.raises(MupError, match="cyclic"):
-            k.resolve(x, bmap)
+            k.resolve(x)
+        k.undo_to(trail, 0)
 
 
 def test_resolve_idempotent_on_fixed_bindings(k):
     x, y = k.Var(1, "X"), k.Var(2, "Y")
-    bmap = {1: k.Compound("g", (y,)), 2: k.Num(1)}
+    bound([(x, k.Compound("g", (y,))), (y, k.Num(1))])
     term = k.Compound("f", (x, y, k.Const("c")))
-    once = k.resolve(term, bmap)
-    assert k.resolve(once, bmap) == once
+    once = k.resolve(term)
+    assert k.resolve(once) == once
 
 
 def test_bind_undo_roundtrip(k):
-    bmap, trail = {}, []
+    trail = []
     x = k.Var(1, "X")
     mark = len(trail)
-    k.bind(bmap, trail, x, k.Const("a"))
-    assert bmap == {1: k.Const("a")}
-    k.undo_to(bmap, trail, mark)
-    assert bmap == {} and trail == []
+    k.bind(trail, x, k.Const("a"))
+    assert x.ref == k.Const("a") and trail == [x]
+    k.undo_to(trail, mark)
+    assert x.ref is None and trail == []
 
 
 def test_nested_checkpoints(k):
-    bmap, trail = {}, []
+    trail = []
     x, y = k.Var(1, "X"), k.Var(2, "Y")
     m1 = len(trail)
-    k.bind(bmap, trail, x, k.Const("a"))
+    k.bind(trail, x, k.Const("a"))
     m2 = len(trail)
-    k.bind(bmap, trail, y, k.Const("b"))
-    k.undo_to(bmap, trail, m2)
-    assert bmap == {1: k.Const("a")}
-    k.undo_to(bmap, trail, m1)
-    assert bmap == {}
+    k.bind(trail, y, k.Const("b"))
+    k.undo_to(trail, m2)
+    assert x.ref == k.Const("a") and y.ref is None
+    k.undo_to(trail, m1)
+    assert x.ref is None and y.ref is None
 
 
 def test_trail_soundness_random_interleaving(k):
-    # Replaying only the non-undone binds must give the same map.  The
+    # Replaying only the non-undone binds must give the same cells.  The
     # shadow list mirrors the trail (one entry per bind), so truncating it
     # at a mark is an independent model of undo_to.
     rng = random.Random(4)
     for _ in range(30):
-        bmap, trail = {}, []
+        trail = []
+        cells = {vid: k.Var(vid, "V") for vid in range(1, 31)}
         shadow = []  # (vid, value) in bind order; index-aligned with trail
         markstack = [0]
         for step in range(1000):
             r = rng.random()
             if r < 0.55:
                 vid = rng.randint(1, 30)
-                if vid not in bmap:
+                if cells[vid].ref is None:
                     value = k.Num(step)
-                    k.bind(bmap, trail, k.Var(vid, "V"), value)
+                    k.bind(trail, cells[vid], value)
                     shadow.append((vid, value))
             elif r < 0.75:
                 markstack.append(len(trail))
             else:
                 mark = markstack.pop() if len(markstack) > 1 else 0
-                k.undo_to(bmap, trail, mark)
+                k.undo_to(trail, mark)
                 del shadow[mark:]
         replayed = {}
         for vid, value in shadow:
             replayed[vid] = value
-        assert bmap == replayed
+        assert {vid: v.ref for vid, v in cells.items() if v.ref is not None} == replayed
+        assert [v.id for v in trail] == [vid for vid, _ in shadow]
 
 
 def test_unify_var_const(k):
-    bmap, trail = {}, []
+    trail = []
     x = k.Var(1, "X")
-    assert k.unify(x, k.Const("a"), bmap, trail, False)
-    assert bmap == {1: k.Const("a")}
+    assert k.unify(x, k.Const("a"), trail, False)
+    assert x.ref == k.Const("a") and trail == [x]
 
 
 def test_unify_structural(k):
-    bmap, trail = {}, []
+    trail = []
     x, y = k.Var(1, "X"), k.Var(2, "Y")
     t = k.Compound("f", (x, k.Const("b")))
     s = k.Compound("f", (k.Const("a"), y))
-    assert k.unify(t, s, bmap, trail, False)
-    assert k.deref(x, bmap) == k.Const("a")
-    assert k.deref(y, bmap) == k.Const("b")
+    assert k.unify(t, s, trail, False)
+    assert k.deref(x) == k.Const("a")
+    assert k.deref(y) == k.Const("b")
 
 
 def test_unify_functor_clash(k):
-    bmap, trail = {}, []
+    trail = []
     assert not k.unify(
         k.Compound("f", (k.Const("a"),)),
         k.Compound("g", (k.Const("a"),)),
-        bmap, trail, False,
+        trail, False,
     )
-    assert bmap == {} and trail == []
+    assert trail == []
 
 
 def test_unify_occurs_check(k):
-    bmap, trail = {}, []
+    trail = []
     x = k.Var(1, "X")
-    assert not k.unify(x, k.Compound("f", (x,)), bmap, trail, True)
-    assert bmap == {}
+    assert not k.unify(x, k.Compound("f", (x,)), trail, True)
+    assert x.ref is None and trail == []
 
 
 def test_unify_occurs_check_through_bindings(k):
     # X=Y then Y=g(Y) must cycle: hand-run of Robinson's algorithm.
-    bmap, trail = {}, []
+    trail = []
     x, y = k.Var(1, "X"), k.Var(2, "Y")
     t = k.Compound("p", (x, x))
     s = k.Compound("p", (y, k.Compound("g", (y,))))
-    assert not k.unify(t, s, bmap, trail, True)
-    assert bmap == {} and trail == []
+    assert not k.unify(t, s, trail, True)
+    assert x.ref is None and y.ref is None and trail == []
 
 
 def test_unify_failure_restores_partial_work(k):
-    bmap, trail = {}, []
+    trail = []
     x, y = k.Var(1, "X"), k.Var(2, "Y")
-    k.bind(bmap, trail, y, k.Const("keep"))
-    before = dict(bmap)
+    k.bind(trail, y, k.Const("keep"))
     t = k.Compound("f", (x, k.Const("a")))
     s = k.Compound("f", (k.Const("c"), k.Const("b")))
-    assert not k.unify(t, s, bmap, trail, False)
-    assert bmap == before
-    assert trail == [2]
+    assert not k.unify(t, s, trail, False)
+    assert x.ref is None and y.ref == k.Const("keep")
+    assert trail == [y]
 
 
 def test_unify_numbers_by_class(k):
-    bmap, trail = {}, []
-    assert not k.unify(k.Num(3), k.Num(3.0), bmap, trail, False)
-    assert k.unify(k.Num(3), k.Num(3), bmap, trail, False)
-    assert k.unify(k.Num(0.5), k.Num(0.5), bmap, trail, False)
+    trail = []
+    assert not k.unify(k.Num(3), k.Num(3.0), trail, False)
+    assert k.unify(k.Num(3), k.Num(3), trail, False)
+    assert k.unify(k.Num(0.5), k.Num(0.5), trail, False)
 
 
 def test_deep_list_spines_do_not_recurse(k):
@@ -212,7 +229,7 @@ def test_deep_list_spines_do_not_recurse(k):
     assert hash(a) == hash(b)
     assert not (a == build(4999))
     x = k.Var(1, "X")
-    bmap = {1: a}
-    resolved = k.resolve(k.Compound(".", (k.Num(-1), x)), bmap)
+    bound([(x, a)])
+    resolved = k.resolve(k.Compound(".", (k.Num(-1), x)))
     assert resolved == k.Compound(".", (k.Num(-1), a))
 

@@ -62,14 +62,15 @@ def test_bind_undo_cycles_restore_initial_map():
     b = Bindings()
     seed = fresh_var("S")
     b.bind(seed, Const("base"))
-    initial = dict(b.map)
+    initial = list(b.trail)
+    temps = []
     for i in range(1000):
         mark = b.checkpoint()
-        b.bind(fresh_var("T"), Num(i))
+        temps.append(fresh_var("T"))
+        b.bind(temps[-1], Num(i))
         b.undo_to(mark)
-    fresh = Bindings()
-    fresh.bind(seed, Const("base"))
-    assert b.map == initial == fresh.map
+    assert b.trail == initial == [seed] and seed.ref == Const("base")
+    assert all(t.ref is None for t in temps)
 
 
 def test_solution_render_and_canonical():
@@ -117,10 +118,12 @@ def fresh_rename(clause):
     if type(head) is Compound:
         call = Compound(head.functor, [fresh_var("_") for _ in head.args])
     store = Bindings()
-    values = match_head(clause, call, store.map, store.trail, False)
+    values = match_head(clause, call, store.trail, False)
     body = build_body(clause, values)
-    bound = {vid: store.resolve(Var(vid, "_")) for vid in store.map}
-    return Clause(store.resolve(call), subst_goal(body, bound))
+    bound = {var.id: store.resolve(var) for var in store.trail}
+    renamed = Clause(store.resolve(call), subst_goal(body, bound))
+    store.undo_to(0)
+    return renamed
 
 
 def test_fresh_rename_structure_preserved():

@@ -7,7 +7,14 @@ import pytest
 from mup.terms import Bindings, Compound, Const, Num, Var, fresh_var
 from mup.unify import unify
 
-from helpers import ref_apply, ref_unify, random_term_pair, term_equal
+from helpers import (
+    cells,
+    random_term_pair,
+    ref_apply,
+    ref_unify,
+    same_cells,
+    term_equal,
+)
 
 
 def kernel_apply(term, bindings):
@@ -31,7 +38,7 @@ def test_unify_examples():
     assert not unify(
         Compound("f", (Const("a"),)), Compound("g", (Const("a"),)), b
     )
-    assert b.map == {}
+    assert b.trail == []
 
     b = Bindings()
     x = fresh_var("X")
@@ -45,7 +52,7 @@ def test_unify_examples():
         b,
         occurs_check=True,
     )
-    assert b.map == {}
+    assert b.trail == [] and x.ref is None and y.ref is None
 
 
 @pytest.mark.parametrize("occurs_check", [True, False])
@@ -61,7 +68,7 @@ def test_agreement_with_reference_unifier(occurs_check):
             # (cyclic stores are out of contract).
             continue
         b = Bindings()
-        before_map = dict(b.map)
+        before_cells = cells(t, s)
         before_trail = list(b.trail)
         ok = unify(t, s, b, occurs_check=occurs_check)
         assert ok == (ref is not None)
@@ -73,8 +80,8 @@ def test_agreement_with_reference_unifier(occurs_check):
             # ...and produce the same result up to variable renaming.
             assert term_equal(left, ref_apply(t, ref), {})
         else:
-            # Failure purity: store restored bit-exact.
-            assert b.map == before_map
+            # Failure purity: trail and every involved cell as before.
+            assert same_cells(before_cells)
             assert b.trail == before_trail
         checked += 1
     assert checked >= 900
@@ -108,26 +115,28 @@ def test_symmetry_of_success():
         b1 = Bindings()
         b2 = Bindings()
         r1 = unify(t, s, b1, occurs_check=True)
+        first = kernel_apply(t, b1)
+        # Bindings live in the variables: undo the first side before the
+        # second, or the second would only see terms already made equal.
+        b1.undo_to(0)
         r2 = unify(s, t, b2, occurs_check=True)
         assert r1 == r2
         if r1:
-            assert term_equal(
-                kernel_apply(t, b1), kernel_apply(t, b2), {}
-            )
+            assert term_equal(first, kernel_apply(t, b2), {})
 
 
 def test_failure_purity_on_partially_bound_store():
     b = Bindings()
     x, y, z = fresh_var("X"), fresh_var("Y"), fresh_var("Z")
     assert unify(x, Compound("f", (y,)), b)
-    snapshot_map = dict(b.map)
+    snapshot_cells = cells(x, y, z)
     snapshot_trail = list(b.trail)
     assert not unify(
         Compound("g", (x, z)),
         Compound("g", (Compound("f", (Num(1),)), Num(2), Num(3))),
         b,
     )
-    assert b.map == snapshot_map
+    assert same_cells(snapshot_cells)
     assert b.trail == snapshot_trail
 
 
