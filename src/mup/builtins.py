@@ -1,4 +1,5 @@
-"""Built-in predicates: arithmetic comparison, is/2, read/1, write/1.
+"""Built-in predicates: arithmetic comparison, is/2, read/1, write/1,
+writeq/1.
 
 The engine consults ``BUILTINS`` before backchaining, so a (name, arity)
 listed here can never be resolved against user clauses, and programs that
@@ -56,7 +57,10 @@ def _stdin_line():
 
 
 class BuiltinContext:
-    """What a built-in may touch: the binding trail and the I/O ports."""
+    """What a built-in may touch: the binding trail and the I/O ports.
+
+    ``unify`` trails as the engine does, by the trail's current boundary.
+    """
 
     __slots__ = ("trail", "io", "occurs_check")
 
@@ -215,12 +219,17 @@ def _read(ctx, args):
     return ctx.unify(args[0], term)
 
 
-def _write(ctx, args):
-    from mup.syntax import pretty
+def _writer(quoted):
+    """``write/1`` prints atoms bare; ``writeq/1`` quotes them to read back."""
 
-    term = kernel.resolve(args[0])
-    ctx.io.write(pretty(term, quoted=False))
-    return True
+    def run(ctx, args):
+        from mup.syntax import pretty
+
+        term = kernel.resolve(args[0])
+        ctx.io.write(pretty(term, quoted=quoted))
+        return True
+
+    return run
 
 
 def _nl(ctx, args):
@@ -250,6 +259,7 @@ BUILTINS = _table(
     Builtin("=<", 2, _cmp("=<")),
     Builtin("is", 2, _is),
     Builtin("read", 1, _read),
-    Builtin("write", 1, _write),
+    Builtin("write", 1, _writer(False)),
+    Builtin("writeq", 1, _writer(True)),
     Builtin("nl", 0, _nl),
 )

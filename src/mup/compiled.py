@@ -26,8 +26,10 @@ functions and ``compile()``s it:
   with the code specialised on the clause's shape as in Aquarius (Van
   Roy and Despain 1992).  Below ``_DEPTH``, a compound is built with
   fresh variables and passed to ``kernel.unify``, which visits it in the
-  same order.  The matcher returns the values of the slots the body
-  needs, or None with its bindings undone.
+  same order.  A binding is trailed as ``kernel.bind`` trails it, only
+  if the cell is below the trail's boundary.  The matcher returns the
+  values of the slots the body needs, or None with its trailed bindings
+  undone.
 * The body builder takes those values and builds the body, giving each
   slot that only the body has a fresh variable, left to right.
 
@@ -334,7 +336,7 @@ def _matcher_lines(template, names):
             out.append(fail(inner + "    "))
             expr = "b"
         out.append("%st.ref = %s" % (inner, expr))
-        out.append("%strail.append(t)" % inner)
+        out.extend(_trail_lines(inner))
         out.append("%selse:" % pad)
         out.append(fail(inner))
         bound = True
@@ -360,13 +362,18 @@ def _deref_lines(pad, source):
     ]
 
 
+def _trail_lines(pad):
+    """Trail the binding of ``t`` if ``t`` is below the trail's boundary."""
+    return ["%sif t.id < trail.hb:" % pad, "%s    trail.append(t)" % pad]
+
+
 def _constant_lines(node, source, pad, k, fail):
     """Read mode for an atom or a number of the head."""
     const = k(node)
     out = _deref_lines(pad, source)
     out.append("%sif type(t) is Var:" % pad)
     out.append("%s    t.ref = %s" % (pad, const))
-    out.append("%s    trail.append(t)" % pad)
+    out.extend(_trail_lines(pad + "    "))
     if type(node) is Const:
         test = "type(t) is not Const or t.name != %s" % k(node.name)
     else:

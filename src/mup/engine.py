@@ -18,13 +18,25 @@ as layers.
 
 The search itself is iterative: an explicit continuation (a linked list
 of frames) plus a stack of choicepoints, so derivation depth never eats
-the host call stack.  A choicepoint is a continuation to resume plus a
-trail mark to undo to; a call's untried clauses are one more such
+the host call stack.  A choicepoint is a continuation to resume, a
+trail mark to undo to and a boundary: an id drawn from the variable
+counter when it is pushed.  A call's untried clauses are one more such
 continuation, and every failure resumes the newest live choicepoint.
 Committed choice works by planting a commit frame after the chosen
 disjunct; when control passes it, the choicepoint for the other
 disjunct is dropped (and, in ``first`` mode, the chosen disjunct's own
-choicepoints as well, which mirrors the cut-based encoding).
+choicepoints as well, which mirrors the cut-based encoding).  In soft
+mode the committed choicepoint is popped if it is on top of the stack,
+and only disabled if the chosen disjunct left choicepoints above it.
+
+Trailing is conditional (``kernel.Trail``).  The trail's boundary is
+the newest choicepoint's, or the run's own while none is left, so a
+binding of a variable made since the newest choicepoint is not trailed,
+and a deterministic loop leaves no trail behind.  While a call still has
+more than one candidate, every binding of a head match is trailed,
+because a failed match is undone through the trail before the next
+candidate is tried.  Between the solutions of a stream, the trail keeps
+the boundary it had before the run.
 
 Solutions come out of a lazy stream: no search happens between pulls.
 """
@@ -50,7 +62,7 @@ from mup.syntax import (
     pretty,
     pretty_goal,
 )
-from mup.terms import Bindings, Compound, Num, Solution, Var
+from mup.terms import Bindings, Compound, Num, Solution, Var, _var_ids
 
 EXHAUSTED = "exhausted"
 LIMITED = "limited"
@@ -117,16 +129,20 @@ _FAIL = (("fail",), None)
 class _ChoicePoint:
     """An alternative: the continuation to resume and the trail mark to undo to.
 
-    ``hits`` is set for ``#`` and ``*->`` only: the depth-limit hit count
-    at push time.  ``info`` holds a ``#``'s disjuncts and depth for
-    tracing.  A committed choicepoint is ``disabled`` and never resumed.
+    ``hb`` is the trail boundary while it is the newest choicepoint: a
+    fresh variable id, so every variable older than the choicepoint is
+    below it.  ``hits`` is set for ``#`` and ``*->`` only: the
+    depth-limit hit count at push time.  ``info`` holds a ``#``'s
+    disjuncts and depth for tracing.  A committed choicepoint is
+    ``disabled`` and never resumed.
     """
 
-    __slots__ = ("cont", "mark", "hits", "info", "disabled")
+    __slots__ = ("cont", "mark", "hb", "hits", "info", "disabled")
 
     def __init__(self, cont, mark, hits=None, info=None):
         self.cont = cont
         self.mark = mark
+        self.hb = next(_var_ids)
         self.hits = hits
         self.info = info
         self.disabled = False
@@ -226,7 +242,8 @@ class Engine:
 
     def _run(self, cont, bindings, cps, hits):
         """Drive the machine; yields None once per success.  However it
-        ends, it undoes every binding it made."""
+        ends, it undoes every binding it made to a variable older than
+        the run, and it gives the trail back its boundary."""
         cfg = self.cfg
         trace = self.trace
         predicates = self.program.predicates
@@ -236,12 +253,17 @@ class Engine:
         first_mode = cfg.commit_mode == "first"
         ctx = BuiltinContext(btrail, self.io, occ)
         base_mark = len(btrail)
+        outer_hb = btrail.hb
+        # The run's base is the oldest choicepoint: the query's own
+        # variables are below its boundary, so they are undone at the end.
+        base_hb = btrail.hb = next(_var_ids)
 
         try:
             while True:
                 if cont is None:
+                    btrail.hb = outer_hb
                     yield None
-                    cont = _FAIL
+                    cont = _FAIL  # which sets the run's boundary again
 
                 frame, cont = cont
                 tag = frame[0]
@@ -317,6 +339,7 @@ class Engine:
                             (goal.left, goal.right, depth),
                         )
                         cps.append(cp)
+                        btrail.hb = cp.hb
                         cont = (
                             ("goal", goal.left, depth, cutb),
                             (("commit", cp, len(cps) - 1, first_mode), cont),
@@ -324,10 +347,12 @@ class Engine:
                         continue
 
                     if gt is ClassicalOr:
-                        cps.append(_ChoicePoint(
+                        cp = _ChoicePoint(
                             (("goal", goal.right, depth, cutb), cont),
                             len(btrail),
-                        ))
+                        )
+                        cps.append(cp)
+                        btrail.hb = cp.hb
                         cont = (("goal", goal.left, depth, cutb), cont)
                         continue
 
@@ -337,6 +362,7 @@ class Engine:
                             len(btrail), hits[0],
                         )
                         cps.append(cp)
+                        btrail.hb = cp.hb
                         cont = (
                             ("goal", goal.cond, depth, cutb),
                             (
@@ -349,6 +375,7 @@ class Engine:
                     if gt is Cut:
                         if cutb < len(cps):
                             del cps[cutb:]
+                            btrail.hb = cps[-1].hb if cps else base_hb
                         continue
 
                     raise MupError("cannot solve goal: %r" % (goal,))
@@ -359,7 +386,12 @@ class Engine:
                     # choicepoint only if other candidates remain.
                     _, goal_term, clauses, idx, depth = frame
                     mark = len(btrail)
-                    while idx < len(clauses):
+                    # While other candidates remain, a failed match is
+                    # undone through the trail, so every binding is trailed.
+                    last = len(clauses) - 1
+                    if idx < last:
+                        btrail.hb = kernel.ALL
+                    while idx <= last:
                         clause = clauses[idx]
                         idx += 1
                         values = _kunify(clause, goal_term, btrail, occ)
@@ -374,15 +406,19 @@ class Engine:
                             )
                         if ok:
                             break
+                        if idx == last:  # the last candidate is left
+                            btrail.hb = cps[-1].hb if cps else base_hb
                     else:
                         cont = _FAIL
                         continue
                     cutb = len(cps)
-                    if idx < len(clauses):
-                        cps.append(_ChoicePoint(
+                    if idx <= last:
+                        cp = _ChoicePoint(
                             (("clauses", goal_term, clauses, idx, depth), cont),
                             mark,
-                        ))
+                        )
+                        cps.append(cp)
+                        btrail.hb = cp.hb
                     body = fresh_rename(clause, values)
                     cont = (("goal", body, depth + 1, cutb), cont)
                     continue
@@ -404,6 +440,7 @@ class Engine:
                         break
                     else:
                         return
+                    btrail.hb = cps[-1].hb if cps else base_hb
                     continue
 
                 if tag == "commit":
@@ -413,8 +450,9 @@ class Engine:
                         if trace is not None and cp.info is not None:
                             left, right, depth = cp.info
                             self._emit_choice(depth, ("left", left), ("right", right))
-                        if first:
+                        if first or index == len(cps) - 1:
                             del cps[index:]
+                            btrail.hb = cps[-1].hb if cps else base_hb
                     continue
 
                 # "exit"
@@ -423,6 +461,7 @@ class Engine:
             raise MupError("term nested too deeply for the host stack") from None
         finally:
             kernel.undo_to(btrail, base_mark)
+            btrail.hb = outer_hb
 
 
 def _indicator(term):

@@ -12,15 +12,37 @@ Representation notes:
   unbound and its value once bound, as in the WAM (Warren 1983).  Its
   integer id orders and names it: terms compare equal by ids, and
   display names exist only for printing.
-* The trail is a list of the bound cells in binding order.  Undoing to a
-  trail mark clears every cell bound after the mark.
+* The trail (``Trail``) lists bound cells in binding order; undoing to a
+  trail mark clears every cell it lists after the mark.  The trail is
+  conditional, as in the WAM (Warren 1983; Ait-Kaci 1991, section 5.8):
+  a binding is trailed only if the cell's id is below the trail's
+  boundary ``hb``.  While the engine runs, ``hb`` is an id drawn when
+  the newest choicepoint was pushed, so a cell made since then is bound
+  in place only: backtracking cannot reach it again.  Outside a run
+  ``hb`` is ``ALL`` and every binding is trailed.
 * Lists are ordinary compounds: ``'.'(Head, Tail)`` ending in ``'[]'``.
 """
 
+import sys
+
 from mup.errors import MupError
+
+# A boundary above every variable id: with it, every binding is trailed.
+ALL = sys.maxsize
+
+# Compound pairs ``unify`` visits before it starts to remember them.
+_PAIRS = 100_000
 
 
 class Var:
+    """A variable cell: ``ref`` is None while unbound, else the value.
+
+    Ids come from the one counter ``terms._var_ids``, so a larger id
+    means a younger cell; conditional trailing depends on that order.  A
+    hand-made ``Var`` whose id is above the counter counts as younger
+    than every choicepoint, so a run does not undo its bindings.
+    """
+
     __slots__ = ("id", "name", "ref")
 
     def __init__(self, id, name):
@@ -141,15 +163,22 @@ def deref(t):
     return t
 
 
-def resolve(t):
+def resolve(t, copies=None):
     """Replace every bound variable in ``t``, at every depth, by its value.
 
+    With a dict ``copies`` (var id -> copy), an unbound variable is also
+    replaced, by a copy of its cell kept there.  A copy has the cell's id
+    and name, so it prints and compares as the cell does, but no run
+    binds it; a run may still bind the cell, and need not undo that if
+    the cell is younger than its choicepoints.
     Iterative postorder rebuild, so arbitrarily long list spines resolve
     in constant host stack.  A variable met again inside its own value (a
     cyclic binding, which unification without the occurs check allows)
     has no finite resolution: MupError.
     """
     t = deref(t)
+    if type(t) is Var and copies is not None:
+        return _copy(t, copies)
     if type(t) is not Compound:
         return t
     expanding = set()  # ids of the variables whose values are being rebuilt
@@ -177,16 +206,35 @@ def resolve(t):
                 expanding.add(vid)
                 stack.append([child, 0, [], vid])
                 continue
+            if type(child) is Var and copies is not None:
+                child = _copy(child, copies)
         elif type(child) is Compound:
             stack.append([child, 0, [], None])
             continue
         frame[2].append(child)
 
 
+def _copy(var, copies):
+    copy = copies.get(var.id)
+    if copy is None:
+        copy = copies[var.id] = Var(var.id, var.name)
+    return copy
+
+
+class Trail(list):
+    """The trailed cells in binding order, and the boundary ``hb``."""
+
+    __slots__ = ("hb",)  # a slot: the engine reads and sets it in its loop
+
+    def __init__(self):
+        self.hb = ALL
+
+
 def bind(trail, var, t):
-    """Bind ``var`` to ``t`` and record the binding on the trail."""
+    """Bind ``var`` to ``t``; trail the binding if ``var`` is below the boundary."""
     var.ref = t
-    trail.append(var)
+    if var.id < trail.hb:
+        trail.append(var)
 
 
 def undo_to(trail, mark):
@@ -212,10 +260,19 @@ def occurs(var, t):
 def unify(t, s, trail, occurs_check):
     """Bind variables so that ``t`` and ``s`` become equal, most generally.
 
-    Returns True on success with the new bindings trailed; on failure every
-    binding made is undone and False is returned.
+    Returns True on success, with the bindings trailed as ``bind`` does.
+    On failure every trailed binding made is undone and False is
+    returned.  A cell at or above the boundary stays bound: the engine
+    sets such a boundary only where a failure backtracks to a choicepoint
+    older than the cell.
+
+    After ``_PAIRS`` compound pairs, a pair met again is skipped: its
+    arguments were pushed when it was first met.  So two cyclic terms
+    unify in finite time, as rational trees (Colmerauer 1982).
     """
     mark = len(trail)
+    pairs = _PAIRS  # compound pairs left to visit before remembering them
+    seen = None
     stack = [(t, s)]
     while stack:
         a, b = stack.pop()
@@ -229,13 +286,17 @@ def unify(t, s, trail, occurs_check):
             if occurs_check and occurs(a, b):
                 undo_to(trail, mark)
                 return False
-            bind(trail, a, b)
+            a.ref = b
+            if a.id < trail.hb:
+                trail.append(a)
             continue
         if tb is Var:
             if occurs_check and occurs(b, a):
                 undo_to(trail, mark)
                 return False
-            bind(trail, b, a)
+            b.ref = a
+            if b.id < trail.hb:
+                trail.append(b)
             continue
         if ta is not tb:
             undo_to(trail, mark)
@@ -252,6 +313,15 @@ def unify(t, s, trail, occurs_check):
             if a.functor != b.functor or len(a.args) != len(b.args):
                 undo_to(trail, mark)
                 return False
+            if pairs:
+                pairs -= 1
+            else:
+                if seen is None:
+                    seen = set()
+                pair = (id(a), id(b))
+                if pair in seen:
+                    continue
+                seen.add(pair)
             stack.extend(zip(a.args, b.args))
     return True
 

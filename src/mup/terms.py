@@ -35,13 +35,14 @@ class Bindings:
 
     Owned by a single engine instance; never shared across threads.
     Checkpoint marks are trail positions: undoing to a mark unbinds
-    exactly the variables bound after it.
+    exactly the variables bound after it.  Only a run of the engine trails
+    conditionally; every binding made outside one is trailed.
     """
 
     __slots__ = ("trail",)
 
     def __init__(self):
-        self.trail = []
+        self.trail = kernel.Trail()
 
     def checkpoint(self):
         """Return a mark capturing the current binding state."""
@@ -84,7 +85,8 @@ class Solution:
     @classmethod
     def from_bindings(cls, answer_vars):
         """The current values of ``answer_vars``, resolved."""
-        return cls((v.name, kernel.resolve(v)) for v in answer_vars)
+        copies = {}
+        return cls((v.name, kernel.resolve(v, copies)) for v in answer_vars)
 
     def canonical_key(self):
         """Hashable form, invariant under renaming of unbound variables.

@@ -146,6 +146,22 @@ def test_read_reads_back_what_write_wrote():
     assert [s.render() for s in result.solutions] == ["X = " + written]
 
 
+def test_read_reads_back_what_writeq_wrote():
+    term = "f('two words', ','(c, d), 'A', [a | 'B'], 'don''t', -(1))"
+    io = IoPorts.scripted([])
+    engine = Engine(parse_program("p."), io=io)
+    engine.run_query("writeq(%s)." % term)
+    written = io.captured()
+    assert written == "f('two words', ','(c, d), 'A', [a|'B'], 'don\\'t', -(1))"
+    engine = Engine(parse_program("p."), io=IoPorts.scripted([written + "."]))
+    result = engine.run_query("read(X), X = %s." % term)
+    assert [s.render() for s in result.solutions] == ["X = " + written]
+    # write/1 prints atoms bare, so the same term does not read back.
+    io = IoPorts.scripted([])
+    Engine(parse_program("p."), io=io).run_query("write(%s)." % term)
+    assert io.captured() == "f(two words, ,(c, d), A, [a|B], don't, -(1))"
+
+
 def test_write_not_undone_on_backtracking():
     io = IoPorts.scripted([])
     engine = Engine(parse_program("p(a). p(b)."), io=io)

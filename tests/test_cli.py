@@ -322,12 +322,13 @@ def _limit_child_memory():
     resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
 
 
-def run_cli_subprocess(tmp_path, program_text, query, *options, stderr=subprocess.PIPE):
+def run_cli_subprocess(tmp_path, program_text, query, *options, stderr=subprocess.PIPE,
+                       timeout=120):
     """``mup run`` in a child Python with its own, default-sized stack.
 
     A child that runs away fails the test instead of hanging it or taking
-    the host's memory: it is killed after a timeout, and its address
-    space is capped.
+    the host's memory: it is killed after ``timeout`` seconds, and its
+    address space is capped.
     """
     path = tmp_path / "prog.mpl"
     path.write_text(program_text)
@@ -337,9 +338,49 @@ def run_cli_subprocess(tmp_path, program_text, query, *options, stderr=subproces
         stderr=stderr,
         text=True,
         env=child_env(),
-        timeout=120,
+        timeout=timeout,
         preexec_fn=_limit_child_memory,
     )
+
+
+@pytest.mark.parametrize(
+    "query, code, expected",
+    [
+        ("X = f(X), Y = f(Y), X = Y.", 2, "error: cannot resolve a cyclic term"),
+        ("c.", 0, "true.\n"),
+        ("X = f(X, a), Y = f(Y, b), X = Y.", 1, "false.\n"),
+    ],
+)
+def test_unifying_two_cyclic_terms_ends(tmp_path, query, code, expected):
+    program_text = "c :- X = f(X), Y = f(Y), X = Y.\n"
+    proc = run_cli_subprocess(tmp_path, program_text, query, timeout=30)
+    assert proc.returncode == code, proc.stderr
+    assert (proc.stdout if code != 2 else proc.stderr).startswith(expected)
+
+
+def countdown_max_rss_kb(steps):
+    """Max RSS of a child Python after the ``#`` countdown of ``steps`` steps."""
+    code = (
+        "import resource, mup\n"
+        "program = mup.parse_program('c(N) :- (N =< 0) # (M is N-1, c(M)).')\n"
+        "result = mup.Engine(program).run_query('c(%d).')\n"
+        "assert result.outcome == 'exhausted' and len(result.solutions) == 1\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n" % steps
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=child_env(), timeout=120, preexec_fn=_limit_child_memory,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+def test_deterministic_countdown_runs_in_bounded_memory():
+    # A step's bindings are not trailed, so its cells die with it.  With
+    # every binding trailed, 2 x 10^5 steps took about 34 MB more.
+    small = countdown_max_rss_kb(1000)
+    large = countdown_max_rss_kb(200_000)
+    assert large - small < 4 * 1024, (small, large)
 
 
 def test_import_mup_leaves_oracle_and_transpiler_unloaded():

@@ -11,6 +11,7 @@ from mup.engine import (
     solve,
     solve_choice,
 )
+from mup import kernel
 from mup.errors import UnknownPredicateError
 from mup.syntax import (
     Call,
@@ -599,3 +600,107 @@ def test_prolog_cut_prunes_later_clauses(query, expected):
     goal = parse_query(query, dialect="prolog")
     sols = Engine(program).solve(goal.goal, goal.answer_vars)
     assert [s.render() for s in sols] == expected
+
+
+# ---------------------------------------------------------------------------
+# Conditional trailing
+
+COUNTDOWN = "c(N) :- (N =< 0) # (M is N-1, c(M))."
+
+
+def test_deterministic_countdown_keeps_the_trail_short():
+    # Each step's variables are younger than every choicepoint left, so
+    # their bindings are not trailed; every trace event samples the trail.
+    b = Bindings()
+    sizes = []
+    engine = Engine(parse_program(COUNTDOWN), trace=lambda e: sizes.append(len(b.trail)))
+    assert len(list(engine.backchain(Compound("c", (Num(2000),)), b))) == 1
+    assert len(sizes) > 2000 * 5
+    assert max(sizes) <= 2
+
+
+@pytest.mark.parametrize("call, facts", [
+    ("p(k, c, A)", "p(k, b, a). p(k, c, z)."),  # heads unified by the kernel
+    ("p(k, c, A, _)", "p(k, b, a, _). p(k, c, z, _)."),  # generated matchers
+])
+def test_failed_head_match_is_undone_for_young_variables(call, facts):
+    # t's body variable A is younger than every choicepoint.  The index
+    # keeps both p clauses.  The first binds A (the last argument is
+    # matched first), then fails on b = c; the second must find A unbound.
+    program = "t(R) :- %s, R = A.\n%s" % (call, facts)
+    for mode in ("soft", "first"):
+        assert renders(program, "t(R).", commit_mode=mode) == ["R = z"]
+
+
+@pytest.mark.parametrize("program, dialect", [
+    ("u(R) :- (A = 1, fail # A = 2), R = A.", "choice"),
+    ("u(R) :- (A = 1, fail ; A = 2), R = A.", "choice"),
+    ("u(R) :- (A = 1, fail *-> true ; A = 2), R = A.", "prolog"),
+    ("u(R) :- v(A), R = A.\nv(A) :- A = 1, fail.\nv(2).", "choice"),
+    ("u(R) :- (v, A = 1, fail ; A = 2), R = A.\nv :- w, !.\nw.\nw.", "prolog"),
+])
+def test_alternative_finds_older_variables_unbound(program, dialect):
+    # A is younger than every choicepoint before the alternative is pushed,
+    # but older than that one, so binding it in the first branch is trailed.
+    query = parse_query("u(R).", dialect=dialect)
+    engine = Engine(parse_program(program, dialect=dialect))
+    answers = engine.solve(query.goal, query.answer_vars)
+    assert [s.render() for s in answers] == ["R = 2"]
+
+
+def test_soft_commit_keeps_the_chosen_side_alternatives():
+    program = (
+        "m(X, [X|_]). m(X, [_|L]) :- m(X, L).\n"
+        "q(X) :- m(X, [1, 2, 3]) # X = none.\n"
+        "r(X, Y) :- (X = 1 ; X = 2), (X > 0 # fail), Y is X * 10.\n"
+        "s(A, B) :- r(X, Y), A = X, B = Y.\n"
+    )
+    assert renders(program, "q(X).") == ["X = 1", "X = 2", "X = 3"]
+    assert renders(program, "q(X).", commit_mode="first") == ["X = 1"]
+    # The committed choicepoint is on top, so it is popped; backtracking
+    # then resumes the older ';', and must undo Y, which is older than it.
+    for mode in ("soft", "first"):
+        assert renders(program, "s(A, B).", commit_mode=mode) == [
+            "A = 1, B = 10", "A = 2, B = 20"]
+
+
+def test_answers_do_not_share_cells_with_the_run():
+    # V is younger than the run's base, so its binding in the second
+    # branch is not trailed and outlives the stream.  The first answer
+    # holds a copy of V, which stays unbound.
+    program = parse_program("t(X, Y) :- X = f(V), Y = V, (true ; V = a).")
+    query = parse_query("t(X, Y).")
+    answers = Engine(program).solve_collect(query.goal, query.answer_vars).solutions
+    assert [s.render() for s in answers] == ["X = f(_G0), Y = _G0", "X = f(a), Y = a"]
+    x, y = answers[0].assignments["X"], answers[0].assignments["Y"]
+    assert kernel.resolve(x) == Compound("f", (y,)) and y.ref is None
+    assert x.args[0] is y  # one copy per variable across the answer
+
+
+@pytest.mark.parametrize("stream", ["backchain", "solve_choice"])
+def test_caller_bindings_survive_a_stream(stream):
+    program = parse_program("p(X, Y) :- q(X), Y = X. q(a). q(b).")
+    engine = Engine(program)
+    b = Bindings()
+    x, y, pre = fresh_var("X"), fresh_var("Y"), fresh_var("Pre")
+    b.bind(pre, Const("kept"))
+    atom = Compound("p", (x, y))
+    if stream == "backchain":
+        answers = engine.backchain(atom, b)
+    else:
+        answers = engine.solve_choice(Call(atom), Eq(x, Const("c")), b)
+    found = []
+    for _ in answers:
+        found.append(b.resolve(y))
+        # Between answers the caller's bindings are all trailed, even of a
+        # variable made after the stream started.
+        late = fresh_var("Late")
+        mark = b.checkpoint()
+        b.bind(late, Const("late"))
+        assert b.trail[-1] is late
+        b.undo_to(mark)
+        assert late.ref is None
+    assert found == [Const("a"), Const("b")]
+    assert b.trail == [pre] and pre.ref == Const("kept")
+    assert x.ref is None and y.ref is None
+    assert b.trail.hb == kernel.ALL

@@ -13,7 +13,7 @@ pytestmark = pytest.mark.parametrize("k", [kernel], ids=["python"])
 
 def bound(pairs):
     """Bind each (variable, value) pair in order; returns the trail."""
-    trail = []
+    trail = kernel.Trail()
     for var, value in pairs:
         kernel.bind(trail, var, value)
     return trail
@@ -99,7 +99,7 @@ def test_resolve_idempotent_on_fixed_bindings(k):
 
 
 def test_bind_undo_roundtrip(k):
-    trail = []
+    trail = k.Trail()
     x = k.Var(1, "X")
     mark = len(trail)
     k.bind(trail, x, k.Const("a"))
@@ -109,7 +109,7 @@ def test_bind_undo_roundtrip(k):
 
 
 def test_nested_checkpoints(k):
-    trail = []
+    trail = k.Trail()
     x, y = k.Var(1, "X"), k.Var(2, "Y")
     m1 = len(trail)
     k.bind(trail, x, k.Const("a"))
@@ -127,7 +127,7 @@ def test_trail_soundness_random_interleaving(k):
     # at a mark is an independent model of undo_to.
     rng = random.Random(4)
     for _ in range(30):
-        trail = []
+        trail = k.Trail()
         cells = {vid: k.Var(vid, "V") for vid in range(1, 31)}
         shadow = []  # (vid, value) in bind order; index-aligned with trail
         markstack = [0]
@@ -153,14 +153,14 @@ def test_trail_soundness_random_interleaving(k):
 
 
 def test_unify_var_const(k):
-    trail = []
+    trail = k.Trail()
     x = k.Var(1, "X")
     assert k.unify(x, k.Const("a"), trail, False)
     assert x.ref == k.Const("a") and trail == [x]
 
 
 def test_unify_structural(k):
-    trail = []
+    trail = k.Trail()
     x, y = k.Var(1, "X"), k.Var(2, "Y")
     t = k.Compound("f", (x, k.Const("b")))
     s = k.Compound("f", (k.Const("a"), y))
@@ -170,7 +170,7 @@ def test_unify_structural(k):
 
 
 def test_unify_functor_clash(k):
-    trail = []
+    trail = k.Trail()
     assert not k.unify(
         k.Compound("f", (k.Const("a"),)),
         k.Compound("g", (k.Const("a"),)),
@@ -180,7 +180,7 @@ def test_unify_functor_clash(k):
 
 
 def test_unify_occurs_check(k):
-    trail = []
+    trail = k.Trail()
     x = k.Var(1, "X")
     assert not k.unify(x, k.Compound("f", (x,)), trail, True)
     assert x.ref is None and trail == []
@@ -188,7 +188,7 @@ def test_unify_occurs_check(k):
 
 def test_unify_occurs_check_through_bindings(k):
     # X=Y then Y=g(Y) must cycle: hand-run of Robinson's algorithm.
-    trail = []
+    trail = k.Trail()
     x, y = k.Var(1, "X"), k.Var(2, "Y")
     t = k.Compound("p", (x, x))
     s = k.Compound("p", (y, k.Compound("g", (y,))))
@@ -197,7 +197,7 @@ def test_unify_occurs_check_through_bindings(k):
 
 
 def test_unify_failure_restores_partial_work(k):
-    trail = []
+    trail = k.Trail()
     x, y = k.Var(1, "X"), k.Var(2, "Y")
     k.bind(trail, y, k.Const("keep"))
     t = k.Compound("f", (x, k.Const("a")))
@@ -208,7 +208,7 @@ def test_unify_failure_restores_partial_work(k):
 
 
 def test_unify_numbers_by_class(k):
-    trail = []
+    trail = k.Trail()
     assert not k.unify(k.Num(3), k.Num(3.0), trail, False)
     assert k.unify(k.Num(3), k.Num(3), trail, False)
     assert k.unify(k.Num(0.5), k.Num(0.5), trail, False)
@@ -233,3 +233,43 @@ def test_deep_list_spines_do_not_recurse(k):
     resolved = k.resolve(k.Compound(".", (k.Num(-1), x)))
     assert resolved == k.Compound(".", (k.Num(-1), a))
 
+
+
+def test_unify_remembers_pairs_past_its_bound(k, monkeypatch):
+    # Past ``_PAIRS`` compound pairs, unify skips a pair it met before.
+    # That must not change any answer, and it ends on cyclic terms.
+    monkeypatch.setattr(k, "_PAIRS", 3)
+
+    def build(items):
+        term = k.Const("[]")
+        for item in reversed(items):
+            term = k.Compound(".", (k.Num(item), term))
+        return term
+
+    trail = k.Trail()
+    assert k.unify(build(range(50)), build(range(50)), trail, False)
+    assert not k.unify(build(range(50)), build(list(range(49)) + [0]), trail, False)
+    x, y = k.Var(1, "X"), k.Var(2, "Y")
+    assert k.unify(build(range(50)), k.Compound(".", (x, y)), trail, False)
+    assert trail == [y, x]
+    k.undo_to(trail, 0)
+
+    # One subterm met twice, against different partners.
+    shared = build(range(10))
+    assert not k.unify(k.Compound("f", (shared, shared)),
+                       k.Compound("f", (build(list(range(9)) + [99]), build(range(10)))),
+                       trail, False)
+
+    # Shared subterms: 2^40 paths through each side, 40 distinct pairs.
+    a, b = k.Const("z"), k.Const("z")
+    for _ in range(40):
+        a, b = k.Compound("f", (a, a)), k.Compound("f", (b, b))
+    assert k.unify(a, b, trail, False)
+
+    # X = f(X), Y = f(Y), X = Y holds for rational trees; with a second
+    # argument a in X's and b in Y's, it fails.
+    for tail_x, tail_y, expected in (((), (), True),
+                                     ((k.Const("a"),), (k.Const("b"),), False)):
+        x, y = k.Var(1, "X"), k.Var(2, "Y")
+        bound([(x, k.Compound("f", (x,) + tail_x)), (y, k.Compound("f", (y,) + tail_y))])
+        assert k.unify(x, y, trail, False) is expected
