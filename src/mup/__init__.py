@@ -39,8 +39,8 @@ from mup.syntax import (
     pretty_clause,
     pretty_goal,
 )
-from mup.terms import Bindings, Compound, Const, Num, Solution, Var
-from mup.unify import unify
+from mup.kernel import Bindings, Compound, Const, Num, Var, unify
+from mup.terms import Solution
 
 __version__ = "0.1.0"
 

@@ -57,20 +57,20 @@ def _stdin_line():
 
 
 class BuiltinContext:
-    """What a built-in may touch: the binding trail and the I/O ports.
+    """What a built-in may touch: the binding store and the I/O ports.
 
-    ``unify`` trails as the engine does, by the trail's current boundary.
+    ``unify`` trails as the engine does, by the store's current boundary.
     """
 
-    __slots__ = ("trail", "io", "occurs_check")
+    __slots__ = ("bindings", "io", "occurs_check")
 
-    def __init__(self, trail, io, occurs_check=False):
-        self.trail = trail
+    def __init__(self, bindings, io, occurs_check=False):
+        self.bindings = bindings
         self.io = io
         self.occurs_check = occurs_check
 
     def unify(self, t, s):
-        return kernel.unify(t, s, self.trail, self.occurs_check)
+        return kernel.unify(t, s, self.bindings, self.occurs_check)
 
 
 # ---------------------------------------------------------------------------

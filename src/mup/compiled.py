@@ -52,7 +52,7 @@ import builtins
 from itertools import count
 from types import CodeType, FunctionType
 
-from mup.kernel import Compound, Const, Num, Var, deref, occurs, undo_to, unify
+from mup.kernel import Compound, Const, Num, Var, _var_ids, deref, occurs, undo_to, unify
 from mup.syntax import (
     TRUE,
     Call,
@@ -63,7 +63,6 @@ from mup.syntax import (
     SoftIfThenElse,
     rebuild,
 )
-from mup.terms import _var_ids
 
 # The names generated code refers to, besides its parameters.
 _SCOPE = {

@@ -29,14 +29,17 @@ choicepoints as well, which mirrors the cut-based encoding).  In soft
 mode the committed choicepoint is popped if it is on top of the stack,
 and only disabled if the chosen disjunct left choicepoints above it.
 
-Trailing is conditional (``kernel.Trail``).  The trail's boundary is
+Trailing is conditional (``kernel.Bindings``).  The store's boundary is
 the newest choicepoint's, or the run's own while none is left, so a
 binding of a variable made since the newest choicepoint is not trailed,
 and a deterministic loop leaves no trail behind.  While a call still has
 more than one candidate, every binding of a head match is trailed,
 because a failed match is undone through the trail before the next
-candidate is tried.  Between the solutions of a stream, the trail keeps
-the boundary it had before the run.
+candidate is tried.  Between the solutions of a stream, and after it,
+the boundary is ``kernel.ALL``, so the caller's bindings are all
+trailed.  A run nested on the same store (say, from a trace hook) thus
+leaves the outer run trailing more than it needs until its next
+choicepoint is pushed or popped, which is safe.
 
 Solutions come out of a lazy stream: no search happens between pulls.
 """
@@ -62,7 +65,8 @@ from mup.syntax import (
     pretty,
     pretty_goal,
 )
-from mup.terms import Bindings, Compound, Num, Solution, Var, _var_ids
+from mup.kernel import Bindings, Compound, Num, Var, _var_ids
+from mup.terms import Solution
 
 EXHAUSTED = "exhausted"
 LIMITED = "limited"
@@ -169,7 +173,7 @@ class Engine:
         for _ in stream:
             yield Solution.from_bindings(answer_vars)
 
-    def backchain(self, atom, bindings, clauses=None, hits=None):
+    def backchain(self, atom, bindings, clauses=None):
         """Prove the atomic goal ``atom`` against ``clauses``.
 
         Yields once per successful derivation with ``bindings`` extended;
@@ -178,7 +182,7 @@ class Engine:
         taken from its first-argument index; clauses given here (a single
         Clause is also accepted) are tried in the order given.
         """
-        goal = bindings.deref(atom)
+        goal = kernel.deref(atom)
         if type(goal) is Var or type(goal) is Num:
             raise MupError("atomic goal expected, got %s" % pretty(goal))
         if clauses is None:
@@ -187,17 +191,13 @@ class Engine:
         else:
             if not isinstance(clauses, (list, tuple)):
                 clauses = [clauses]
-        if hits is None:
-            hits = [0]
         cont = (("clauses", goal, clauses, 0, 0), None)
-        yield from self._run(cont, bindings, [], hits)
+        yield from self._run(cont, bindings, [0])
 
-    def solve_choice(self, left, right, bindings, hits=None):
+    def solve_choice(self, left, right, bindings):
         """Run ``left # right`` on caller-owned bindings; yields per success."""
-        if hits is None:
-            hits = [0]
         goal = Choice(left, right)
-        yield from self._run((("goal", goal, 0, 0), None), bindings, [], hits)
+        yield from self._run((("goal", goal, 0, 0), None), bindings, [0])
 
     def solve_collect(self, goal, answer_vars=None):
         """Collect up to max_solutions answers for an already-parsed goal."""
@@ -219,7 +219,7 @@ class Engine:
         if answer_vars is None:
             answer_vars = [v for v in free_goal_vars(goal) if v.name != "_"]
         hits = [0]
-        stream = self._run((("goal", goal, 0, 0), None), Bindings(), [], hits)
+        stream = self._run((("goal", goal, 0, 0), None), Bindings(), hits)
         return answer_vars, hits, stream
 
     def run_query(self, text):
@@ -240,28 +240,27 @@ class Engine:
             "%s %s" % (discarded[0], pretty_goal(discarded[1])),
         )
 
-    def _run(self, cont, bindings, cps, hits):
-        """Drive the machine; yields None once per success.  However it
-        ends, it undoes every binding it made to a variable older than
-        the run, and it gives the trail back its boundary."""
+    def _run(self, cont, bindings, hits):
+        """Drive the machine on ``bindings``; yields None once per success.
+        However it ends, it undoes every binding it made to a variable
+        older than the run, and it leaves the boundary at ``kernel.ALL``."""
         cfg = self.cfg
         trace = self.trace
         predicates = self.program.predicates
-        btrail = bindings.trail
+        cps = []
         occ = cfg.occurs_check
         depth_limit = cfg.depth_limit
         first_mode = cfg.commit_mode == "first"
-        ctx = BuiltinContext(btrail, self.io, occ)
-        base_mark = len(btrail)
-        outer_hb = btrail.hb
+        ctx = BuiltinContext(bindings, self.io, occ)
+        base_mark = len(bindings)
         # The run's base is the oldest choicepoint: the query's own
         # variables are below its boundary, so they are undone at the end.
-        base_hb = btrail.hb = next(_var_ids)
+        base_hb = bindings.hb = next(_var_ids)
 
         try:
             while True:
                 if cont is None:
-                    btrail.hb = outer_hb
+                    bindings.hb = kernel.ALL
                     yield None
                     cont = _FAIL  # which sets the run's boundary again
 
@@ -285,7 +284,7 @@ class Engine:
                         continue
 
                     if gt is Eq:
-                        ok = kernel.unify(goal.left, goal.right, btrail, occ)
+                        ok = kernel.unify(goal.left, goal.right, bindings, occ)
                         if trace is not None:
                             self._emit(
                                 "unify_ok" if ok else "unify_fail",
@@ -335,11 +334,11 @@ class Engine:
                     if gt is Choice:
                         cp = _ChoicePoint(
                             (("goal", goal.right, depth, cutb), cont),
-                            len(btrail), hits[0],
+                            len(bindings), hits[0],
                             (goal.left, goal.right, depth),
                         )
                         cps.append(cp)
-                        btrail.hb = cp.hb
+                        bindings.hb = cp.hb
                         cont = (
                             ("goal", goal.left, depth, cutb),
                             (("commit", cp, len(cps) - 1, first_mode), cont),
@@ -349,20 +348,20 @@ class Engine:
                     if gt is ClassicalOr:
                         cp = _ChoicePoint(
                             (("goal", goal.right, depth, cutb), cont),
-                            len(btrail),
+                            len(bindings),
                         )
                         cps.append(cp)
-                        btrail.hb = cp.hb
+                        bindings.hb = cp.hb
                         cont = (("goal", goal.left, depth, cutb), cont)
                         continue
 
                     if gt is SoftIfThenElse:
                         cp = _ChoicePoint(
                             (("goal", goal.els, depth, cutb), cont),
-                            len(btrail), hits[0],
+                            len(bindings), hits[0],
                         )
                         cps.append(cp)
-                        btrail.hb = cp.hb
+                        bindings.hb = cp.hb
                         cont = (
                             ("goal", goal.cond, depth, cutb),
                             (
@@ -375,7 +374,7 @@ class Engine:
                     if gt is Cut:
                         if cutb < len(cps):
                             del cps[cutb:]
-                            btrail.hb = cps[-1].hb if cps else base_hb
+                            bindings.hb = cps[-1].hb if cps else base_hb
                         continue
 
                     raise MupError("cannot solve goal: %r" % (goal,))
@@ -385,16 +384,16 @@ class Engine:
                     # and build the body only on a match.  Leave a
                     # choicepoint only if other candidates remain.
                     _, goal_term, clauses, idx, depth = frame
-                    mark = len(btrail)
+                    mark = len(bindings)
                     # While other candidates remain, a failed match is
                     # undone through the trail, so every binding is trailed.
                     last = len(clauses) - 1
                     if idx < last:
-                        btrail.hb = kernel.ALL
+                        bindings.hb = kernel.ALL
                     while idx <= last:
                         clause = clauses[idx]
                         idx += 1
-                        values = _kunify(clause, goal_term, btrail, occ)
+                        values = _kunify(clause, goal_term, bindings, occ)
                         ok = values is not None
                         if trace is not None:
                             # The source head prints as a renamed copy would.
@@ -407,7 +406,7 @@ class Engine:
                         if ok:
                             break
                         if idx == last:  # the last candidate is left
-                            btrail.hb = cps[-1].hb if cps else base_hb
+                            bindings.hb = cps[-1].hb if cps else base_hb
                     else:
                         cont = _FAIL
                         continue
@@ -418,7 +417,7 @@ class Engine:
                             mark,
                         )
                         cps.append(cp)
-                        btrail.hb = cp.hb
+                        bindings.hb = cp.hb
                     body = fresh_rename(clause, values)
                     cont = (("goal", body, depth + 1, cutb), cont)
                     continue
@@ -426,7 +425,7 @@ class Engine:
                 if tag == "fail":
                     while cps:
                         cp = cps.pop()
-                        kernel.undo_to(btrail, cp.mark)
+                        kernel.undo_to(bindings, cp.mark)
                         if cp.disabled:
                             continue
                         if cp.hits is not None and cp.hits != hits[0]:
@@ -440,7 +439,7 @@ class Engine:
                         break
                     else:
                         return
-                    btrail.hb = cps[-1].hb if cps else base_hb
+                    bindings.hb = cps[-1].hb if cps else base_hb
                     continue
 
                 if tag == "commit":
@@ -452,7 +451,7 @@ class Engine:
                             self._emit_choice(depth, ("left", left), ("right", right))
                         if first or index == len(cps) - 1:
                             del cps[index:]
-                            btrail.hb = cps[-1].hb if cps else base_hb
+                            bindings.hb = cps[-1].hb if cps else base_hb
                     continue
 
                 # "exit"
@@ -460,8 +459,8 @@ class Engine:
         except RecursionError:
             raise MupError("term nested too deeply for the host stack") from None
         finally:
-            kernel.undo_to(btrail, base_mark)
-            btrail.hb = outer_hb
+            kernel.undo_to(bindings, base_mark)
+            bindings.hb = kernel.ALL
 
 
 def _indicator(term):

@@ -1,10 +1,10 @@
 """Term kernel.
 
-Terms, shallow/deep dereferencing, the binding trail and first-order
-unification.  ``terms``, ``compiled``, ``builtins``, ``engine`` and
-``unify`` build on these names; ``kernel.unify``, ``kernel.undo_to`` and
-``kernel.resolve`` are looked up as module attributes at call time, so
-``mupbench`` can time them as layers.
+Terms, the variable id counter, shallow/deep dereferencing, the binding
+store and first-order unification.  ``terms``, ``compiled``,
+``builtins`` and ``engine`` build on these names; ``kernel.unify``,
+``kernel.undo_to`` and ``kernel.resolve`` are looked up as module
+attributes at call time, so ``mupbench`` can time them as layers.
 
 Representation notes:
 
@@ -12,20 +12,22 @@ Representation notes:
   unbound and its value once bound, as in the WAM (Warren 1983).  Its
   integer id orders and names it: terms compare equal by ids, and
   display names exist only for printing.
-* The trail (``Trail``) lists bound cells in binding order; undoing to a
-  trail mark clears every cell it lists after the mark.  The trail is
-  conditional, as in the WAM (Warren 1983; Ait-Kaci 1991, section 5.8):
-  a binding is trailed only if the cell's id is below the trail's
-  boundary ``hb``.  While the engine runs, ``hb`` is an id drawn when
+* The binding store (``Bindings``) is the trail: it lists bound cells
+  in binding order, and undoing to a mark clears every cell it lists
+  after the mark.  The trail and its boundary ``hb`` are one store, as
+  in the WAM (Warren 1983; Ait-Kaci 1991, section 5.8), and trailing is
+  conditional: a binding is trailed only if the cell's id is below
+  ``hb``.  While the engine runs, ``hb`` is an id drawn when
   the newest choicepoint was pushed, so a cell made since then is bound
   in place only: backtracking cannot reach it again.  Outside a run
   ``hb`` is ``ALL`` and every binding is trailed.
 * Lists are ordinary compounds: ``'.'(Head, Tail)`` ending in ``'[]'``.
 """
 
+import itertools
 import sys
 
-from mup.errors import MupError
+from mup.errors import InternalError, MupError
 
 # A boundary above every variable id: with it, every binding is trailed.
 ALL = sys.maxsize
@@ -33,14 +35,17 @@ ALL = sys.maxsize
 # Compound pairs ``unify`` visits before it starts to remember them.
 _PAIRS = 100_000
 
+# The one source of variable ids.
+_var_ids = itertools.count(1)
+
 
 class Var:
     """A variable cell: ``ref`` is None while unbound, else the value.
 
-    Ids come from the one counter ``terms._var_ids``, so a larger id
-    means a younger cell; conditional trailing depends on that order.  A
-    hand-made ``Var`` whose id is above the counter counts as younger
-    than every choicepoint, so a run does not undo its bindings.
+    Ids come from ``_var_ids``, so a larger id means a younger cell;
+    conditional trailing depends on that order.  A hand-made ``Var``
+    whose id is above the counter counts as younger than every
+    choicepoint, so a run does not undo its bindings.
     """
 
     __slots__ = ("id", "name", "ref")
@@ -221,13 +226,39 @@ def _copy(var, copies):
     return copy
 
 
-class Trail(list):
-    """The trailed cells in binding order, and the boundary ``hb``."""
+class Bindings(list):
+    """The binding store: the trail of bound cells, and the boundary ``hb``.
+
+    Never shared across threads.  Checkpoint marks are trail positions:
+    undoing to a mark unbinds exactly the variables trailed after it.
+    Only a run of the engine trails conditionally; every binding made
+    outside one is trailed.
+    """
 
     __slots__ = ("hb",)  # a slot: the engine reads and sets it in its loop
 
     def __init__(self):
         self.hb = ALL
+
+    def checkpoint(self):
+        """Return a mark capturing the current binding state."""
+        return len(self)
+
+    def undo_to(self, mark):
+        """Restore the state captured by ``mark``.
+
+        A mark that was already undone past (or that never came from this
+        store's current history) is rejected.
+        """
+        if not 0 <= mark <= len(self):
+            raise InternalError("stale or foreign checkpoint mark: %r" % (mark,))
+        undo_to(self, mark)
+
+    def bind(self, var, term):
+        bind(self, var, term)
+
+    deref = staticmethod(deref)
+    resolve = staticmethod(resolve)
 
 
 def bind(trail, var, t):
@@ -257,14 +288,15 @@ def occurs(var, t):
     return False
 
 
-def unify(t, s, trail, occurs_check):
+def unify(t, s, trail, occurs_check=False):
     """Bind variables so that ``t`` and ``s`` become equal, most generally.
 
-    Returns True on success, with the bindings trailed as ``bind`` does.
-    On failure every trailed binding made is undone and False is
-    returned.  A cell at or above the boundary stays bound: the engine
-    sets such a boundary only where a failure backtracks to a choicepoint
-    older than the cell.
+    ``trail`` is a ``Bindings`` store.  Returns True on success, with the
+    bindings trailed as ``bind`` does.  On failure every trailed binding
+    made is undone and False is returned: failure is an expected outcome,
+    not an error.  A cell at or above the boundary stays bound: the
+    engine sets such a boundary only where a failure backtracks to a
+    choicepoint older than the cell.
 
     After ``_PAIRS`` compound pairs, a pair met again is skipped: its
     arguments were pushed when it was first met.  So two cyclic terms

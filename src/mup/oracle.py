@@ -19,6 +19,7 @@ lower-tier predicates), so every derivation is finite and fits the
 depth bound.
 """
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -36,7 +37,6 @@ from mup.syntax import (
     format_program,
     free_goal_vars,
     pretty_goal,
-    subst_goal,
 )
 from mup.terms import Compound, Const, Num, Solution, Var, fresh_var
 
@@ -199,7 +199,8 @@ def _prove(program, goal, subst, limit, depth):
         yield from _prove(program, goal.right, subst, limit, depth)
         return
     if t is Call:
-        yield from _prove_atom(program, goal.term, subst, limit, depth, _prove)
+        for body, new in _call_steps(program, goal.term, subst, limit, depth) or ():
+            yield from _prove(program, body, new, limit, depth + 1)
         return
     raise MupError("oracle cannot handle goal: %r" % (goal,))
 
@@ -233,7 +234,14 @@ def _builtin_answers(term, name, arity, subst):
     return None
 
 
-def _prove_atom(program, term, subst, limit, depth, rec):
+def _call_steps(program, term, subst, limit, depth):
+    """One resolution step of the call ``term``: (goal, substitution) pairs.
+
+    A built-in answers with ``(TRUE, s)`` pairs.  Otherwise each clause
+    whose renamed head unifies with the call gives its renamed body, one
+    clause at a time, in source order.  None if the depth bound cuts the
+    call off.
+    """
     term = _walk(term, subst)
     if type(term) is Compound:
         name, arity = term.functor, len(term.args)
@@ -241,19 +249,20 @@ def _prove_atom(program, term, subst, limit, depth, rec):
         name, arity = term.name, 0
     answers = _builtin_answers(term, name, arity, subst)
     if answers is not None:
-        yield from answers
-        return
+        return [(TRUE, s) for s in answers]
     if depth + 1 > limit:
-        return
-    clauses = program.clauses_for(name, arity) or []
-    for clause in clauses:
-        mapping = {}
-        head = _rename_vars(clause.head, mapping)
-        body = _rename_goal(clause.body, mapping)
-        new = _unify(head, term, subst)
-        if new is None:
-            continue
-        yield from rec(program, body, new, limit, depth + 1)
+        return None
+
+    def steps():
+        for clause in program.clauses_for(name, arity) or ():
+            mapping = {}
+            head = _rename_vars(clause.head, mapping)
+            body = _rename_goal(clause.body, mapping)
+            new = _unify(head, term, subst)
+            if new is not None:
+                yield body, new
+
+    return steps()
 
 
 # ---------------------------------------------------------------------------
@@ -336,26 +345,11 @@ def _stream(program, goal, subst, limit, depth, mode, hits):
         yield from _stream(program, goal.right, subst, limit, depth, mode, hits)
         return
     if t is Call:
-        term = _walk(goal.term, subst)
-        if type(term) is Compound:
-            name, arity = term.functor, len(term.args)
-        else:
-            name, arity = term.name, 0
-        answers = _builtin_answers(term, name, arity, subst)
-        if answers is not None:
-            yield from answers
-            return
-        if depth + 1 > limit:
+        steps = _call_steps(program, goal.term, subst, limit, depth)
+        if steps is None:
             hits.count += 1
             return
-        clauses = program.clauses_for(name, arity) or []
-        for clause in clauses:
-            mapping = {}
-            head = _rename_vars(clause.head, mapping)
-            body = _rename_goal(clause.body, mapping)
-            new = _unify(head, term, subst)
-            if new is None:
-                continue
+        for body, new in steps:
             yield from _stream(program, body, new, limit, depth + 1, mode, hits)
         return
     raise MupError("oracle cannot handle goal: %r" % (goal,))
@@ -426,32 +420,35 @@ def _gen_leaf(rng, pool, tier):
     return Call(Const("fail"))
 
 
-def _gen_goal(rng, pool, tier, depth):
+def _gen_goal(rng, pool, tier, depth, names=None):
+    """A random goal; ``names`` numbers the body-only variables of a clause."""
+    if names is None:
+        names = itertools.count()
     if depth <= 0:
         return _gen_leaf(rng, pool, tier)
     r = rng.random()
     if r < 0.30:
         return Conj(
-            _gen_goal(rng, pool, tier, depth - 1),
-            _gen_goal(rng, pool, tier, depth - 1),
+            _gen_goal(rng, pool, tier, depth - 1, names),
+            _gen_goal(rng, pool, tier, depth - 1, names),
         )
     if r < 0.50:
         return Choice(
-            _gen_goal(rng, pool, tier, depth - 1),
-            _gen_goal(rng, pool, tier, depth - 1),
+            _gen_goal(rng, pool, tier, depth - 1, names),
+            _gen_goal(rng, pool, tier, depth - 1, names),
         )
     if r < 0.62:
         return ClassicalOr(
-            _gen_goal(rng, pool, tier, depth - 1),
-            _gen_goal(rng, pool, tier, depth - 1),
+            _gen_goal(rng, pool, tier, depth - 1, names),
+            _gen_goal(rng, pool, tier, depth - 1, names),
         )
     if r < 0.70:
         # A body-only variable: each clause try renames it, so it is
         # existentially quantified.
-        var = fresh_var("E")
+        var = fresh_var("E%d" % next(names))
         return Conj(
             Eq(var, _gen_term(rng, pool)),
-            _gen_goal(rng, pool + [var], tier, depth - 1),
+            _gen_goal(rng, pool + [var], tier, depth - 1, names),
         )
     return _gen_leaf(rng, pool, tier)
 
@@ -474,17 +471,14 @@ def generate_program(rng):
             )
             head = Compound(name, head_args) if arity else Const(name)
             pool = [a for a in head_args if type(a) is Var]
+            names = itertools.count()
             if rng.random() < 0.5:
                 body = Choice(
-                    _gen_goal(rng, pool, tier, rng.randint(0, 2)),
-                    _gen_goal(rng, pool, tier, rng.randint(0, 2)),
+                    _gen_goal(rng, pool, tier, rng.randint(0, 2), names),
+                    _gen_goal(rng, pool, tier, rng.randint(0, 2), names),
                 )
             else:
-                body = _gen_goal(rng, pool, tier, rng.randint(0, 3))
-            # Number the body-only variables, so the clause prints as it is.
-            body_vars = [v for v in free_goal_vars(body) if v.name == "E"]
-            names = {v.id: Var(v.id, "E%d" % i) for i, v in enumerate(body_vars)}
-            body = subst_goal(body, names)
+                body = _gen_goal(rng, pool, tier, rng.randint(0, 3), names)
             clauses.append(Clause(head, body))
             budget -= 1
     return Program(clauses)

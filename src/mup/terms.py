@@ -1,20 +1,19 @@
-"""Term store: the binding trail, fresh variables, solutions.
+"""Fresh variables, lists and solutions.
 
-The term classes themselves (Var, Const, Num, Compound) come from
-``mup.kernel`` and are re-exported here; everything else in the package
-should import them from this module.
+The term classes (Var, Const, Num, Compound) and the binding store
+(Bindings) live in ``mup.kernel``.  The term classes are re-exported
+here for the modules that build and print terms (``syntax``,
+``builtins``, ``transpile``, ``oracle``); ``compiled`` and ``engine``
+import them from the kernel directly.
 """
 
 import itertools
 
 from mup import kernel
-from mup.errors import InternalError
-from mup.kernel import Compound, Const, Num, Var
+from mup.kernel import Compound, Const, Num, Var, _var_ids
 
 EMPTY_LIST = "[]"
 CONS = "."
-
-_var_ids = itertools.count(1)
 
 
 def fresh_var(name="_"):
@@ -28,46 +27,6 @@ def mk_list(items, tail=None):
     for item in reversed(list(items)):
         result = Compound(CONS, (item, result))
     return result
-
-
-class Bindings:
-    """The trail of the variables bound in their cells, for cheap undo.
-
-    Owned by a single engine instance; never shared across threads.
-    Checkpoint marks are trail positions: undoing to a mark unbinds
-    exactly the variables bound after it.  Only a run of the engine trails
-    conditionally; every binding made outside one is trailed.
-    """
-
-    __slots__ = ("trail",)
-
-    def __init__(self):
-        self.trail = kernel.Trail()
-
-    def checkpoint(self):
-        """Return a mark capturing the current binding state."""
-        return len(self.trail)
-
-    def undo_to(self, mark):
-        """Restore the state captured by ``mark``.
-
-        A mark that was already undone past (or that never came from this
-        store's current history) is rejected.
-        """
-        if not 0 <= mark <= len(self.trail):
-            raise InternalError("stale or foreign checkpoint mark: %r" % (mark,))
-        kernel.undo_to(self.trail, mark)
-
-    def bind(self, var, term):
-        kernel.bind(self.trail, var, term)
-
-    def deref(self, term):
-        """Resolve the outermost variable chain only."""
-        return kernel.deref(term)
-
-    def resolve(self, term):
-        """Resolve bound variables at every depth; unbound ones remain."""
-        return kernel.resolve(term)
 
 
 class Solution:

@@ -3,8 +3,9 @@ import pytest
 from mup.builtins import BUILTINS, BuiltinContext, IoPorts, eval_arith
 from mup.engine import Engine, SolveConfig
 from mup.errors import ArithTypeError, EvalError, InstantiationError
+from mup.kernel import Bindings
 from mup.syntax import parse_program, parse_query
-from mup.terms import Bindings, Compound, Const, Num, fresh_var
+from mup.terms import Compound, Const, Num, fresh_var
 
 from conftest import collect
 
@@ -89,11 +90,11 @@ def test_comparison_instantiation_error():
 
 def test_comparisons_never_bind():
     b = Bindings()
-    ctx = BuiltinContext(b.trail, IoPorts.scripted([]))
-    before_trail = list(b.trail)
+    ctx = BuiltinContext(b, IoPorts.scripted([]))
+    before_trail = list(b)
     assert BUILTINS[("<", 2)].fn(ctx, (Num(1), Num(2)))
     assert not BUILTINS[(">", 2)].fn(ctx, (Num(1), Num(2)))
-    assert b.trail == before_trail
+    assert b == before_trail
 
 
 def test_is_binds_result():

@@ -396,6 +396,11 @@ def test_import_mup_leaves_oracle_and_transpiler_unloaded():
     assert proc.stdout == "[]\n[True, True, True, True]\n", proc.stderr
 
 
+def test_every_public_name_resolves():
+    for name in mup.__all__:
+        getattr(mup, name)
+
+
 NUM_MPL = "num(0,[]).\nnum(N,[N|T]) :- N > 0, M is N-1, num(M,T).\n"
 
 

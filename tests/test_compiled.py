@@ -11,6 +11,7 @@ import mup.engine
 from mup import kernel
 from mup.compiled import build_body, compile_clause, match_head
 from mup.engine import Engine
+from mup.kernel import Bindings
 from mup.syntax import (
     Call,
     Choice,
@@ -24,7 +25,7 @@ from mup.syntax import (
     parse_query,
     subst_goal,
 )
-from mup.terms import Bindings, Compound, Const, Num, Var, fresh_var, mk_list
+from mup.terms import Compound, Const, Num, Var, fresh_var, mk_list
 
 from conftest import collect
 from helpers import cells, same_cells
@@ -50,7 +51,7 @@ def test_ground_fact_is_its_own_template():
     # The head is unified with the call as it is: its parts are shared.
     store = Bindings()
     call = Compound("f", (fresh_var("X"), Const("v1")))
-    assert match_head(clause, call, store.trail, False) == ()
+    assert match_head(clause, call, store, False) == ()
     assert store.deref(call.args[0]) is clause.head.args[0]
     assert build_body(clause, ()) is clause.body
 
@@ -60,7 +61,7 @@ def test_ground_subterms_and_subgoals_are_shared():
     ground_list = clause.head.args[1]
     store = Bindings()
     call = Compound("p", (Const("x"), fresh_var("L")))
-    values = match_head(clause, call, store.trail, False)
+    values = match_head(clause, call, store, False)
     body = build_body(clause, values)
     assert store.deref(call.args[1]) is ground_list  # bound to it, not a copy
     assert body.right is clause.body.right  # write(done) is not copied
@@ -73,7 +74,7 @@ def test_empty_slots_get_shared_fresh_variables():
     clause = parse_program("p(X, f(Y)) :- q(Y, X, Y, Z, Z).").clauses[0]
     a, b = fresh_var("A"), fresh_var("B")
     store = Bindings()
-    values = match_head(clause, Compound("p", (a, b)), store.trail, False)
+    values = match_head(clause, Compound("p", (a, b)), store, False)
     body = build_body(clause, values)
     y = store.deref(b).args[0]
     z = body.term.args[3]
@@ -189,19 +190,19 @@ def test_generated_code_agrees_with_unify_on_a_renamed_clause(data):
     try:
         for occurs_check in (True, False):
             names = {v.id: fresh_var(v.name) for v in free_goal_vars(Conj(Call(head), body))}
-            ok = kernel.unify(subst_goal(head, names), call, store.trail, occurs_check)
+            ok = kernel.unify(subst_goal(head, names), call, store, occurs_check)
             if ok:
                 expected = _shape([call, subst_goal(body, names)])
                 # Bindings live in the call's variables: undo the renamed
                 # clause's match before the generated code runs on them.
                 store.undo_to(start)
-            values = match_head(clause, call, store.trail, occurs_check)
+            values = match_head(clause, call, store, occurs_check)
             assert ok == (values is not None)
             if ok:
                 assert _shape([call, build_body(clause, values)]) == expected
                 store.undo_to(start)
             else:
-                assert same_cells(start_cells) and len(store.trail) == len(bound)
+                assert same_cells(start_cells) and len(store) == len(bound)
     finally:
         store.undo_to(0)  # the call's variables are shared by every example
 

@@ -13,6 +13,7 @@ from mup.engine import (
 )
 from mup import kernel
 from mup.errors import UnknownPredicateError
+from mup.kernel import Bindings
 from mup.syntax import (
     Call,
     Choice,
@@ -23,7 +24,7 @@ from mup.syntax import (
     parse_program,
     parse_query,
 )
-from mup.terms import Bindings, Compound, Const, Num, fresh_var
+from mup.terms import Compound, Const, Num, fresh_var
 
 from conftest import collect, collect_goal, multiset
 
@@ -96,7 +97,7 @@ def test_backchain_source_order():
     for _ in backchain(None, program, Compound("p", (x,)), b):
         found.append(b.resolve(x))
     assert found == [Const("a"), Const("b")]
-    assert b.trail == [] and x.ref is None  # exhaustion restored the store
+    assert b == [] and x.ref is None  # exhaustion restored the store
 
 
 def test_backchain_explicit_clause_group():
@@ -613,7 +614,7 @@ def test_deterministic_countdown_keeps_the_trail_short():
     # their bindings are not trailed; every trace event samples the trail.
     b = Bindings()
     sizes = []
-    engine = Engine(parse_program(COUNTDOWN), trace=lambda e: sizes.append(len(b.trail)))
+    engine = Engine(parse_program(COUNTDOWN), trace=lambda e: sizes.append(len(b)))
     assert len(list(engine.backchain(Compound("c", (Num(2000),)), b))) == 1
     assert len(sizes) > 2000 * 5
     assert max(sizes) <= 2
@@ -697,10 +698,35 @@ def test_caller_bindings_survive_a_stream(stream):
         late = fresh_var("Late")
         mark = b.checkpoint()
         b.bind(late, Const("late"))
-        assert b.trail[-1] is late
+        assert b[-1] is late
         b.undo_to(mark)
         assert late.ref is None
     assert found == [Const("a"), Const("b")]
-    assert b.trail == [pre] and pre.ref == Const("kept")
+    assert b == [pre] and pre.ref == Const("kept")
     assert x.ref is None and y.ref is None
-    assert b.trail.hb == kernel.ALL
+    assert b.hb == kernel.ALL
+
+
+def test_a_stream_run_from_a_trace_hook_on_the_same_store():
+    # Every trace event of the outer run starts and drains an inner run on
+    # the same store.  The outer run then trails more than it needs, which
+    # must change neither its answers nor the store it leaves.
+    program = parse_program(
+        "p(X, Y) :- q(X), r(X, Z), Y = Z. q(a). q(b). r(a, 1). r(b, 2). r(b, 3)."
+    )
+    b = Bindings()
+    inner = []
+
+    def hook(event):
+        z = fresh_var("Z")
+        inner.append([b.resolve(z) for _ in Engine(program).backchain(Compound("q", (z,)), b)])
+
+    x, y = fresh_var("X"), fresh_var("Y")
+    atom = Compound("p", (x, y))
+    expected = [(b.resolve(x), b.resolve(y)) for _ in Engine(program).backchain(atom, b)]
+    found = [(b.resolve(x), b.resolve(y)) for _ in Engine(program, trace=hook).backchain(atom, b)]
+    assert found == expected == [
+        (Const("a"), Num(1)), (Const("b"), Num(2)), (Const("b"), Num(3))]
+    assert len(inner) > 10 and all(run == [Const("a"), Const("b")] for run in inner)
+    assert b == [] and b.hb == kernel.ALL
+    assert x.ref is None and y.ref is None

@@ -13,7 +13,7 @@ pytestmark = pytest.mark.parametrize("k", [kernel], ids=["python"])
 
 def bound(pairs):
     """Bind each (variable, value) pair in order; returns the trail."""
-    trail = kernel.Trail()
+    trail = kernel.Bindings()
     for var, value in pairs:
         kernel.bind(trail, var, value)
     return trail
@@ -99,7 +99,7 @@ def test_resolve_idempotent_on_fixed_bindings(k):
 
 
 def test_bind_undo_roundtrip(k):
-    trail = k.Trail()
+    trail = k.Bindings()
     x = k.Var(1, "X")
     mark = len(trail)
     k.bind(trail, x, k.Const("a"))
@@ -109,7 +109,7 @@ def test_bind_undo_roundtrip(k):
 
 
 def test_nested_checkpoints(k):
-    trail = k.Trail()
+    trail = k.Bindings()
     x, y = k.Var(1, "X"), k.Var(2, "Y")
     m1 = len(trail)
     k.bind(trail, x, k.Const("a"))
@@ -127,7 +127,7 @@ def test_trail_soundness_random_interleaving(k):
     # at a mark is an independent model of undo_to.
     rng = random.Random(4)
     for _ in range(30):
-        trail = k.Trail()
+        trail = k.Bindings()
         cells = {vid: k.Var(vid, "V") for vid in range(1, 31)}
         shadow = []  # (vid, value) in bind order; index-aligned with trail
         markstack = [0]
@@ -153,14 +153,14 @@ def test_trail_soundness_random_interleaving(k):
 
 
 def test_unify_var_const(k):
-    trail = k.Trail()
+    trail = k.Bindings()
     x = k.Var(1, "X")
     assert k.unify(x, k.Const("a"), trail, False)
     assert x.ref == k.Const("a") and trail == [x]
 
 
 def test_unify_structural(k):
-    trail = k.Trail()
+    trail = k.Bindings()
     x, y = k.Var(1, "X"), k.Var(2, "Y")
     t = k.Compound("f", (x, k.Const("b")))
     s = k.Compound("f", (k.Const("a"), y))
@@ -170,7 +170,7 @@ def test_unify_structural(k):
 
 
 def test_unify_functor_clash(k):
-    trail = k.Trail()
+    trail = k.Bindings()
     assert not k.unify(
         k.Compound("f", (k.Const("a"),)),
         k.Compound("g", (k.Const("a"),)),
@@ -180,7 +180,7 @@ def test_unify_functor_clash(k):
 
 
 def test_unify_occurs_check(k):
-    trail = k.Trail()
+    trail = k.Bindings()
     x = k.Var(1, "X")
     assert not k.unify(x, k.Compound("f", (x,)), trail, True)
     assert x.ref is None and trail == []
@@ -188,7 +188,7 @@ def test_unify_occurs_check(k):
 
 def test_unify_occurs_check_through_bindings(k):
     # X=Y then Y=g(Y) must cycle: hand-run of Robinson's algorithm.
-    trail = k.Trail()
+    trail = k.Bindings()
     x, y = k.Var(1, "X"), k.Var(2, "Y")
     t = k.Compound("p", (x, x))
     s = k.Compound("p", (y, k.Compound("g", (y,))))
@@ -197,7 +197,7 @@ def test_unify_occurs_check_through_bindings(k):
 
 
 def test_unify_failure_restores_partial_work(k):
-    trail = k.Trail()
+    trail = k.Bindings()
     x, y = k.Var(1, "X"), k.Var(2, "Y")
     k.bind(trail, y, k.Const("keep"))
     t = k.Compound("f", (x, k.Const("a")))
@@ -208,7 +208,7 @@ def test_unify_failure_restores_partial_work(k):
 
 
 def test_unify_numbers_by_class(k):
-    trail = k.Trail()
+    trail = k.Bindings()
     assert not k.unify(k.Num(3), k.Num(3.0), trail, False)
     assert k.unify(k.Num(3), k.Num(3), trail, False)
     assert k.unify(k.Num(0.5), k.Num(0.5), trail, False)
@@ -246,7 +246,7 @@ def test_unify_remembers_pairs_past_its_bound(k, monkeypatch):
             term = k.Compound(".", (k.Num(item), term))
         return term
 
-    trail = k.Trail()
+    trail = k.Bindings()
     assert k.unify(build(range(50)), build(range(50)), trail, False)
     assert not k.unify(build(range(50)), build(list(range(49)) + [0]), trail, False)
     x, y = k.Var(1, "X"), k.Var(2, "Y")

@@ -3,8 +3,8 @@ import pytest
 from mup.errors import InternalError
 from mup.compiled import build_body, match_head
 from mup.syntax import Clause, parse_program, subst_goal
+from mup.kernel import Bindings
 from mup.terms import (
-    Bindings,
     Compound,
     Const,
     Num,
@@ -62,14 +62,14 @@ def test_bind_undo_cycles_restore_initial_map():
     b = Bindings()
     seed = fresh_var("S")
     b.bind(seed, Const("base"))
-    initial = list(b.trail)
+    initial = list(b)
     temps = []
     for i in range(1000):
         mark = b.checkpoint()
         temps.append(fresh_var("T"))
         b.bind(temps[-1], Num(i))
         b.undo_to(mark)
-    assert b.trail == initial == [seed] and seed.ref == Const("base")
+    assert b == initial == [seed] and seed.ref == Const("base")
     assert all(t.ref is None for t in temps)
 
 
@@ -118,9 +118,9 @@ def fresh_rename(clause):
     if type(head) is Compound:
         call = Compound(head.functor, [fresh_var("_") for _ in head.args])
     store = Bindings()
-    values = match_head(clause, call, store.trail, False)
+    values = match_head(clause, call, store, False)
     body = build_body(clause, values)
-    bound = {var.id: store.resolve(var) for var in store.trail}
+    bound = {var.id: store.resolve(var) for var in store}
     renamed = Clause(store.resolve(call), subst_goal(body, bound))
     store.undo_to(0)
     return renamed
