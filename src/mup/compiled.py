@@ -10,26 +10,29 @@ a ``(maker, children)`` pair, where ``maker`` is a functor name or a
 goal class.  From the templates it generates the source of two Python
 functions and ``compile()``s it:
 
-* The head matcher takes the call and the trail.  It visits the
-  head in the order the kernel's ``unify`` visits a renamed head
-  (preorder, last argument first), so it binds the same variables the
-  same way.  A slot's first occurrence takes the call's subterm as it
-  is; a later one calls ``kernel.unify``; an atom or a number is
-  checked or bound in place.  Each compound argument, down to ``_DEPTH``
-  levels, is one block that dereferences the call's subterm once.  If
-  that is a compound, the block checks functor and arity and reads the
-  arguments, a compound argument being a block one level deeper (read
-  mode).  If it is an unbound variable, the block builds the whole
-  compound, checks for occurrence when the occurs check is on and binds
-  the variable, where ``kernel.unify`` would bind it (write mode).
-  Anything else fails.  This is the WAM's pair of modes (Warren 1983),
-  with the code specialised on the clause's shape as in Aquarius (Van
-  Roy and Despain 1992).  Below ``_DEPTH``, a compound is built with
-  fresh variables and passed to ``kernel.unify``, which visits it in the
-  same order.  A binding is trailed as ``kernel.bind`` trails it, only
-  if the cell is below the trail's boundary.  The matcher returns the
-  values of the slots the body needs, or None with its trailed bindings
-  undone.
+* The head matcher takes the call and the trail.  It reads the head's
+  arguments left to right, in the order of the WAM's ``get`` instructions
+  (Warren 1983; Ait-Kaci 1991).  A slot's first occurrence takes the
+  call's subterm as it is; a later one is the WAM's ``get_value``, inline:
+  both sides are dereferenced, an unbound side is bound (the younger cell
+  to the older if both are unbound, after an occurrence check when the
+  occurs check is on), and only two non-variables go to
+  ``kernel.unify``.  An atom or a number is checked or bound in place.
+  Each compound argument, down to ``_DEPTH`` levels, is one block that
+  dereferences the call's subterm once.  If that is a compound, the block
+  checks functor and arity and reads the arguments, a compound argument
+  being a block one level deeper (read mode).  If it is an unbound
+  variable, the block builds the whole compound, checks for occurrence
+  when the occurs check is on and binds the variable (write mode).
+  Anything else fails.  This is the WAM's pair of modes, with the code
+  specialised on the clause's shape as in Aquarius (Van Roy and Despain
+  1992).  Reading left to right, ``app([H|T], L, [H|R])`` takes ``H``
+  from its first argument before write mode builds ``[H|R]``.  Below
+  ``_DEPTH``, a compound is built with fresh variables and unified as a
+  repeated slot is.  A binding is trailed as ``kernel.bind`` trails it,
+  only if the cell is below the trail's boundary.  The matcher returns
+  the values of the slots the body needs, or None with its trailed
+  bindings undone.
 * The body builder takes those values and builds the body, giving each
   slot that only the body has a fresh variable, left to right.
 
@@ -266,10 +269,12 @@ def _matcher_lines(template, names):
     """Lines of a head matcher for the compound head ``template``.
 
     Returns the lines, the constants and the set of slots the head fills.
-    The steps come in the kernel's order.  A compound argument down to
+    The arguments are read left to right at every level.  A slot met
+    again is unified inline (``_get_value_lines``), binding the younger of
+    two unbound cells to the older.  A compound argument down to
     ``_DEPTH`` levels is one block, whose read mode nests the blocks of
     its own compound arguments one level deeper; below that, a compound
-    is built and passed to ``kernel.unify``.
+    is built and unified as a repeated slot is.
     """
     consts = []
     k = _namer(consts)
@@ -284,32 +289,30 @@ def _matcher_lines(template, names):
         return pad + ("return undo_to(trail, mark)" if bound else "return None")
 
     def read(children, source, depth, pad):
-        """Read mode: the arguments ``children`` of ``source``, last first."""
+        """Read mode: the arguments ``children`` of ``source``, left to right."""
         nonlocal bound
         targets = ["x%d" % next(temps) for _ in children]
         out = []
-        for i in range(len(children) - 1, -1, -1):
-            node, here = children[i], targets[i]
+        for i, node in enumerate(children):
             nt = type(node)
             if nt is int:
                 if node not in have:  # first occurrence: take the call's subterm
                     have.add(node)
                     targets[i] = "v%d" % node
                     continue
-                test = "v%d" % node
+                value = "v%d" % node
             elif nt is Compound:  # without variables: shared, never copied
-                test = k(node)
+                value = k(node)
             elif nt is not tuple:
-                out.extend(_constant_lines(node, here, pad, k, fail))
+                out.extend(_constant_lines(node, targets[i], pad, k, fail))
                 bound = True
                 continue
             elif depth < _DEPTH:
-                out.extend(block(node, here, depth + 1, pad))
+                out.extend(block(node, targets[i], depth + 1, pad))
                 continue
             else:
-                test = _build(node, names, have, k, temps, out, pad)[0]
-            out.append("%sif not unify(%s, %s, trail, occ):" % (pad, test, here))
-            out.append(fail(pad + "    "))
+                value = _build(node, names, have, k, temps, out, pad)[0]
+            out.extend(_get_value_lines(value, targets[i], pad, fail))
             bound = True
         return ["%s%s = %s.args" % (pad, _tuple(targets)[1:-1], source)] + out
 
@@ -353,17 +356,42 @@ def _matcher_lines(template, names):
     return lines, consts, have
 
 
-def _deref_lines(pad, source):
+def _deref_lines(pad, source, var="t"):
     return [
-        "%st = %s" % (pad, source),
-        "%swhile type(t) is Var and (u := t.ref) is not None:" % pad,
-        "%s    t = u" % pad,
+        "%s%s = %s" % (pad, var, source),
+        "%swhile type(%s) is Var and (u := %s.ref) is not None:" % (pad, var, var),
+        "%s    %s = u" % (pad, var),
     ]
 
 
-def _trail_lines(pad):
-    """Trail the binding of ``t`` if ``t`` is below the trail's boundary."""
-    return ["%sif t.id < trail.hb:" % pad, "%s    trail.append(t)" % pad]
+def _trail_lines(pad, var="t"):
+    """Trail the binding of ``var`` if it is below the trail's boundary."""
+    return ["%sif %s.id < trail.hb:" % (pad, var), "%s    trail.append(%s)" % (pad, var)]
+
+
+def _get_value_lines(value, source, pad, fail):
+    """Unify the head's ``value`` with the call's ``source``, inline.
+
+    The WAM's ``get_value``: both sides are dereferenced, and an unbound
+    side is bound in place, the younger cell to the older if both are
+    unbound.  Only two non-variables go to ``kernel.unify``.
+    """
+    inner = pad + "    "
+    out = _deref_lines(pad, value, "s") + _deref_lines(pad, source)
+    out.append("%sif s is t:" % pad)
+    out.append("%spass" % inner)
+    for var, other, test in (
+        ("s", "t", "type(s) is Var and (type(t) is not Var or s.id > t.id)"),
+        ("t", "s", "type(t) is Var"),
+    ):
+        out.append("%selif %s:" % (pad, test))
+        out.append("%sif occ and occurs(%s, %s):" % (inner, var, other))
+        out.append(fail(inner + "    "))
+        out.append("%s%s.ref = %s" % (inner, var, other))
+        out.extend(_trail_lines(inner, var))
+    out.append("%selif not unify(s, t, trail, occ):" % pad)
+    out.append(fail(inner))
+    return out
 
 
 def _constant_lines(node, source, pad, k, fail):

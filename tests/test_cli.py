@@ -214,6 +214,13 @@ def test_selftest_command(capsys):
     assert "selftest passed" in out
 
 
+def test_python_dash_m_mup_runs_the_command_line():
+    proc = subprocess.run([sys.executable, "-m", "mup", "--help"], capture_output=True,
+                          text=True, env=child_env(), stdin=subprocess.DEVNULL, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: mup")
+
+
 def test_solution_lines_reparse_as_equalities(tmp_path, capsys):
     path = tmp_path / "pairs.mpl"
     path.write_text("pair(a, f(b)). pair(X, X).\n")

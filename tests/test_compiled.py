@@ -102,6 +102,71 @@ def test_head_unification_occurs_check():
 
 
 # ---------------------------------------------------------------------------
+# Head arguments in the WAM's order, a repeated variable unified inline
+
+NREV = """
+app([], L, L).
+app([H|T], L, [H|R]) :- app(T, L, R).
+nrev([], []).
+nrev([H|T], R) :- nrev(T, RT), app(RT, [H], R).
+"""
+
+
+def count_matcher_unify_calls(monkeypatch):
+    """The list the generated matchers' calls of ``kernel.unify`` go to."""
+    calls = []
+    unify = mup.compiled._SCOPE["unify"]
+
+    def counting_unify(*args):
+        calls.append(args)
+        return unify(*args)
+
+    monkeypatch.setitem(mup.compiled._SCOPE, "unify", counting_unify)
+    monkeypatch.setattr(mup.compiled, "CODE", {})
+    return calls
+
+
+def test_naive_reverse_matches_heads_without_kernel_unify(monkeypatch):
+    # app/3 reads H from its first argument before write mode builds
+    # [H|R], so no inference needs the kernel's unify.
+    calls = count_matcher_unify_calls(monkeypatch)
+    items = list(range(1, 31))
+    query = "nrev([%s], R)." % ", ".join(map(str, items))
+    expected = "R = [%s]" % ", ".join(map(str, reversed(items)))
+    assert answers_for(parse_program(NREV), query) == [expected]
+    assert calls == []
+
+
+@pytest.mark.parametrize("occurs_check", [False, True])
+def test_repeated_head_variable_binds_an_unbound_call_argument_inline(
+        monkeypatch, occurs_check):
+    calls = count_matcher_unify_calls(monkeypatch)
+    clause = parse_program("app([], L, L).").clauses[0]
+    items = mk_list([Num(1), Num(2)])
+    r = fresh_var("R")
+    store = Bindings()
+    call = Compound("app", (Const("[]"), items, r))
+    assert match_head(clause, call, store, occurs_check) == ()
+    assert r.ref is items and store == [r]
+    assert calls == []
+
+
+@pytest.mark.parametrize("order", ["AB", "BA"])
+def test_repeated_head_variable_binds_the_younger_cell_to_the_older(order):
+    clause = parse_program("p(X, X).").clauses[0]
+    a, b = fresh_var("A"), fresh_var("B")  # B is younger
+    call = Compound("p", (a, b) if order == "AB" else (b, a))
+    store = Bindings()
+    store.hb = b.id  # B is made after the newest choicepoint: not trailed
+    assert match_head(clause, call, store, False) == ()
+    assert b.ref is a and a.ref is None and store == []
+    b.ref = None
+    store.hb = kernel.ALL
+    assert match_head(clause, call, store, False) == ()
+    assert b.ref is a and a.ref is None and store == [b]
+
+
+# ---------------------------------------------------------------------------
 # Generated code against the kernel's unify on a freshly renamed clause
 
 CLAUSE_VARS = [fresh_var(name) for name in ("X", "Y", "Z", "W")]
@@ -169,26 +234,25 @@ BODIES = goals_over(CLAUSE_VARS + BODY_VARS)
 BINDINGS = [terms_over(CALL_VARS[i + 1:]) for i in range(len(CALL_VARS))]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_generated_code_agrees_with_unify_on_a_renamed_clause(data):
+def check_against_a_renamed_clause(data, bindings, occurs_checks):
+    """Match a drawn clause with a drawn call, by the generated code and by
+    ``kernel.unify`` on a renamed copy; both must succeed or fail alike and
+    leave the call and the body in the same shape.  Each call variable may
+    first be bound to a term drawn from its entry of ``bindings``."""
     arity = data.draw(st.integers(1, 3))
     head = Compound("p", data.draw(HEAD_ARGS[arity]))
     body = data.draw(BODIES)
     call_arity = data.draw(st.sampled_from([arity] * 5 + [arity % 3 + 1]))
     call = Compound("p", data.draw(CALL_ARGS[call_arity]))
-    bound = {}
-    for var, terms in zip(CALL_VARS, BINDINGS):
-        if data.draw(st.booleans()):
-            bound[var] = data.draw(terms)
     clause = Clause(head, body)
     store = Bindings()
-    for var, term in bound.items():
-        store.bind(var, term)
+    for var, terms in zip(CALL_VARS, bindings):
+        if data.draw(st.booleans()):
+            kernel.unify(var, data.draw(terms), store)
     start = store.checkpoint()
     start_cells = cells(call)
     try:
-        for occurs_check in (True, False):
+        for occurs_check in occurs_checks:
             names = {v.id: fresh_var(v.name) for v in free_goal_vars(Conj(Call(head), body))}
             ok = kernel.unify(subst_goal(head, names), call, store, occurs_check)
             if ok:
@@ -202,9 +266,15 @@ def test_generated_code_agrees_with_unify_on_a_renamed_clause(data):
                 assert _shape([call, build_body(clause, values)]) == expected
                 store.undo_to(start)
             else:
-                assert same_cells(start_cells) and len(store) == len(bound)
+                assert same_cells(start_cells) and len(store) == start
     finally:
         store.undo_to(0)  # the call's variables are shared by every example
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_generated_code_agrees_with_unify_on_a_renamed_clause(data):
+    check_against_a_renamed_clause(data, BINDINGS, (True, False))
 
 
 def test_generated_code_agrees_with_unify_when_nested_heads_go_to_the_kernel(monkeypatch):
@@ -213,6 +283,25 @@ def test_generated_code_agrees_with_unify_when_nested_heads_go_to_the_kernel(mon
     monkeypatch.setattr(mup.compiled, "_DEPTH", 1)
     monkeypatch.setattr(mup.compiled, "CODE", {})
     test_generated_code_agrees_with_unify_on_a_renamed_clause()
+
+
+# A call variable may be bound to a term over any of them, itself included.
+CYCLIC_BINDINGS = [terms_over(CALL_VARS)] * len(CALL_VARS)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def agrees_with_unify_on_cyclic_calls(data):
+    check_against_a_renamed_clause(data, CYCLIC_BINDINGS, (False,))
+
+
+def test_generated_code_agrees_with_unify_when_the_call_is_cyclic(monkeypatch):
+    # Without the occurs check a binding may make the call cyclic; the
+    # matcher passes such terms to kernel.unify, which must still end.
+    # kernel.occurs has no cycle guard, and with the check on the engine
+    # never makes a cyclic binding, so only the check off is tried.
+    monkeypatch.setattr(kernel, "_PAIRS", 4)
+    agrees_with_unify_on_cyclic_calls()
 
 
 DEEP_HEAD = "p([A, B, C, D, E | T], T, A)."  # five list cells deep
@@ -398,14 +487,6 @@ def test_index_matches_a_plain_filter(table, query, through_binding):
 
 # ---------------------------------------------------------------------------
 # The names the benchmark times as layers
-
-NREV = """
-app([], L, L).
-app([H|T], L, [H|R]) :- app(T, L, R).
-nrev([], []).
-nrev([H|T], R) :- nrev(T, RT), app(RT, [H], R).
-"""
-
 
 def test_solver_calls_the_wrapped_module_globals(monkeypatch):
     calls = {"copies": 0, "heads_ok": 0}
