@@ -6,7 +6,7 @@ import os
 import sys
 
 from mup.builtins import IoPorts
-from mup.engine import ERRORED, Engine, SolveConfig
+from mup.engine import ERRORED, LIMITED, Engine, SolveConfig
 from mup.errors import LoadError, MupError
 from mup.syntax import Program, parse_program
 
@@ -156,7 +156,7 @@ def _cmd_run(args, out=None, err=None):
     if result.outcome == ERRORED:
         print("error: %s" % result.error, file=err)
         return 2
-    if result.outcome == "limited":
+    if result.outcome == LIMITED:
         print("% search was limited", file=err)
     if not result.solutions:
         print("false.", file=out)

@@ -17,29 +17,29 @@ looked up as module globals at run time, so ``mupbench`` can time them
 as layers.
 
 The search itself is iterative: an explicit continuation (a linked list
-of frames) plus a stack of choicepoints, so derivation depth never eats
-the host call stack.  A choicepoint is a continuation to resume, a
-trail mark to undo to and a boundary: an id drawn from the variable
-counter when it is pushed.  A call's untried clauses are one more such
-continuation, and every failure resumes the newest live choicepoint.
-Committed choice works by planting a commit frame after the chosen
-disjunct; when control passes it, the choicepoint for the other
+of frames, each holding the next) plus a stack of choicepoints, so
+derivation depth never eats the host call stack.  A choicepoint is a
+continuation to resume, a trail mark to undo to and a boundary: an id
+drawn from the variable counter when it is pushed.  The run is the
+bottom choicepoint; failure ends when it pops it.  A call's untried
+clauses are one more continuation, and every failure resumes the newest
+live choicepoint.  Committed choice plants a commit frame after the
+chosen disjunct; when control passes it, the choicepoint for the other
 disjunct is dropped (and, in ``first`` mode, the chosen disjunct's own
 choicepoints as well, which mirrors the cut-based encoding).  In soft
 mode the committed choicepoint is popped if it is on top of the stack,
-and only disabled if the chosen disjunct left choicepoints above it.
+and else only loses its continuation.
 
 Trailing is conditional (``kernel.Bindings``).  The store's boundary is
-the newest choicepoint's, or the run's own while none is left, so a
-binding of a variable made since the newest choicepoint is not trailed,
-and a deterministic loop leaves no trail behind.  While a call still has
-more than one candidate, every binding of a head match is trailed,
-because a failed match is undone through the trail before the next
-candidate is tried.  Between the solutions of a stream, and after it,
-the boundary is ``kernel.ALL``, so the caller's bindings are all
-trailed.  A run nested on the same store (say, from a trace hook) thus
-leaves the outer run trailing more than it needs until its next
-choicepoint is pushed or popped, which is safe.
+the newest choicepoint's, so a binding of a variable made since the
+newest choicepoint is not trailed, and a deterministic loop leaves no
+trail behind.  While a call still has more than one candidate, every
+binding of a head match is trailed, because a failed match is undone
+through the trail before the next candidate is tried.  Between the
+solutions of a stream, and after it, the boundary is ``kernel.ALL``, so
+the caller's bindings are all trailed.  A run nested on the same store
+(say, from a trace hook) thus leaves the outer run trailing more than it
+needs until its next choicepoint is pushed or popped, which is safe.
 
 Solutions come out of a lazy stream: no search happens between pulls.
 """
@@ -61,6 +61,7 @@ from mup.syntax import (
     SoftIfThenElse,
     TrueGoal,
     free_goal_vars,
+    indicator,
     parse_query,
     pretty,
     pretty_goal,
@@ -121,13 +122,13 @@ class QueryResult:
     error: MupError | None = field(default=None)
 
 
-# Continuation frames (linked list of tuples):
-#   ("goal", goal, depth, cut_barrier)
-#   ("clauses", goal_term, clauses, idx, depth)  -- try clauses[idx:] in order
-#   ("commit", choicepoint, cp_index, first_mode)
-#   ("exit", depth, payload)           -- tracing only
-#   ("fail",)                          -- resume the newest live choicepoint
-_FAIL = (("fail",), None)
+# Continuation frames (a linked list: each frame's last field is the next):
+#   ("goal", goal, depth, cut_barrier, next)
+#   ("clauses", goal_term, clauses, idx, depth, next)  -- try clauses[idx:]
+#   ("commit", choicepoint, cp_index, first_mode, next)
+#   ("exit", depth, payload, next)     -- tracing only
+#   ("fail", None)                     -- resume the newest live choicepoint
+_FAIL = ("fail", None)
 
 
 class _ChoicePoint:
@@ -137,11 +138,12 @@ class _ChoicePoint:
     fresh variable id, so every variable older than the choicepoint is
     below it.  ``hits`` is set for ``#`` and ``*->`` only: the
     depth-limit hit count at push time.  ``info`` holds a ``#``'s
-    disjuncts and depth for tracing.  A committed choicepoint is
-    ``disabled`` and never resumed.
+    disjuncts and depth for tracing.  A committed choicepoint has
+    ``cont`` None and is never resumed; so has the run's own base, the
+    bottom choicepoint.
     """
 
-    __slots__ = ("cont", "mark", "hb", "hits", "info", "disabled")
+    __slots__ = ("cont", "mark", "hb", "hits", "info")
 
     def __init__(self, cont, mark, hits=None, info=None):
         self.cont = cont
@@ -149,7 +151,6 @@ class _ChoicePoint:
         self.hb = next(_var_ids)
         self.hits = hits
         self.info = info
-        self.disabled = False
 
 
 class Engine:
@@ -186,18 +187,17 @@ class Engine:
         if type(goal) is Var or type(goal) is Num:
             raise MupError("atomic goal expected, got %s" % pretty(goal))
         if clauses is None:
-            pred = self.program.predicates.get(_indicator(goal))
+            pred = self.program.predicates.get(indicator(goal))
             clauses = [] if pred is None else pred.candidates(goal)
         else:
             if not isinstance(clauses, (list, tuple)):
                 clauses = [clauses]
-        cont = (("clauses", goal, clauses, 0, 0), None)
-        yield from self._run(cont, bindings, [0])
+        yield from self._run(("clauses", goal, clauses, 0, 0, None), bindings, [0])
 
     def solve_choice(self, left, right, bindings):
         """Run ``left # right`` on caller-owned bindings; yields per success."""
         goal = Choice(left, right)
-        yield from self._run((("goal", goal, 0, 0), None), bindings, [0])
+        yield from self._run(("goal", goal, 0, 1, None), bindings, [0])
 
     def solve_collect(self, goal, answer_vars=None):
         """Collect up to max_solutions answers for an already-parsed goal."""
@@ -219,7 +219,7 @@ class Engine:
         if answer_vars is None:
             answer_vars = [v for v in free_goal_vars(goal) if v.name != "_"]
         hits = [0]
-        stream = self._run((("goal", goal, 0, 0), None), Bindings(), hits)
+        stream = self._run(("goal", goal, 0, 1, None), Bindings(), hits)
         return answer_vars, hits, stream
 
     def run_query(self, text):
@@ -243,19 +243,20 @@ class Engine:
     def _run(self, cont, bindings, hits):
         """Drive the machine on ``bindings``; yields None once per success.
         However it ends, it undoes every binding it made to a variable
-        older than the run, and it leaves the boundary at ``kernel.ALL``."""
+        older than the run, and it leaves the boundary at ``kernel.ALL``.
+        A cut barrier in ``cont`` is at least 1, so a cut keeps the base."""
         cfg = self.cfg
         trace = self.trace
         predicates = self.program.predicates
-        cps = []
         occ = cfg.occurs_check
         depth_limit = cfg.depth_limit
         first_mode = cfg.commit_mode == "first"
         ctx = BuiltinContext(bindings, self.io, occ)
-        base_mark = len(bindings)
-        # The run's base is the oldest choicepoint: the query's own
+        # The run's base is the bottom choicepoint: the query's own
         # variables are below its boundary, so they are undone at the end.
-        base_hb = bindings.hb = next(_var_ids)
+        base = _ChoicePoint(None, len(bindings))
+        cps = [base]
+        bindings.hb = base.hb
 
         try:
             while True:
@@ -264,11 +265,11 @@ class Engine:
                     yield None
                     cont = _FAIL  # which sets the run's boundary again
 
-                frame, cont = cont
+                frame = cont
                 tag = frame[0]
 
                 if tag == "goal":
-                    _, goal, depth, cutb = frame
+                    _, goal, depth, cutb, cont = frame
                     gt = type(goal)
                     if trace is not None:
                         self._emit("reduce", depth, pretty_goal(goal))
@@ -278,8 +279,8 @@ class Engine:
 
                     if gt is Conj:
                         cont = (
-                            ("goal", goal.left, depth, cutb),
-                            (("goal", goal.right, depth, cutb), cont),
+                            "goal", goal.left, depth, cutb,
+                            ("goal", goal.right, depth, cutb, cont),
                         )
                         continue
 
@@ -305,7 +306,7 @@ class Engine:
                                 "number is not a callable goal: %s"
                                 % pretty(goal_term)
                             )
-                        key = _indicator(goal_term)
+                        key = indicator(goal_term)
                         builtin = BUILTINS.get(key)
                         if builtin is not None:
                             args = goal_term.args if tt is Compound else ()
@@ -326,55 +327,52 @@ class Engine:
                             continue
                         if trace is not None:
                             self._emit("backchain_enter", depth, pretty(goal_term))
-                            cont = (("exit", depth, pretty(goal_term)), cont)
+                            cont = ("exit", depth, pretty(goal_term), cont)
                         clauses = pred.candidates(goal_term)
-                        cont = (("clauses", goal_term, clauses, 0, depth), cont)
+                        cont = ("clauses", goal_term, clauses, 0, depth, cont)
                         continue
 
                     if gt is Choice:
                         cp = _ChoicePoint(
-                            (("goal", goal.right, depth, cutb), cont),
+                            ("goal", goal.right, depth, cutb, cont),
                             len(bindings), hits[0],
                             (goal.left, goal.right, depth),
                         )
                         cps.append(cp)
                         bindings.hb = cp.hb
                         cont = (
-                            ("goal", goal.left, depth, cutb),
-                            (("commit", cp, len(cps) - 1, first_mode), cont),
+                            "goal", goal.left, depth, cutb,
+                            ("commit", cp, len(cps) - 1, first_mode, cont),
                         )
                         continue
 
                     if gt is ClassicalOr:
                         cp = _ChoicePoint(
-                            (("goal", goal.right, depth, cutb), cont),
-                            len(bindings),
+                            ("goal", goal.right, depth, cutb, cont), len(bindings)
                         )
                         cps.append(cp)
                         bindings.hb = cp.hb
-                        cont = (("goal", goal.left, depth, cutb), cont)
+                        cont = ("goal", goal.left, depth, cutb, cont)
                         continue
 
                     if gt is SoftIfThenElse:
                         cp = _ChoicePoint(
-                            (("goal", goal.els, depth, cutb), cont),
+                            ("goal", goal.els, depth, cutb, cont),
                             len(bindings), hits[0],
                         )
                         cps.append(cp)
                         bindings.hb = cp.hb
                         cont = (
-                            ("goal", goal.cond, depth, cutb),
-                            (
-                                ("commit", cp, len(cps) - 1, False),
-                                (("goal", goal.then, depth, cutb), cont),
-                            ),
+                            "goal", goal.cond, depth, cutb,
+                            ("commit", cp, len(cps) - 1, False,
+                             ("goal", goal.then, depth, cutb, cont)),
                         )
                         continue
 
                     if gt is Cut:
                         if cutb < len(cps):
                             del cps[cutb:]
-                            bindings.hb = cps[-1].hb if cps else base_hb
+                            bindings.hb = cps[-1].hb
                         continue
 
                     raise MupError("cannot solve goal: %r" % (goal,))
@@ -383,7 +381,7 @@ class Engine:
                     # Try the candidates in source order: match the head,
                     # and build the body only on a match.  Leave a
                     # choicepoint only if other candidates remain.
-                    _, goal_term, clauses, idx, depth = frame
+                    _, goal_term, clauses, idx, depth, cont = frame
                     mark = len(bindings)
                     # While other candidates remain, a failed match is
                     # undone through the trail, so every binding is trailed.
@@ -406,27 +404,28 @@ class Engine:
                         if ok:
                             break
                         if idx == last:  # the last candidate is left
-                            bindings.hb = cps[-1].hb if cps else base_hb
+                            bindings.hb = cps[-1].hb
                     else:
                         cont = _FAIL
                         continue
                     cutb = len(cps)
                     if idx <= last:
                         cp = _ChoicePoint(
-                            (("clauses", goal_term, clauses, idx, depth), cont),
-                            mark,
+                            ("clauses", goal_term, clauses, idx, depth, cont), mark
                         )
                         cps.append(cp)
                         bindings.hb = cp.hb
                     body = fresh_rename(clause, values)
-                    cont = (("goal", body, depth + 1, cutb), cont)
+                    cont = ("goal", body, depth + 1, cutb, cont)
                     continue
 
                 if tag == "fail":
-                    while cps:
+                    while True:
                         cp = cps.pop()
+                        if not cps:  # the base is popped: the run has failed
+                            return
                         kernel.undo_to(bindings, cp.mark)
-                        if cp.disabled:
+                        if cp.cont is None:
                             continue
                         if cp.hits is not None and cp.hits != hits[0]:
                             # The first branch was cut off by the depth limit,
@@ -437,36 +436,29 @@ class Engine:
                             self._emit_choice(depth, ("right", right), ("left", left))
                         cont = cp.cont
                         break
-                    else:
-                        return
-                    bindings.hb = cps[-1].hb if cps else base_hb
+                    bindings.hb = cps[-1].hb
                     continue
 
                 if tag == "commit":
-                    _, cp, index, first = frame
-                    if index < len(cps) and cps[index] is cp and not cp.disabled:
-                        cp.disabled = True
+                    _, cp, index, first, cont = frame
+                    if index < len(cps) and cps[index] is cp and cp.cont is not None:
+                        cp.cont = None
                         if trace is not None and cp.info is not None:
                             left, right, depth = cp.info
                             self._emit_choice(depth, ("left", left), ("right", right))
                         if first or index == len(cps) - 1:
                             del cps[index:]
-                            bindings.hb = cps[-1].hb if cps else base_hb
+                            bindings.hb = cps[-1].hb
                     continue
 
                 # "exit"
-                self._emit("backchain_exit", frame[1], frame[2])
+                _, depth, payload, cont = frame
+                self._emit("backchain_exit", depth, payload)
         except RecursionError:
             raise MupError("term nested too deeply for the host stack") from None
         finally:
-            kernel.undo_to(bindings, base_mark)
+            kernel.undo_to(bindings, base.mark)
             bindings.hb = kernel.ALL
-
-
-def _indicator(term):
-    if type(term) is Compound:
-        return (term.functor, len(term.args))
-    return (term.name, 0)
 
 
 # -- module-level convenience wrappers --------------------------------------

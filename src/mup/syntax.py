@@ -109,6 +109,13 @@ class SoftIfThenElse(Goal):
         self.els = els
 
 
+def indicator(term):
+    """The ``(name, arity)`` of a callable term."""
+    if type(term) is Compound:
+        return (term.functor, len(term.args))
+    return (term.name, 0)
+
+
 class Clause:
     """``head :- body``; unit clauses carry TRUE as body.
 
@@ -126,9 +133,7 @@ class Clause:
         self.code = None
 
     def indicator(self):
-        if type(self.head) is Compound:
-            return (self.head.functor, len(self.head.args))
-        return (self.head.name, 0)
+        return indicator(self.head)
 
     def __repr__(self):
         return "Clause(%r, %r)" % (self.head, self.body)

@@ -1,9 +1,10 @@
-"""The benchmark's inference counts, checked on its two quick workloads.
+"""The benchmark's inference counts, checked on its three quick workloads.
 
 ``mupbench/worker.py count WORKLOAD SEED`` runs each query of the workload
 once through a counting tracer.  Its counts must equal the ones pinned in
-``mupbench/counts.json``.  ``countdown`` and ``queens`` take seconds in this
-mode, so they are left to ``mupbench/run.py --trace 1``.
+``mupbench/counts.json``.  ``queens``, the workload heavy in ``#`` and
+backtracking, takes about 3 s in this mode; ``countdown`` takes about 5 s,
+so it is left to ``mupbench/run.py --trace 1``.
 """
 
 import json
@@ -16,7 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["nrev", "fact_table"])
+@pytest.mark.parametrize("workload", ["nrev", "fact_table", "queens"])
 def test_counts_match_counts_json(workload):
     proc = subprocess.run(
         [sys.executable, "mupbench/worker.py", "count", workload, "1"],

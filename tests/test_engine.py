@@ -12,7 +12,7 @@ from mup.engine import (
     solve_choice,
 )
 from mup import kernel
-from mup.errors import UnknownPredicateError
+from mup.errors import InternalError, MupError, UnknownPredicateError
 from mup.kernel import Bindings
 from mup.syntax import (
     Call,
@@ -594,6 +594,13 @@ def test_golden_trace_head_mismatch():
         ("p(1,Y).", ["Y = a", "Y = b"]),
         ("p(2,Y).", ["Y = b"]),
         ("p(X,Y).", ["X = 1, Y = a", "Y = b"]),
+        # A cut in the query itself prunes every alternative of the query.
+        ("p(X, Y), !.", ["X = 1, Y = a"]),
+        ("!.", ["true"]),
+        ("(p(X, Y), ! ; X = 9).", ["X = 1, Y = a"]),
+        ("p(X, Y), (! ; true).", ["X = 1, Y = a"]),
+        ("p(X, Y), !, X = 2.", []),
+        ("(!, fail ; true).", []),
     ],
 )
 def test_prolog_cut_prunes_later_clauses(query, expected):
@@ -730,3 +737,56 @@ def test_a_stream_run_from_a_trace_hook_on_the_same_store():
     assert len(inner) > 10 and all(run == [Const("a"), Const("b")] for run in inner)
     assert b == [] and b.hb == kernel.ALL
     assert x.ref is None and y.ref is None
+
+
+# ---------------------------------------------------------------------------
+# Bad configuration and API misuse
+
+
+@pytest.mark.parametrize("field, value", [
+    ("commit_mode", "hard"),
+    ("unknown_predicate", "warn"),
+    ("depth_limit", 0),
+    ("max_solutions", 0),
+])
+def test_solve_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolveConfig(**{field: value})
+
+
+@pytest.mark.parametrize("atom", [fresh_var("G"), Num(3)])
+def test_backchain_rejects_a_non_callable_atom(atom):
+    b = Bindings()
+    with pytest.raises(MupError, match="atomic goal expected"):
+        next(Engine(parse_program("p.")).backchain(atom, b))
+    assert b == [] and b.hb == kernel.ALL
+
+
+@pytest.mark.parametrize("term, message", [
+    (fresh_var("G"), "goal is an unbound variable"),
+    (Num(3), "number is not a callable goal: 3"),
+])
+def test_calling_a_non_callable_term_is_an_error(term, message):
+    program = parse_program("p(a). p(b).")
+    result = collect_goal(program, Call(term))
+    assert result.outcome == "errored" and message in str(result.error)
+    # On caller-owned bindings the error unwinds through the run's base:
+    # the bindings made before it are undone.
+    b = Bindings()
+    x = fresh_var("X")
+    left = Conj(Call(Compound("p", (x,))), Call(term))
+    with pytest.raises(MupError, match=message):
+        list(Engine(program).solve_choice(left, TRUE, b))
+    assert b == [] and b.hb == kernel.ALL and x.ref is None
+
+
+def test_a_mark_taken_inside_a_stream_is_stale_after_it():
+    b = Bindings()
+    x = fresh_var("X")
+    marks = []
+    for _ in Engine(parse_program("p(a).")).backchain(Compound("p", (x,)), b):
+        marks.append(b.checkpoint())
+    assert marks == [1] and b == [] and x.ref is None
+    with pytest.raises(InternalError, match="stale"):
+        b.undo_to(marks[0])
+    assert b == [] and b.hb == kernel.ALL

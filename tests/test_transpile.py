@@ -200,3 +200,33 @@ def _answer_vars(goal):
     from mup.syntax import free_goal_vars
 
     return [v for v in free_goal_vars(goal) if v.name != "_"]
+
+
+@pytest.mark.parametrize("mode", ["hard_cut", "soft_cut"])
+def test_programmatic_clause_with_shared_or_anonymous_names(mode):
+    # Two distinct variables named X and two named _: printed as they are,
+    # they would merge or become fresh anonymous variables when reparsed.
+    from mup.syntax import Choice, Clause, ClassicalOr, Conj, Eq, Program, TRUE
+    from mup.syntax import parse_query
+    from mup.terms import Compound, Num, fresh_var
+
+    x1, x2, u1, u2 = fresh_var("X"), fresh_var("X"), fresh_var("_"), fresh_var("_")
+    left = Conj(
+        ClassicalOr(Eq(x1, Num(1)), Eq(x1, Num(2))),
+        Conj(Eq(x2, Num(3)), Conj(Eq(u1, Const("u")), Eq(u2, Const("v")))),
+    )
+    program = Program([Clause(Compound("p", (x1, x2, u1, u2)), Choice(left, TRUE))])
+    out = translate(program, mode)
+    assert out.splitlines()[1] == (
+        "p(X, X_2, _V_2, _V_3) :- '$choice_1'(X, X_2, _V_2, _V_3).")
+    translated = parse_program(out, dialect="prolog")
+    query = parse_query("p(A, B, C, D).")
+    engine_mode = "first" if mode == "hard_cut" else "soft"
+    direct = Engine(program, SolveConfig(commit_mode=engine_mode)).solve_collect(
+        query.goal, query.answer_vars)
+    via = Engine(translated).solve_collect(query.goal, query.answer_vars)
+    expected = ["A = 1, B = 3, C = u, D = v", "A = 2, B = 3, C = u, D = v"]
+    if mode == "hard_cut":
+        expected = expected[:1]
+    assert [s.render() for s in direct.solutions] == expected
+    assert [s.render() for s in via.solutions] == expected
