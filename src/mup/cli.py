@@ -62,10 +62,34 @@ def _config(args):
     )
 
 
-def _tracer(args, err):
-    if not args.trace:
-        return None
-    return lambda event: print(event.line(), file=err)
+def _writer(out, flush=False):
+    """A write function for ``out``, and a function that ends an open line.
+
+    Program output (write/1) may leave a line open; ending it first puts
+    each answer on a line of its own.
+    """
+    last_char = ["\n"]
+
+    def write(text):
+        if text:
+            last_char[0] = text[-1]
+        out.write(text)
+        if flush:
+            try:
+                out.flush()
+            except (AttributeError, ValueError):
+                pass
+
+    def end_line():
+        if last_char[0] != "\n":
+            write("\n")
+
+    return write, end_line
+
+
+def _tracer(on, write):
+    """A trace hook that writes one event per line, or None when off."""
+    return (lambda event: write("%s\n" % event.line())) if on else None
 
 
 def _load_file(path, dialect="choice"):
@@ -139,18 +163,11 @@ def _cmd_run(args, out=None, err=None):
     out = out or sys.stdout
     err = err or sys.stderr
     program = _load_file(args.file)
-    last_char = ["\n"]
-
-    def write(text):
-        if text:
-            last_char[0] = text[-1]
-        out.write(text)
-
+    write, end_line = _writer(out)
     io = IoPorts(write=write)
-    engine = Engine(program, _config(args), io=io, trace=_tracer(args, err))
+    engine = Engine(program, _config(args), io=io, trace=_tracer(args.trace, err.write))
     result = engine.run_query(args.query)
-    if last_char[0] != "\n":
-        print(file=out)  # separate program output (write/1) from answers
+    end_line()  # separate program output (write/1) from answers
     for solution in result.solutions:
         print("%s." % solution.render(), file=out)
     if result.outcome == ERRORED:
@@ -210,19 +227,9 @@ def repl_loop(program, cfg, inp=None, out=None, trace_on=False):
     inp = inp or sys.stdin
     out = out or sys.stdout
     clauses = list(program.clauses)
-    last_char = ["\n"]
-
-    def emit(text):
-        if text:
-            last_char[0] = text[-1]
-        out.write(text)
-        try:
-            out.flush()
-        except (AttributeError, ValueError):
-            pass
-
+    emit, end_line = _writer(out, flush=True)
     io = IoPorts(read_line=lambda: inp.readline() or None, write=emit)
-    tracer = (lambda e: emit("%s\n" % e.line())) if trace_on else None
+    tracer = _tracer(trace_on, emit)
 
     emit("mup shell; ':quit.' leaves, '#' is committed choice\n")
     while True:
@@ -258,11 +265,7 @@ def repl_loop(program, cfg, inp=None, out=None, trace_on=False):
                 emit("loaded %s\n" % parts[1])
                 continue
             if parts[0] == "trace" and len(parts) == 2 and parts[1] in ("on", "off"):
-                tracer = (
-                    (lambda e: emit("%s\n" % e.line()))
-                    if parts[1] == "on"
-                    else None
-                )
+                tracer = _tracer(parts[1] == "on", emit)
                 emit("trace %s\n" % parts[1])
                 continue
             if parts[0] == "commit" and len(parts) == 2 and parts[1] in ("soft", "first"):
@@ -281,24 +284,22 @@ def repl_loop(program, cfg, inp=None, out=None, trace_on=False):
             emit("error: %s\n" % exc)
             continue
         stream = engine.solve(query.goal, query.answer_vars)
-        _enumerate_answers(stream, inp, emit, last_char)
+        _enumerate_answers(stream, inp, emit, end_line)
 
 
-def _enumerate_answers(stream, inp, emit, last_char):
+def _enumerate_answers(stream, inp, emit, end_line):
     while True:
         try:
             solution = next(stream)
             text = solution.render()
         except StopIteration:
-            if last_char[0] != "\n":
-                emit("\n")
+            end_line()
             emit("false.\n")
             return
         except MupError as exc:
             emit("error: %s\n" % exc)
             return
-        if last_char[0] != "\n":
-            emit("\n")  # separate program output (write/1) from the answer
+        end_line()  # separate program output (write/1) from the answer
         emit(text)
         answer = inp.readline()
         if answer is None or answer == "":

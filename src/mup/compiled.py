@@ -34,7 +34,9 @@ functions and ``compile()``s it:
   the values of the slots the body needs, or None with its trailed
   bindings undone.
 * The body builder takes those values and builds the body, giving each
-  slot that only the body has a fresh variable, left to right.
+  slot that only the body has a fresh variable, left to right.  A body
+  that is one variable (a programmatic ``Clause(p(G), G)``) is built as
+  that slot's value.
 
 Write mode and the body builder share one term builder, ``_build``.  It
 nests calls at most ``_NEST`` deep and builds deeper parts into locals
@@ -58,7 +60,6 @@ from types import CodeType, FunctionType
 from mup.kernel import Compound, Const, Num, Var, _var_ids, deref, occurs, undo_to, unify
 from mup.syntax import (
     TRUE,
-    Call,
     Choice,
     ClassicalOr,
     Conj,
@@ -81,7 +82,7 @@ _SCOPE = {
 }
 _SCOPE.update(
     (cls.__name__, cls)
-    for cls in (Call, Choice, ClassicalOr, Conj, Eq, SoftIfThenElse)
+    for cls in (Choice, ClassicalOr, Conj, Eq, SoftIfThenElse)
 )
 
 # Code cache: the source of a generated function -> its code object.  It
@@ -167,7 +168,7 @@ def _generate(head_t, body_t, names):
     if type(head_t) is tuple:
         head_lines, head_consts, head_slots = _matcher_lines(head_t, names)
     values = []  # the head's slots that the body uses
-    if type(body_t) is tuple:
+    if type(body_t) is tuple or type(body_t) is int:  # an int: a variable body
         consts = []
         lines = []
         expr, reused = _build(body_t, names, head_slots, _namer(consts), count(), lines,
@@ -223,10 +224,8 @@ def _build(template, names, have, k, temps, lines, pad):
     reused = set()
     fresh = set()
     stack = []  # suspended parents: maker, iterator over children, parts, depth
-    maker, children = template
-    rest = iter(children)
-    parts = []
-    depth = 0  # the deepest nesting among ``parts``
+    # The bottom frame stands for the caller: its one child is ``template``.
+    maker, rest, parts, depth = None, iter((template,)), [], 0
     while True:
         for child in rest:
             ct = type(child)
@@ -248,19 +247,19 @@ def _build(template, names, have, k, temps, lines, pad):
             else:
                 parts.append(k(child))
         else:
+            if maker is None:
+                return parts[0], reused
             if type(maker) is str:
                 expr = "Compound(%s, %s)" % (k(maker), _tuple(parts))
             else:
                 expr = "%s(%s)" % (maker.__name__, ", ".join(parts))
             depth += 1
-            if not stack:
-                return expr, reused
-            if depth == _NEST:
+            maker, rest, parts, outer = stack.pop()
+            if depth == _NEST and maker is not None:
                 name = "b%d" % next(temps)
                 lines.append("%s%s = %s" % (pad, name, expr))
                 expr = name
                 depth = 0
-            maker, rest, parts, outer = stack.pop()
             parts.append(expr)
             depth = max(depth, outer)
 

@@ -2,7 +2,9 @@
 
 Execution alternates between two phases.  Reducing a goal dispatches on
 its top connective (conjunction splits, equality unifies, committed
-choice picks a disjunct, ...); an atomic goal switches to backchaining.
+choice picks a disjunct, ...).  A call is its own atom or compound term;
+it runs a built-in or switches to backchaining.  A variable in a goal
+slot (only programmatic goals have one) calls the term it is bound to.
 
 Backchaining works on clauses compiled to Python code the first time
 they are tried (``mup.compiled``).  The call's dereferenced first
@@ -52,7 +54,6 @@ from mup.compiled import build_body as fresh_rename
 from mup.compiled import match_head as _kunify
 from mup.errors import MupError, UnknownPredicateError
 from mup.syntax import (
-    Call,
     Choice,
     ClassicalOr,
     Conj,
@@ -66,7 +67,7 @@ from mup.syntax import (
     pretty,
     pretty_goal,
 )
-from mup.kernel import Bindings, Compound, Num, Var, _var_ids
+from mup.kernel import Bindings, Compound, Const, Num, Var, _var_ids
 from mup.terms import Solution
 
 EXHAUSTED = "exhausted"
@@ -296,20 +297,20 @@ class Engine:
                             cont = _FAIL
                         continue
 
-                    if gt is Call:
-                        goal_term = kernel.deref(goal.term)
-                        tt = type(goal_term)
-                        if tt is Var:
+                    if gt is Var or gt is Num:  # a programmatic goal slot
+                        goal = kernel.deref(goal)
+                        gt = type(goal)
+                        if gt is Var:
                             raise MupError("goal is an unbound variable")
-                        if tt is Num:
+                        if gt is Num:
                             raise MupError(
-                                "number is not a callable goal: %s"
-                                % pretty(goal_term)
+                                "number is not a callable goal: %s" % pretty(goal)
                             )
-                        key = indicator(goal_term)
+                    if gt is Compound or gt is Const:  # a call
+                        key = indicator(goal)
                         builtin = BUILTINS.get(key)
                         if builtin is not None:
-                            args = goal_term.args if tt is Compound else ()
+                            args = goal.args if gt is Compound else ()
                             if not builtin.fn(ctx, args):
                                 cont = _FAIL
                             continue
@@ -326,10 +327,9 @@ class Engine:
                             cont = _FAIL
                             continue
                         if trace is not None:
-                            self._emit("backchain_enter", depth, pretty(goal_term))
-                            cont = ("exit", depth, pretty(goal_term), cont)
-                        clauses = pred.candidates(goal_term)
-                        cont = ("clauses", goal_term, clauses, 0, depth, cont)
+                            self._emit("backchain_enter", depth, pretty(goal))
+                            cont = ("exit", depth, pretty(goal), cont)
+                        cont = ("clauses", goal, pred.candidates(goal), 0, depth, cont)
                         continue
 
                     if gt is Choice:

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 from mup.errors import MupError
 from mup.syntax import (
-    Call,
     Choice,
     ClassicalOr,
     Clause,
@@ -114,8 +113,8 @@ def _rename_goal(goal, mapping):
     t = type(goal)
     if t is TrueGoal:
         return goal
-    if t is Call:
-        return Call(_rename_vars(goal.term, mapping))
+    if t is Compound or t is Const or t is Var:  # a call
+        return _rename_vars(goal, mapping)
     if t is Eq:
         return Eq(_rename_vars(goal.left, mapping), _rename_vars(goal.right, mapping))
     if t is Conj or t is Choice or t is ClassicalOr:
@@ -198,8 +197,8 @@ def _prove(program, goal, subst, limit, depth):
         yield from _prove(program, goal.left, subst, limit, depth)
         yield from _prove(program, goal.right, subst, limit, depth)
         return
-    if t is Call:
-        for body, new in _call_steps(program, goal.term, subst, limit, depth) or ():
+    if t is Compound or t is Const or t is Var:  # a call
+        for body, new in _call_steps(program, goal, subst, limit, depth) or ():
             yield from _prove(program, body, new, limit, depth + 1)
         return
     raise MupError("oracle cannot handle goal: %r" % (goal,))
@@ -245,8 +244,10 @@ def _call_steps(program, term, subst, limit, depth):
     term = _walk(term, subst)
     if type(term) is Compound:
         name, arity = term.functor, len(term.args)
-    else:
+    elif type(term) is Const:
         name, arity = term.name, 0
+    else:
+        raise MupError("oracle cannot call %r" % (term,))
     answers = _builtin_answers(term, name, arity, subst)
     if answers is not None:
         return [(TRUE, s) for s in answers]
@@ -344,8 +345,8 @@ def _stream(program, goal, subst, limit, depth, mode, hits):
         yield from _stream(program, goal.left, subst, limit, depth, mode, hits)
         yield from _stream(program, goal.right, subst, limit, depth, mode, hits)
         return
-    if t is Call:
-        steps = _call_steps(program, goal.term, subst, limit, depth)
+    if t is Compound or t is Const or t is Var:  # a call
+        steps = _call_steps(program, goal, subst, limit, depth)
         if steps is None:
             hits.count += 1
             return
@@ -406,7 +407,7 @@ def _gen_atom(rng, pool, tier):
     candidates = [(n, a) for n, a, t in _PREDS if t < tier]
     name, arity = rng.choice(candidates)
     args = tuple(_gen_term(rng, pool) for _ in range(arity))
-    return Call(Compound(name, args)) if arity else Call(Const(name))
+    return Compound(name, args) if arity else Const(name)
 
 
 def _gen_leaf(rng, pool, tier):
@@ -417,7 +418,7 @@ def _gen_leaf(rng, pool, tier):
         return Eq(_gen_term(rng, pool), _gen_term(rng, pool))
     if r < 0.9:
         return TRUE
-    return Call(Const("fail"))
+    return Const("fail")
 
 
 def _gen_goal(rng, pool, tier, depth, names=None):
@@ -496,7 +497,7 @@ def generate_query(rng, fresh_names=("Q", "R")):
                 used_var = True
             else:
                 args.append(_gen_term(rng, [], funcs=True))
-        return Call(Compound(name, tuple(args)))
+        return Compound(name, tuple(args))
 
     r = rng.random()
     if r < 0.55:
@@ -506,7 +507,7 @@ def generate_query(rng, fresh_names=("Q", "R")):
     if r < 0.9:
         shared = fresh_var(fresh_names[0])
         return Choice(atom(shared), atom(shared))
-    return Call(Const("p"))
+    return Const("p")
 
 
 def generate_case(seed):

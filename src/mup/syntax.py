@@ -16,7 +16,8 @@ are ``'quoted'``; integers and floats are distinct.  One operator table,
 
 A clause, a query and a read/1 term are each one term read at 1200 and
 ended by ``.``; arguments and list elements are read at 999.  A clause is
-split on ``:-``; its body and a query become goals.  The default
+split on ``:-``; its body and a query become goals, in which a call is
+the called atom or compound itself.  The default
 ``choice`` dialect has ``#`` and no ``!``.  The ``prolog`` dialect (used to
 re-check transpiler output) has ``!`` and ``*->`` and no ``#``.
 """
@@ -45,15 +46,6 @@ class TrueGoal(Goal):
 
 
 TRUE = TrueGoal()
-
-
-class Call(Goal):
-    """Atomic goal: a Const or Compound term to be proved."""
-
-    __slots__ = ("term",)
-
-    def __init__(self, term):
-        self.term = term
 
 
 class Eq(Goal):
@@ -119,17 +111,18 @@ def indicator(term):
 class Clause:
     """``head :- body``; unit clauses carry TRUE as body.
 
+    A call in the body is its own ``Const`` or ``Compound`` term, with no
+    wrapper node.  ``Eq``, ``TRUE`` and the connectives are the goal nodes.
     The clause is compiled the first time it is tried:
     ``mup.compiled.compile_clause`` sets ``code``, the clause's generated
     (head matcher, body builder) pair, which is None until then.
     """
 
-    __slots__ = ("head", "body", "span", "code")
+    __slots__ = ("head", "body", "code")
 
-    def __init__(self, head, body=TRUE, span=None):
+    def __init__(self, head, body=TRUE):
         self.head = head
         self.body = body
-        self.span = span
         self.code = None
 
     def indicator(self):
@@ -231,23 +224,23 @@ def tokenize(text):
                 i += 1
             continue
         start = i
-        if ch.isdigit():
-            while i < n and text[i].isdigit():
+        if "0" <= ch <= "9":  # ASCII only: isdigit() also takes "²" and "٣"
+            while i < n and "0" <= text[i] <= "9":
                 i += 1
             is_float = False
-            if i + 1 < n and text[i] == "." and text[i + 1].isdigit():
+            if i + 1 < n and text[i] == "." and "0" <= text[i + 1] <= "9":
                 is_float = True
                 i += 1
-                while i < n and text[i].isdigit():
+                while i < n and "0" <= text[i] <= "9":
                     i += 1
             if i < n and text[i] in "eE":
                 j = i + 1
                 if j < n and text[j] in "+-":
                     j += 1
-                if j < n and text[j].isdigit():
+                if j < n and "0" <= text[j] <= "9":
                     is_float = True
                     i = j
-                    while i < n and text[i].isdigit():
+                    while i < n and "0" <= text[i] <= "9":
                         i += 1
             word = text[start:i]
             try:
@@ -508,7 +501,7 @@ class _Reader:
                 del done[-arity:]
                 done.append(node(*parts))
             elif tt is Const:
-                done.append(atoms.get(t.name) or Call(t))
+                done.append(atoms.get(t.name) or t)
             elif tt is Compound:
                 functor, args = t.functor, t.args
                 if len(args) == 2 and functor in connectives:
@@ -526,7 +519,7 @@ class _Reader:
                 elif functor not in _NOT_CALLABLE or (
                     len(args) == 2 and _INFIX.get(functor, (0,))[0] == 700
                 ):
-                    done.append(Call(t))
+                    done.append(t)
                 else:
                     self.goal_error("this term cannot be called as a goal", t)
             elif tt is Var:
@@ -557,7 +550,7 @@ class _Reader:
             # Word operators fall through so that redefining a built-in
             # like is/2 surfaces as the load-time error it is.
             self.fail("clause head cannot be an operator", tok)
-        return Clause(head, body, span=(tok.line, tok.col))
+        return Clause(head, body)
 
 
 def parse_program(text, dialect="choice"):
@@ -692,8 +685,6 @@ def _wrap(arg, max_prec):
 def _goal_pieces(goal):
     """One goal's rendering: its text and its parts, in order."""
     t = type(goal)
-    if t is Call:
-        return [goal.term]
     if t is Eq:
         return _pieces(Compound("=", (goal.left, goal.right)), True)
     if t is Conj:

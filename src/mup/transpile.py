@@ -21,12 +21,12 @@ import re
 
 from mup.errors import TranslateError
 from mup.syntax import (
-    Call,
     Choice,
     ClassicalOr,
     Clause,
     Conj,
     Cut,
+    Eq,
     Goal,
     SoftIfThenElse,
     TRUE,
@@ -100,11 +100,7 @@ def _uniquify_names(clause):
         mapping[v.id] = Var(v.id, candidate)
     if not mapping:
         return clause
-    return Clause(
-        subst_goal(clause.head, mapping),
-        subst_goal(clause.body, mapping),
-        clause.span,
-    )
+    return Clause(subst_goal(clause.head, mapping), subst_goal(clause.body, mapping))
 
 
 def _tx_goal(goal, order, counter, aux_acc, mode):
@@ -135,7 +131,7 @@ def _tx_goal(goal, order, counter, aux_acc, mode):
                 aux_acc.append(Clause(head, right))
             else:
                 aux_acc.append(Clause(head, SoftIfThenElse(left, TRUE, right)))
-            done.append(Call(head))
+            done.append(head)
         elif t is Choice or t is Conj or t is ClassicalOr:
             todo.append((goal, True))
             todo.append((goal.right, False))
@@ -147,7 +143,7 @@ def _tx_goal(goal, order, counter, aux_acc, mode):
 
 def _clause_var_order(clause):
     """The clause's variables in first-occurrence order."""
-    return free_goal_vars(Conj(Call(clause.head), clause.body))
+    return free_goal_vars(Conj(clause.head, clause.body))
 
 
 def _check_collisions(program):
@@ -170,11 +166,9 @@ def _called_names(goal):
     stack = [goal]
     while stack:
         goal = stack.pop()
-        if type(goal) is Call:
-            term = goal.term
-            if type(term) is Compound:
-                yield term.functor
-            elif type(term) is Const:
-                yield term.name
-        elif isinstance(goal, Goal):
+        if type(goal) is Compound:
+            yield goal.functor
+        elif type(goal) is Const:
+            yield goal.name
+        elif isinstance(goal, Goal) and type(goal) is not Eq:  # Eq's parts are terms
             stack.extend(reversed(goal_parts(goal)))

@@ -6,7 +6,6 @@ substitutions) used as the ground truth for the unifier property suite.
 import random
 
 from mup.syntax import (
-    Call,
     ClassicalOr,
     Choice,
     Clause,
@@ -73,8 +72,8 @@ def goal_equal(a, b, varmap=None):
         return False
     if ta is TrueGoal or ta is Cut:
         return True
-    if ta is Call:
-        return term_equal(a.term, b.term, varmap)
+    if ta is Compound or ta is Const:
+        return term_equal(a, b, varmap)
     if ta is Eq:
         return term_equal(a.left, b.left, varmap) and term_equal(
             a.right, b.right, varmap
@@ -161,7 +160,7 @@ class AstGen:
                 return TRUE
             if self.rng.random() < 0.5:
                 return Eq(self.term(2), self.term(2))
-            return Call(self.callable_term())
+            return self.callable_term()
         if r < 0.6:
             return Conj(self.goal(depth - 1), self.goal(depth - 1))
         if r < 0.85:

@@ -16,7 +16,6 @@ from mup.engine import Engine, SolveConfig
 from mup.kernel import Bindings, unify
 from mup.oracle import _gen_goal, generate_case, generate_program, selftest
 from mup.syntax import (
-    Call,
     Choice,
     Clause,
     Program,
@@ -218,8 +217,8 @@ def test_criterion_08_transpiler_conformance():
                 depth_limit=40,
                 unknown_predicate="fail",
             )
-            direct = Engine(wrapped, cfg).solve_collect(Call(head), avs)
-            via = Engine(translated, cfg).solve_collect(Call(head), avs)
+            direct = Engine(wrapped, cfg).solve_collect(head, avs)
+            via = Engine(translated, cfg).solve_collect(head, avs)
             assert direct.outcome == "exhausted"
             assert via.outcome == "exhausted"
             if multiset(direct.solutions) != multiset(via.solutions):

@@ -13,7 +13,6 @@ from mup.compiled import build_body, compile_clause, match_head
 from mup.engine import Engine
 from mup.kernel import Bindings
 from mup.syntax import (
-    Call,
     Choice,
     Clause,
     Conj,
@@ -65,7 +64,7 @@ def test_ground_subterms_and_subgoals_are_shared():
     body = build_body(clause, values)
     assert store.deref(call.args[1]) is ground_list  # bound to it, not a copy
     assert body.right is clause.body.right  # write(done) is not copied
-    assert body.left.term.args[0] == Const("x")
+    assert body.left.args[0] == Const("x")
 
 
 def test_empty_slots_get_shared_fresh_variables():
@@ -77,10 +76,10 @@ def test_empty_slots_get_shared_fresh_variables():
     values = match_head(clause, Compound("p", (a, b)), store, False)
     body = build_body(clause, values)
     y = store.deref(b).args[0]
-    z = body.term.args[3]
+    z = body.args[3]
     assert type(y) is Var and y.name == "Y"
     assert type(z) is Var and z.name == "Z" and z.id != y.id
-    assert body.term.args == (y, a, y, z, z)
+    assert body.args == (y, a, y, z, z)
 
 
 @pytest.mark.parametrize(
@@ -192,7 +191,7 @@ def goals_over(pool):
     terms = terms_over(pool)
     return st.recursive(
         st.one_of(
-            st.builds(lambda t: Call(Compound("q", (t,))), terms),
+            st.builds(lambda t: Compound("q", (t,)), terms),
             st.builds(Eq, terms, terms),
         ),
         lambda kids: st.one_of(
@@ -253,7 +252,7 @@ def check_against_a_renamed_clause(data, bindings, occurs_checks):
     start_cells = cells(call)
     try:
         for occurs_check in occurs_checks:
-            names = {v.id: fresh_var(v.name) for v in free_goal_vars(Conj(Call(head), body))}
+            names = {v.id: fresh_var(v.name) for v in free_goal_vars(Conj(head, body))}
             ok = kernel.unify(subst_goal(head, names), call, store, occurs_check)
             if ok:
                 expected = _shape([call, subst_goal(body, names)])
@@ -412,7 +411,7 @@ def test_index_size_stays_linear_when_variables_interleave():
 def test_zero_argument_compound_head_is_not_indexed():
     # Only the API builds p(); it shares the indicator p/0 with the atom.
     program = Program([Clause(Compound("p", ()))])
-    result = Engine(program).solve_collect(Call(Compound("p", ())), [])
+    result = Engine(program).solve_collect(Compound("p", ()), [])
     assert len(result.solutions) == 1
 
 

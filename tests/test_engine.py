@@ -15,10 +15,11 @@ from mup import kernel
 from mup.errors import InternalError, MupError, UnknownPredicateError
 from mup.kernel import Bindings
 from mup.syntax import (
-    Call,
     Choice,
+    Clause,
     Conj,
     Eq,
+    Program,
     TRUE,
     free_goal_vars,
     parse_program,
@@ -120,12 +121,8 @@ def test_solve_choice_son_soft(son_program):
     b = Bindings()
     y = fresh_var("Y")
     tom = Const("tom")
-    left = Conj(
-        Call(Compound("male", (tom,))), Call(Compound("father", (y, tom)))
-    )
-    right = Conj(
-        Call(Compound("female", (tom,))), Call(Compound("mother", (y, tom)))
-    )
+    left = Conj(Compound("male", (tom,)), Compound("father", (y, tom)))
+    right = Conj(Compound("female", (tom,)), Compound("mother", (y, tom)))
     found = []
     for _ in solve_choice(son_program, left, right, b):
         found.append(b.resolve(y))
@@ -136,7 +133,7 @@ def test_solve_choice_left_fails_right_chosen():
     program = parse_program("p.")
     b = Bindings()
     x = fresh_var("X")
-    stream = solve_choice(program, Call(Const("fail")), Eq(x, Num(1)), b)
+    stream = solve_choice(program, Const("fail"), Eq(x, Num(1)), b)
     results = []
     for _ in stream:
         results.append(b.resolve(x))
@@ -146,12 +143,8 @@ def test_solve_choice_left_fails_right_chosen():
 def test_solve_choice_first_mode(son_program):
     y = fresh_var("Y")
     tom = Const("tom")
-    left = Conj(
-        Call(Compound("male", (tom,))), Call(Compound("father", (y, tom)))
-    )
-    right = Conj(
-        Call(Compound("female", (tom,))), Call(Compound("mother", (y, tom)))
-    )
+    left = Conj(Compound("male", (tom,)), Compound("father", (y, tom)))
+    right = Conj(Compound("female", (tom,)), Compound("mother", (y, tom)))
     b = Bindings()
     engine = Engine(son_program, SolveConfig(commit_mode="first"))
     found = []
@@ -223,8 +216,8 @@ def test_choice_exclusivity_direct():
     program_text = "q(a). q(b). r(c)."
     program = parse_program(program_text)
     x = fresh_var("X")
-    g0 = Call(Compound("q", (x,)))
-    g1 = Call(Compound("r", (x,)))
+    g0 = Compound("q", (x,))
+    g1 = Compound("r", (x,))
     for mode in ("soft", "first"):
         whole = collect_goal(
             parse_program(program_text), Choice(g0, g1), commit_mode=mode
@@ -380,7 +373,7 @@ def test_solution_well_formedness(member_classic):
     for sol in engine.solve(parse_query("member(X,[a,b,c]).").goal):
         term = sol.assignments["X"]
         check = Engine(member_classic).solve_collect(
-            Call(Compound("member", (term, _abc()))), answer_vars=[]
+            Compound("member", (term, _abc())), answer_vars=[]
         )
         assert len(check.solutions) >= 1
 
@@ -445,7 +438,7 @@ def test_deep_derivation_does_not_exhaust_host_stack():
     term = Const("z")
     for _ in range(20000):
         term = Compound("s", (term,))
-    result = Engine(program).solve_collect(Call(Compound("count", (term,))), [])
+    result = Engine(program).solve_collect(Compound("count", (term,)), [])
     assert len(result.solutions) == 1
     assert result.outcome == "exhausted"
 
@@ -696,7 +689,7 @@ def test_caller_bindings_survive_a_stream(stream):
     if stream == "backchain":
         answers = engine.backchain(atom, b)
     else:
-        answers = engine.solve_choice(Call(atom), Eq(x, Const("c")), b)
+        answers = engine.solve_choice(atom, Eq(x, Const("c")), b)
     found = []
     for _ in answers:
         found.append(b.resolve(y))
@@ -765,19 +758,38 @@ def test_backchain_rejects_a_non_callable_atom(atom):
 @pytest.mark.parametrize("term, message", [
     (fresh_var("G"), "goal is an unbound variable"),
     (Num(3), "number is not a callable goal: 3"),
+    (Const("r"), "goal is an unbound variable"),  # r's body is a fresh variable
 ])
 def test_calling_a_non_callable_term_is_an_error(term, message):
-    program = parse_program("p(a). p(b).")
-    result = collect_goal(program, Call(term))
+    # Only the API builds r: the reader rejects a variable as a goal.
+    program = Program(
+        parse_program("p(a). p(b).").clauses + [Clause(Const("r"), fresh_var("H"))]
+    )
+    result = collect_goal(program, term)
     assert result.outcome == "errored" and message in str(result.error)
     # On caller-owned bindings the error unwinds through the run's base:
     # the bindings made before it are undone.
     b = Bindings()
     x = fresh_var("X")
-    left = Conj(Call(Compound("p", (x,))), Call(term))
+    left = Conj(Compound("p", (x,)), term)
     with pytest.raises(MupError, match=message):
         list(Engine(program).solve_choice(left, TRUE, b))
     assert b == [] and b.hb == kernel.ALL and x.ref is None
+
+
+@pytest.mark.parametrize("case", ["clause body", "query"])
+def test_a_variable_in_a_goal_slot_calls_its_value(case):
+    # Only the API builds these: the reader rejects a variable as a goal.
+    g, x = fresh_var("G"), fresh_var("X")
+    clauses = parse_program("q(a). q(b).").clauses
+    if case == "clause body":  # the whole body is the head's variable
+        clauses.append(Clause(Compound("p", (g,)), g))
+        goal = Compound("p", (Compound("q", (x,)),))
+    else:
+        goal = Conj(Eq(g, Compound("q", (x,))), g)
+    result = Engine(Program(clauses)).solve_collect(goal, [x])
+    assert [s.render() for s in result.solutions] == ["X = a", "X = b"]
+    assert result.outcome == "exhausted"
 
 
 def test_a_mark_taken_inside_a_stream_is_stale_after_it():

@@ -5,7 +5,6 @@ import pytest
 from mup.errors import LoadError, MupError, MupSyntaxError
 from mup.syntax import (
     _INFIX,
-    Call,
     Choice,
     ClassicalOr,
     Conj,
@@ -33,11 +32,11 @@ def test_parse_max_clause_shape():
     body = clause.body
     assert type(body) is Choice
     assert type(body.left) is Conj
-    assert type(body.left.left) is Call
-    assert body.left.left.term.functor == ">="
+    assert type(body.left.left) is Compound
+    assert body.left.left.functor == ">="
     assert type(body.left.right) is Eq
-    assert type(body.right.left) is Call
-    assert body.right.left.term.functor == "<"
+    assert type(body.right.left) is Compound
+    assert body.right.left.functor == "<"
 
 
 def test_parse_unit_clause():
@@ -52,28 +51,28 @@ def test_parse_member_choice_clause():
     body = program.clauses[0].body
     assert type(body) is Choice
     assert type(body.left) is Eq
-    assert type(body.right) is Call
-    assert body.right.term.functor == "member"
+    assert type(body.right) is Compound
+    assert body.right.functor == "member"
 
 
 def test_query_answer_variables():
     query = parse_query("max(3,9,M).")
     assert [v.name for v in query.answer_vars] == ["M"]
-    assert type(query.goal) is Call
+    assert type(query.goal) is Compound
 
     query = parse_query("X = a.")
     assert type(query.goal) is Eq
     assert [v.name for v in query.answer_vars] == ["X"]
 
     query = parse_query("son(tom,Y).")
-    assert type(query.goal) is Call
+    assert type(query.goal) is Compound
     assert [v.name for v in query.answer_vars] == ["Y"]
 
 
 def test_anonymous_vars_not_answers_and_distinct():
     query = parse_query("pair(_, _).")
     assert query.answer_vars == []
-    a, b = query.goal.term.args
+    a, b = query.goal.args
     assert a.id != b.id
 
 
@@ -83,8 +82,8 @@ def test_precedence_conj_tighter_than_choice():
     assert type(goal) is Choice
     assert type(goal.left) is Conj
     assert type(goal.right) is Conj
-    assert goal.left.left.term.name == "a"
-    assert goal.right.right.term.name == "d"
+    assert goal.left.left.name == "a"
+    assert goal.right.right.name == "d"
 
 
 def test_choice_and_or_right_assoc():
@@ -132,9 +131,13 @@ def test_numbers():
     assert parse_term("1e-05.") == Num(1e-05)
     assert parse_term("-7.") == Num(-7)
     goal = parse_query("X is 2 + 3 * 4.").goal
-    expr = goal.term.args[1]
+    expr = goal.args[1]
     assert expr.functor == "+"
     assert expr.args[1].functor == "*"
+    # Only ASCII digits make a number; str.isdigit() also takes these.
+    for text, char in (("².", "²"), ("X = ².", "²"), ("f(٣).", "٣")):
+        with pytest.raises(MupSyntaxError, match="unexpected character '%s'" % char):
+            parse_term(text)
 
 
 def test_comments_and_whitespace():
@@ -257,8 +260,8 @@ def test_operators_inside_terms():
 def test_functional_notation_goals():
     goal = parse_query("'='(X, a), '<'(1, 2), is(Y, 3), ','(p, q).").goal
     assert type(goal.left) is Eq
-    assert goal.right.left.term.functor == "<"
-    assert goal.right.right.left.term.functor == "is"
+    assert goal.right.left.functor == "<"
+    assert goal.right.right.left.functor == "is"
     assert type(goal.right.right.right) is Conj
     for text in ("'+'(a, b).", "'.'(a, b).", "[a].", "- p.", "X.", "3."):
         with pytest.raises(MupSyntaxError, match="goal"):
@@ -341,10 +344,10 @@ def test_subst_goal_replaces_only_mapped_variables():
     from mup.terms import fresh_var
 
     goal = parse_query("q(X), r(Y, f(Y)), s(a).").goal
-    x, y = goal.left.term.args[0], goal.right.left.term.args[0]
+    x, y = goal.left.args[0], goal.right.left.args[0]
     replacement = fresh_var("W")
     out = subst_goal(goal, {x.id: replacement})
-    assert out.left.term.args[0] is replacement
+    assert out.left.args[0] is replacement
     assert out.right is goal.right  # nothing mapped below: shared
     out = subst_goal(goal, {y.id: Const("b")})
     assert pretty_goal(out) == "q(X), r(b, f(b)), s(a)"

@@ -134,7 +134,7 @@ def test_fresh_rename_structure_preserved():
     old = clause.head.args[0]
     new = renamed.head.args[0]
     assert old.id != new.id
-    assert renamed.body.term.args[0].id == new.id  # sharing kept
+    assert renamed.body.args[0].id == new.id  # sharing kept
 
 
 def test_fresh_rename_twice_disjoint():

@@ -163,7 +163,7 @@ def test_conformance_generated_corpus(mode):
     # Each query is wrapped in a driver clause before translation, so
     # choices inside the query go through the translator as well; both
     # sides then run the same plain driver call.
-    from mup.syntax import Call, Clause, Program
+    from mup.syntax import Clause, Program
     from mup.terms import Compound, Const
 
     engine_mode = "first" if mode == "hard_cut" else "soft"
@@ -177,7 +177,7 @@ def test_conformance_generated_corpus(mode):
         else:
             head = Const("query_entry")
         wrapped = Program(case.program.clauses + [Clause(head, case.goal)])
-        driver_goal = Call(head)
+        driver_goal = head
 
         out = translate(wrapped, mode)
         translated = parse_program(out, dialect="prolog")
