@@ -63,7 +63,6 @@ from mup.syntax import (
     Choice,
     ClassicalOr,
     Conj,
-    Eq,
     SoftIfThenElse,
     rebuild,
 )
@@ -82,7 +81,7 @@ _SCOPE = {
 }
 _SCOPE.update(
     (cls.__name__, cls)
-    for cls in (Choice, ClassicalOr, Conj, Eq, SoftIfThenElse)
+    for cls in (Choice, ClassicalOr, Conj, SoftIfThenElse)
 )
 
 # Code cache: the source of a generated function -> its code object.  It

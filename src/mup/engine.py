@@ -1,10 +1,12 @@
 """The solver: goal reduction plus backchaining over program clauses.
 
 Execution alternates between two phases.  Reducing a goal dispatches on
-its top connective (conjunction splits, equality unifies, committed
-choice picks a disjunct, ...).  A call is its own atom or compound term;
-it runs a built-in or switches to backchaining.  A variable in a goal
-slot (only programmatic goals have one) calls the term it is bound to.
+its top connective (conjunction splits, committed choice picks a
+disjunct, ...).  Any other goal is a call: its own atom or compound
+term, which runs a built-in (``X = Y`` is ``=/2``) or switches to
+backchaining.  ``TRUE`` is known by identity and succeeds before any
+lookup; ``CUT`` runs where both lookups miss.  A variable in a goal slot
+(only programmatic goals have one) calls the term it is bound to.
 
 Backchaining works on clauses compiled to Python code the first time
 they are tried (``mup.compiled``).  The call's dereferenced first
@@ -54,13 +56,12 @@ from mup.compiled import build_body as fresh_rename
 from mup.compiled import match_head as _kunify
 from mup.errors import MupError, UnknownPredicateError
 from mup.syntax import (
+    CUT,
+    TRUE,
     Choice,
     ClassicalOr,
     Conj,
-    Cut,
-    Eq,
     SoftIfThenElse,
-    TrueGoal,
     free_goal_vars,
     indicator,
     parse_query,
@@ -271,30 +272,18 @@ class Engine:
 
                 if tag == "goal":
                     _, goal, depth, cutb, cont = frame
-                    gt = type(goal)
                     if trace is not None:
                         self._emit("reduce", depth, pretty_goal(goal))
 
-                    if gt is TrueGoal:
+                    if goal is TRUE:
                         continue
 
+                    gt = type(goal)
                     if gt is Conj:
                         cont = (
                             "goal", goal.left, depth, cutb,
                             ("goal", goal.right, depth, cutb, cont),
                         )
-                        continue
-
-                    if gt is Eq:
-                        ok = kernel.unify(goal.left, goal.right, bindings, occ)
-                        if trace is not None:
-                            self._emit(
-                                "unify_ok" if ok else "unify_fail",
-                                depth,
-                                pretty_goal(goal),
-                            )
-                        if not ok:
-                            cont = _FAIL
                         continue
 
                     if gt is Var or gt is Num:  # a programmatic goal slot
@@ -316,6 +305,11 @@ class Engine:
                             continue
                         pred = predicates.get(key)
                         if pred is None:
+                            if goal is CUT:
+                                if cutb < len(cps):
+                                    del cps[cutb:]
+                                    bindings.hb = cps[-1].hb
+                                continue
                             if cfg.unknown_predicate == "error":
                                 raise UnknownPredicateError(
                                     "unknown predicate %s/%d" % key
@@ -367,12 +361,6 @@ class Engine:
                             ("commit", cp, len(cps) - 1, False,
                              ("goal", goal.then, depth, cutb, cont)),
                         )
-                        continue
-
-                    if gt is Cut:
-                        if cutb < len(cps):
-                            del cps[cutb:]
-                            bindings.hb = cps[-1].hb
                         continue
 
                     raise MupError("cannot solve goal: %r" % (goal,))

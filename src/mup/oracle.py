@@ -29,10 +29,9 @@ from mup.syntax import (
     ClassicalOr,
     Clause,
     Conj,
-    Eq,
+    CUT,
     Program,
     TRUE,
-    TrueGoal,
     format_program,
     free_goal_vars,
     pretty_goal,
@@ -103,20 +102,14 @@ def _rename_vars(term, mapping):
             mapping[term.id] = new
         return new
     if tt is Compound:
-        return Compound(
-            term.functor, tuple(_rename_vars(a, mapping) for a in term.args)
-        )
+        return Compound(term.functor, [_rename_vars(a, mapping) for a in term.args])
     return term
 
 
 def _rename_goal(goal, mapping):
     t = type(goal)
-    if t is TrueGoal:
-        return goal
     if t is Compound or t is Const or t is Var:  # a call
         return _rename_vars(goal, mapping)
-    if t is Eq:
-        return Eq(_rename_vars(goal.left, mapping), _rename_vars(goal.right, mapping))
     if t is Conj or t is Choice or t is ClassicalOr:
         return t(_rename_goal(goal.left, mapping), _rename_goal(goal.right, mapping))
     raise MupError("oracle cannot handle goal: %r" % (goal,))
@@ -181,14 +174,6 @@ def provable(program, goal, depth):
 
 def _prove(program, goal, subst, limit, depth):
     t = type(goal)
-    if t is TrueGoal:
-        yield subst
-        return
-    if t is Eq:
-        new = _unify(goal.left, goal.right, subst)
-        if new is not None:
-            yield new
-        return
     if t is Conj:
         for s1 in _prove(program, goal.left, subst, limit, depth):
             yield from _prove(program, goal.right, s1, limit, depth)
@@ -199,7 +184,10 @@ def _prove(program, goal, subst, limit, depth):
         return
     if t is Compound or t is Const or t is Var:  # a call
         for body, new in _call_steps(program, goal, subst, limit, depth) or ():
-            yield from _prove(program, body, new, limit, depth + 1)
+            if body is TRUE:
+                yield new
+            else:
+                yield from _prove(program, body, new, limit, depth + 1)
         return
     raise MupError("oracle cannot handle goal: %r" % (goal,))
 
@@ -207,8 +195,12 @@ def _prove(program, goal, subst, limit, depth):
 def _builtin_answers(term, name, arity, subst):
     """Answers of a built-in atom, or None if it is not a built-in.
 
-    Covers the fragment the corpus uses: true/fail, comparisons, is/2.
+    Covers the fragment the corpus uses: =/2, true/fail, comparisons and
+    is/2.  A goal ``X = Y`` is a call to =/2, so this is its one path.
     """
+    if arity == 2 and name == "=":
+        new = _unify(term.args[0], term.args[1], subst)
+        return [new] if new is not None else []
     if arity == 0:
         if name == "true":
             return [subst]
@@ -227,9 +219,6 @@ def _builtin_answers(term, name, arity, subst):
             raise MupError("oracle: is/2 on non-arithmetic argument")
         new = _unify(term.args[0], Num(value), subst)
         return [new] if new is not None else []
-    if arity == 2 and name == "=":
-        new = _unify(term.args[0], term.args[1], subst)
-        return [new] if new is not None else []
     return None
 
 
@@ -238,8 +227,9 @@ def _call_steps(program, term, subst, limit, depth):
 
     A built-in answers with ``(TRUE, s)`` pairs.  Otherwise each clause
     whose renamed head unifies with the call gives its renamed body, one
-    clause at a time, in source order.  None if the depth bound cuts the
-    call off.
+    clause at a time, in source order.  A fact's body is ``TRUE`` too,
+    and the callers take any ``(TRUE, s)`` pair as a solution.  None if
+    the depth bound cuts the call off.
     """
     term = _walk(term, subst)
     if type(term) is Compound:
@@ -251,6 +241,8 @@ def _call_steps(program, term, subst, limit, depth):
     answers = _builtin_answers(term, name, arity, subst)
     if answers is not None:
         return [(TRUE, s) for s in answers]
+    if term is CUT:
+        raise MupError("oracle cannot handle goal: %r" % (term,))
     if depth + 1 > limit:
         return None
 
@@ -311,14 +303,6 @@ def bruteforce_run(program, goal, depth, mode="soft", answer_vars=None):
 
 def _stream(program, goal, subst, limit, depth, mode, hits):
     t = type(goal)
-    if t is TrueGoal:
-        yield subst
-        return
-    if t is Eq:
-        new = _unify(goal.left, goal.right, subst)
-        if new is not None:
-            yield new
-        return
     if t is Conj:
         for s1 in _stream(program, goal.left, subst, limit, depth, mode, hits):
             yield from _stream(program, goal.right, s1, limit, depth, mode, hits)
@@ -351,7 +335,10 @@ def _stream(program, goal, subst, limit, depth, mode, hits):
             hits.count += 1
             return
         for body, new in steps:
-            yield from _stream(program, body, new, limit, depth + 1, mode, hits)
+            if body is TRUE:
+                yield new
+            else:
+                yield from _stream(program, body, new, limit, depth + 1, mode, hits)
         return
     raise MupError("oracle cannot handle goal: %r" % (goal,))
 
@@ -415,7 +402,7 @@ def _gen_leaf(rng, pool, tier):
     if tier > 1 and r < 0.5:
         return _gen_atom(rng, pool, tier)
     if r < 0.8:
-        return Eq(_gen_term(rng, pool), _gen_term(rng, pool))
+        return Compound("=", (_gen_term(rng, pool), _gen_term(rng, pool)))
     if r < 0.9:
         return TRUE
     return Const("fail")
@@ -448,7 +435,7 @@ def _gen_goal(rng, pool, tier, depth, names=None):
         # existentially quantified.
         var = fresh_var("E%d" % next(names))
         return Conj(
-            Eq(var, _gen_term(rng, pool)),
+            Compound("=", (var, _gen_term(rng, pool))),
             _gen_goal(rng, pool + [var], tier, depth - 1, names),
         )
     return _gen_leaf(rng, pool, tier)

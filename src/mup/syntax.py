@@ -16,8 +16,9 @@ are ``'quoted'``; integers and floats are distinct.  One operator table,
 
 A clause, a query and a read/1 term are each one term read at 1200 and
 ended by ``.``; arguments and list elements are read at 999.  A clause is
-split on ``:-``; its body and a query become goals, in which a call is
-the called atom or compound itself.  The default
+split on ``:-``; its body and a query become goals, in which a call
+(``X = Y`` among them) is the called atom or compound itself, and
+``true`` and ``!`` are the interned atoms ``TRUE`` and ``CUT``.  The default
 ``choice`` dialect has ``#`` and no ``!``.  The ``prolog`` dialect (used to
 re-check transpiler output) has ``!`` and ``*->`` and no ``#``.
 """
@@ -41,19 +42,10 @@ class Goal:
         return "%s(%s)" % (type(self).__name__, fields)
 
 
-class TrueGoal(Goal):
-    __slots__ = ()
-
-
-TRUE = TrueGoal()
-
-
-class Eq(Goal):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
+# The goal atoms, interned: the reader maps every ``true`` and ``!`` goal
+# to these, and the engine knows them by identity.
+TRUE = Const("true")
+CUT = Const("!")  # Prolog's cut; only parsed in the ``prolog`` dialect
 
 
 class Conj(Goal):
@@ -84,12 +76,6 @@ class ClassicalOr(Goal):
         self.right = right
 
 
-class Cut(Goal):
-    """Prolog ``!``; only parsed in the ``prolog`` dialect."""
-
-    __slots__ = ()
-
-
 class SoftIfThenElse(Goal):
     """``(C *-> T ; E)``; only parsed in the ``prolog`` dialect."""
 
@@ -112,7 +98,8 @@ class Clause:
     """``head :- body``; unit clauses carry TRUE as body.
 
     A call in the body is its own ``Const`` or ``Compound`` term, with no
-    wrapper node.  ``Eq``, ``TRUE`` and the connectives are the goal nodes.
+    wrapper node; so are ``X = Y``, ``TRUE`` and ``CUT``.  The connectives
+    are the only goal nodes.
     The clause is compiled the first time it is tried:
     ``mup.compiled.compile_clause`` sets ``code``, the clause's generated
     (head matcher, body builder) pair, which is None until then.
@@ -162,7 +149,7 @@ class Program:
             key = clause.indicator()
             pred = self.predicates.get(key)
             if pred is None:
-                if key in _builtins.BUILTINS:
+                if key in _builtins.BUILTINS or key == ("!", 0):
                     raise LoadError(
                         "cannot redefine built-in predicate %s/%d" % key
                     )
@@ -324,7 +311,7 @@ _ARG = 999  # arguments and list elements
 _NOT_CALLABLE = frozenset(_INFIX) - {"*->"} | {"|", ".", "!"}
 _GOALS = {  # per dialect: the atoms that are goals, and the connectives
     "choice": ({"true": TRUE}, {",": Conj, "#": Choice, ";": ClassicalOr}),
-    "prolog": ({"true": TRUE, "!": Cut()}, {",": Conj, ";": ClassicalOr}),
+    "prolog": ({"true": TRUE, "!": CUT}, {",": Conj, ";": ClassicalOr}),
 }
 
 
@@ -512,8 +499,6 @@ class _Reader:
                         todo += ((SoftIfThenElse, 3), right, *reversed(left.args))
                     else:
                         todo += ((connectives[functor], 2), right, left)
-                elif functor == "=" and len(args) == 2:
-                    done.append(Eq(*args))
                 elif functor == "*->" and len(args) == 2 and self.dialect == "prolog":
                     self.goal_error("soft if-then-else needs an else: (C *-> T ; E)", t)
                 elif functor not in _NOT_CALLABLE or (
@@ -611,7 +596,7 @@ def pretty(term, quoted=True):
         elif tt is Var:
             out.append(t.name)
         elif tt is Const:
-            out.append(_atom_text(t.name, quoted))
+            out.append("!" if t is CUT else _atom_text(t.name, quoted))
         elif tt is Num:
             try:
                 out.append(repr(t.value))
@@ -619,8 +604,6 @@ def pretty(term, quoted=True):
                 raise MupError("integer too large to print") from None
         elif tt is Compound:
             todo.extend(reversed(_pieces(t, quoted)))
-        elif tt is TrueGoal:
-            out.append("true")
         else:
             todo.extend(reversed(_goal_pieces(t)))
     return "".join(out)
@@ -685,8 +668,6 @@ def _wrap(arg, max_prec):
 def _goal_pieces(goal):
     """One goal's rendering: its text and its parts, in order."""
     t = type(goal)
-    if t is Eq:
-        return _pieces(Compound("=", (goal.left, goal.right)), True)
     if t is Conj:
         pieces = []
         while type(goal) is Conj:  # a right-nested chain prints flat
@@ -702,8 +683,6 @@ def _goal_pieces(goal):
         if type(goal.right) in (Choice, ClassicalOr) and type(goal.right) is not t:
             right = ["(", goal.right, ")"]
         return ["(", *left, " # " if t is Choice else " ; ", *right, ")"]
-    if t is Cut:
-        return ["!"]
     if t is SoftIfThenElse:
         return ["((", goal.cond, ") *-> (", goal.then, ") ; (", goal.els, "))"]
     raise TypeError("not a goal: %r" % (goal,))
@@ -711,7 +690,7 @@ def _goal_pieces(goal):
 
 def pretty_clause(clause):
     head = pretty(clause.head)
-    if type(clause.body) is TrueGoal:
+    if clause.body is TRUE:
         return "%s." % head
     return "%s :- %s." % (head, pretty_goal(clause.body))
 

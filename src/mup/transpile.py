@@ -21,15 +21,14 @@ import re
 
 from mup.errors import TranslateError
 from mup.syntax import (
+    CUT,
+    TRUE,
     Choice,
     ClassicalOr,
     Clause,
     Conj,
-    Cut,
-    Eq,
     Goal,
     SoftIfThenElse,
-    TRUE,
     free_goal_vars,
     goal_parts,
     pretty_clause,
@@ -127,7 +126,7 @@ def _tx_goal(goal, order, counter, aux_acc, mode):
             params = tuple(v for v in order if v.id in in_choice)
             head = Compound(name, params) if params else Const(name)
             if mode == "hard_cut":
-                aux_acc.append(Clause(head, Conj(left, Cut())))
+                aux_acc.append(Clause(head, Conj(left, CUT)))
                 aux_acc.append(Clause(head, right))
             else:
                 aux_acc.append(Clause(head, SoftIfThenElse(left, TRUE, right)))
@@ -170,5 +169,5 @@ def _called_names(goal):
             yield goal.functor
         elif type(goal) is Const:
             yield goal.name
-        elif isinstance(goal, Goal) and type(goal) is not Eq:  # Eq's parts are terms
+        elif isinstance(goal, Goal):
             stack.extend(reversed(goal_parts(goal)))

@@ -10,11 +10,8 @@ from mup.syntax import (
     Choice,
     Clause,
     Conj,
-    Cut,
-    Eq,
     SoftIfThenElse,
     TRUE,
-    TrueGoal,
 )
 from mup.terms import Compound, Const, Num, Var, fresh_var, mk_list
 
@@ -70,14 +67,8 @@ def goal_equal(a, b, varmap=None):
     ta, tb = type(a), type(b)
     if ta is not tb:
         return False
-    if ta is TrueGoal or ta is Cut:
-        return True
     if ta is Compound or ta is Const:
         return term_equal(a, b, varmap)
-    if ta is Eq:
-        return term_equal(a.left, b.left, varmap) and term_equal(
-            a.right, b.right, varmap
-        )
     if ta in (Conj, Choice, ClassicalOr):
         return goal_equal(a.left, b.left, varmap) and goal_equal(
             a.right, b.right, varmap
@@ -159,7 +150,7 @@ class AstGen:
             if r < 0.05:
                 return TRUE
             if self.rng.random() < 0.5:
-                return Eq(self.term(2), self.term(2))
+                return Compound("=", (self.term(2), self.term(2)))
             return self.callable_term()
         if r < 0.6:
             return Conj(self.goal(depth - 1), self.goal(depth - 1))

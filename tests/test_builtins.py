@@ -45,6 +45,10 @@ def test_eval_arith_operations():
     assert eval_arith(expr("2 + 3 * 4")) == 14
     assert eval_arith(expr("7 // 2")) == 3
     assert eval_arith(expr("7 mod 2")) == 1
+    # // rounds toward negative infinity, and mod takes the divisor's sign.
+    assert eval_arith(expr("-7 // 2")) == -4
+    assert eval_arith(expr("-7 mod 2")) == 1
+    assert eval_arith(expr("7 mod -2")) == -1
     assert eval_arith(expr("-(3) + 1")) == -2
     assert eval_arith(expr("1 / 2")) == 0.5
     assert eval_arith(expr("1.5 * 2.0")) == 3.0

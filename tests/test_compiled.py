@@ -16,7 +16,6 @@ from mup.syntax import (
     Choice,
     Clause,
     Conj,
-    Eq,
     Program,
     free_goal_vars,
     goal_parts,
@@ -192,7 +191,7 @@ def goals_over(pool):
     return st.recursive(
         st.one_of(
             st.builds(lambda t: Compound("q", (t,)), terms),
-            st.builds(Eq, terms, terms),
+            st.builds(lambda a, b: Compound("=", (a, b)), terms, terms),
         ),
         lambda kids: st.one_of(
             st.builds(Conj, kids, kids),

@@ -12,18 +12,19 @@ from mup.engine import (
     solve_choice,
 )
 from mup import kernel
-from mup.errors import InternalError, MupError, UnknownPredicateError
+from mup.errors import InternalError, LoadError, MupError, UnknownPredicateError
 from mup.kernel import Bindings
 from mup.syntax import (
+    CUT,
     Choice,
     Clause,
     Conj,
-    Eq,
     Program,
     TRUE,
     free_goal_vars,
     parse_program,
     parse_query,
+    pretty,
 )
 from mup.terms import Compound, Const, Num, fresh_var
 
@@ -72,6 +73,50 @@ def test_conjunction_left_bindings_flow_right():
 def test_classical_or_enumerates_left_then_right():
     sols, _ = collect("p.", "(X = 1 ; X = 2) ; X = 3.")
     assert sols == ["X = 1", "X = 2", "X = 3"]
+
+
+@pytest.mark.parametrize("left, right, occurs_check, expected", [
+    ("X", "f(Y)", False, ["X = f(Y)"]),
+    ("f(X, b)", "f(a, Y)", False, ["X = a, Y = b"]),
+    ("a", "b", False, []),
+    ("X", "f(Y)", True, ["X = f(Y)"]),
+    ("X", "f(X)", True, []),
+])
+def test_unification_goals_take_one_path(left, right, occurs_check, expected):
+    # A parsed X = Y, the quoted call '='(X, Y) and a programmatic =/2
+    # term, as a goal and through a variable goal slot, are one call.
+    g = fresh_var("G")
+    program = Program([Clause(Compound("p", (g,)), g)])
+    engine = Engine(program, SolveConfig(occurs_check=occurs_check))
+
+    def answers(goal, answer_vars):
+        result = engine.solve_collect(goal, answer_vars)
+        assert result.outcome == EXHAUSTED
+        return [s.render() for s in result.solutions]
+
+    parsed = parse_query("%s = %s." % (left, right))
+    assert type(parsed.goal) is Compound and parsed.goal.functor == "="
+    assert answers(parsed.goal, parsed.answer_vars) == expected
+    quoted = parse_query("'='(%s, %s)." % (left, right))
+    assert answers(quoted.goal, quoted.answer_vars) == expected
+    pair = parse_query("t(%s, %s)." % (left, right))
+    call = Compound("=", pair.goal.args)
+    assert answers(call, pair.answer_vars) == expected
+    assert answers(Compound("p", (call,)), pair.answer_vars) == expected
+
+
+def test_true_and_cut_goals_are_the_interned_atoms():
+    assert parse_program("p :- true.").clauses[0].body is TRUE
+    assert parse_program("p.").clauses[0].body is TRUE
+    assert parse_query("true.").goal is TRUE
+    assert parse_query("X = a, true.").goal.right is TRUE
+    cut = parse_program("p :- q, !.", dialect="prolog").clauses[0].body.right
+    assert cut is CUT
+    # The atom '!' outside the prolog dialect is no cut, and prints quoted.
+    assert parse_query("'!'.").goal is not CUT
+    assert pretty(parse_query("'!'.").goal) == "'!'"
+    with pytest.raises(LoadError, match="!/0"):
+        parse_program("'!'.")
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +178,7 @@ def test_solve_choice_left_fails_right_chosen():
     program = parse_program("p.")
     b = Bindings()
     x = fresh_var("X")
-    stream = solve_choice(program, Const("fail"), Eq(x, Num(1)), b)
+    stream = solve_choice(program, Const("fail"), Compound("=", (x, Num(1))), b)
     results = []
     for _ in stream:
         results.append(b.resolve(x))
@@ -502,15 +547,12 @@ GOLDEN_TRACE = [
     ("backchain_exit", 2, "q(X)"),
     ("reduce", 2, "X = b, R = l"),
     ("reduce", 2, "X = b"),
-    ("unify_fail", 2, "X = b"),
     ("unify_ok", 2, "q(b) ~ q(X)"),
     ("reduce", 3, "true"),
     ("backchain_exit", 2, "q(X)"),
     ("reduce", 2, "X = b, R = l"),
     ("reduce", 2, "X = b"),
-    ("unify_ok", 2, "X = b"),
     ("reduce", 2, "R = l"),
-    ("unify_ok", 2, "R = l"),
     ("choice_taken", 2, "left q(X), X = b, R = l"),
     ("choice_discarded", 2, "right R = r"),
     ("backchain_exit", 1, "c(X, R)"),
@@ -521,12 +563,10 @@ GOLDEN_TRACE = [
     ("reduce", 2, "(S = x, fail # S = y)"),
     ("reduce", 2, "S = x, fail"),
     ("reduce", 2, "S = x"),
-    ("unify_ok", 2, "S = x"),
     ("reduce", 2, "fail"),
     ("choice_taken", 2, "right S = y"),
     ("choice_discarded", 2, "left S = x, fail"),
     ("reduce", 2, "S = y"),
-    ("unify_ok", 2, "S = y"),
     ("backchain_exit", 1, "d(S)"),
     ("reduce", 1, "(loop ; true)"),
     ("reduce", 1, "loop"),
@@ -689,7 +729,7 @@ def test_caller_bindings_survive_a_stream(stream):
     if stream == "backchain":
         answers = engine.backchain(atom, b)
     else:
-        answers = engine.solve_choice(atom, Eq(x, Const("c")), b)
+        answers = engine.solve_choice(atom, Compound("=", (x, Const("c"))), b)
     found = []
     for _ in answers:
         found.append(b.resolve(y))
@@ -786,7 +826,7 @@ def test_a_variable_in_a_goal_slot_calls_its_value(case):
         clauses.append(Clause(Compound("p", (g,)), g))
         goal = Compound("p", (Compound("q", (x,)),))
     else:
-        goal = Conj(Eq(g, Compound("q", (x,))), g)
+        goal = Conj(Compound("=", (g, Compound("q", (x,)))), g)
     result = Engine(Program(clauses)).solve_collect(goal, [x])
     assert [s.render() for s in result.solutions] == ["X = a", "X = b"]
     assert result.outcome == "exhausted"

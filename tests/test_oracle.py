@@ -1,6 +1,10 @@
+import hashlib
 import random
 
+import pytest
+
 from mup.engine import Engine, SolveConfig
+from mup.errors import MupError
 from mup.oracle import (
     bruteforce_run,
     count_solutions_bruteforce,
@@ -8,7 +12,7 @@ from mup.oracle import (
     provable,
     selftest,
 )
-from mup.syntax import parse_program, parse_query
+from mup.syntax import free_goal_vars, parse_program, parse_query
 
 from conftest import multiset
 from helpers import clause_equal
@@ -94,6 +98,80 @@ def test_bruteforce_matches_engine_on_examples(son_program):
         engine_sols = list(Engine(son_program).solve(goal))
         oracle_sols = count_solutions_bruteforce(son_program, goal, 10)
         assert multiset(engine_sols) == multiset(oracle_sols)
+
+
+ARITH_PROGRAM = """
+c(N) :- (N =< 0) # (M is N-1, c(M)).
+sign(X, S) :- (X < 0, S = neg) # ((X > 0, S = pos) # S = zero).
+upto(L, H, L) :- L =< H.
+upto(L, H, X) :- L < H, L1 is L + 1, upto(L1, H, X).
+"""
+
+
+@pytest.mark.parametrize("mode", ["soft", "first"])
+@pytest.mark.parametrize("query, limited", [
+    ("c(5).", False),
+    ("c(50).", True),  # the countdown outruns the depth limit
+    ("X is -(3) * 4 + 10 // 3 - 7 mod 3.", False),
+    ("X is (2 + 3) * -(4) - 6 / 4.", False),
+    ("X is -7 // 2, Y is -7 mod 2, Z is 7 mod -2.", False),
+    ("X is 2 * (3 + 4) mod 5, Y is -(X) + 1.", False),
+    ("X is 1.5 * 2 - -(2.5).", False),
+    ("(1 + 2 * 3 < 2 * 4 # fail).", False),
+    ("X = 5, (X * 2 >= 3 + 4, R = big ; R = small).", False),
+    ("sign(-(2) * 3, S).", False),
+    ("sign(4 - 4, S).", False),
+    ("sign(10 // 3 - 3, S).", False),
+    ("upto(1, 4, X), X * X > 5.", False),
+    ("upto(1, 5, X), (X mod 2 =< 0 # X - 1 > 2).", False),
+])
+def test_oracle_arithmetic_agrees_with_engine(query, limited, mode):
+    # Recursion under a depth limit, is/2 over compound expressions with
+    # unary minus, and comparisons of compound expressions inside # and ;.
+    program = parse_program(ARITH_PROGRAM)
+    parsed = parse_query(query)
+    expected, oracle_limited = bruteforce_run(
+        program, parsed.goal, 12, mode, parsed.answer_vars)
+    cfg = SolveConfig(commit_mode=mode, depth_limit=12)
+    result = Engine(program, cfg).solve_collect(parsed.goal, parsed.answer_vars)
+    assert result.error is None
+    assert [s.render() for s in result.solutions] == [s.render() for s in expected]
+    assert oracle_limited == (result.outcome == "limited") == limited
+
+
+def corpus_digest(cases, depth=12):
+    """sha256 over each corpus case's text and the engine's answers to it
+    in both commit modes, as the selftest runs it."""
+    digest = hashlib.sha256()
+    for i in range(cases):
+        case = generate_case(i)
+        digest.update(case.describe().encode())
+        answer_vars = [v for v in free_goal_vars(case.goal) if v.name != "_"]
+        for mode in ("soft", "first"):
+            cfg = SolveConfig(commit_mode=mode, depth_limit=depth,
+                              unknown_predicate="fail")
+            result = Engine(case.program, cfg).solve_collect(case.goal, answer_vars)
+            rendered = [s.render() for s in result.solutions]
+            digest.update(("%s %s %r\n" % (mode, result.outcome, rendered)).encode())
+    return digest.hexdigest()
+
+
+def test_selftest_corpus_and_answers_are_pinned():
+    # The corpus generator and the engine's answers on it may not drift:
+    # ``mup selftest`` must print the same report before and after a change
+    # to either.  The digest covers the first 1,000 cases of seed 0.
+    assert corpus_digest(1000) == (
+        "a38f9e28b577cf5b4dc747242e6e6055aa657211b8ce59e0f1535d344ca45d77")
+
+
+def test_oracles_reject_a_cut():
+    # The oracles read the choice language; a prolog-dialect cut is no
+    # call to an unknown predicate there, but an error.
+    goal = parse_query("p, !.", dialect="prolog").goal
+    with pytest.raises(MupError, match="cannot handle"):
+        bruteforce_run(parse_program("p."), goal, 5)
+    with pytest.raises(MupError, match="cannot handle"):
+        provable(parse_program("p."), goal, 5)
 
 
 def test_generated_cases_are_reproducible():

@@ -206,14 +206,15 @@ def _answer_vars(goal):
 def test_programmatic_clause_with_shared_or_anonymous_names(mode):
     # Two distinct variables named X and two named _: printed as they are,
     # they would merge or become fresh anonymous variables when reparsed.
-    from mup.syntax import Choice, Clause, ClassicalOr, Conj, Eq, Program, TRUE
+    from mup.syntax import Choice, Clause, ClassicalOr, Conj, Program, TRUE
     from mup.syntax import parse_query
     from mup.terms import Compound, Num, fresh_var
 
     x1, x2, u1, u2 = fresh_var("X"), fresh_var("X"), fresh_var("_"), fresh_var("_")
     left = Conj(
-        ClassicalOr(Eq(x1, Num(1)), Eq(x1, Num(2))),
-        Conj(Eq(x2, Num(3)), Conj(Eq(u1, Const("u")), Eq(u2, Const("v")))),
+        ClassicalOr(Compound("=", (x1, Num(1))), Compound("=", (x1, Num(2)))),
+        Conj(Compound("=", (x2, Num(3))),
+             Conj(Compound("=", (u1, Const("u"))), Compound("=", (u2, Const("v"))))),
     )
     program = Program([Clause(Compound("p", (x1, x2, u1, u2)), Choice(left, TRUE))])
     out = translate(program, mode)
