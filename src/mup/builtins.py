@@ -9,6 +9,7 @@ All built-ins here are deterministic: they succeed at most once and leave
 no choicepoint.  I/O side effects are not undone on backtracking.
 """
 
+import operator
 import sys
 from dataclasses import dataclass, field
 from math import isfinite
@@ -77,7 +78,14 @@ class BuiltinContext:
 # Arithmetic
 
 _INT_ONLY = ("//", "mod")
-_BINARY = ("+", "-", "*", "/", "//", "mod")
+_BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "//": operator.floordiv,
+    "mod": operator.mod,
+}
 _NEGATE = "neg"  # marks a unary minus on the work stack
 
 
@@ -156,18 +164,7 @@ def _apply(op, a, b):
     if op in _INT_ONLY and not (type(a) is int and type(b) is int):
         raise ArithTypeError("%s needs integer operands" % op)
     try:
-        if op == "+":
-            value = a + b
-        elif op == "-":
-            value = a - b
-        elif op == "*":
-            value = a * b
-        elif op == "/":
-            value = a / b
-        elif op == "//":
-            return a // b
-        else:
-            return a % b
+        value = _BINARY[op](a, b)
     except ZeroDivisionError:
         raise EvalError("division by zero") from None
     except OverflowError:
@@ -177,17 +174,11 @@ def _apply(op, a, b):
     return value
 
 
-def _cmp(op):
+def _cmp(test):
+    """A comparison built-in; ``test`` is one of ``operator``'s comparisons."""
+
     def run(ctx, args):
-        a = eval_arith(args[0])
-        b = eval_arith(args[1])
-        if op == "<":
-            return a < b
-        if op == ">":
-            return a > b
-        if op == ">=":
-            return a >= b
-        return a <= b
+        return test(eval_arith(args[0]), eval_arith(args[1]))
 
     return run
 
@@ -253,10 +244,10 @@ BUILTINS = _table(
     Builtin("fail", 0, _fail),
     Builtin("false", 0, _fail),
     Builtin("=", 2, _unify_builtin),
-    Builtin("<", 2, _cmp("<")),
-    Builtin(">", 2, _cmp(">")),
-    Builtin(">=", 2, _cmp(">=")),
-    Builtin("=<", 2, _cmp("=<")),
+    Builtin("<", 2, _cmp(operator.lt)),
+    Builtin(">", 2, _cmp(operator.gt)),
+    Builtin(">=", 2, _cmp(operator.ge)),
+    Builtin("=<", 2, _cmp(operator.le)),
     Builtin("is", 2, _is),
     Builtin("read", 1, _read),
     Builtin("write", 1, _writer(False)),

@@ -3,12 +3,11 @@ and body building, plus a first-argument index per predicate.
 
 A clause is compiled the first time it is tried, not when its Program
 loads; the index needs only the head's first argument.  Compiling first
-makes templates of the head and the body: every variable of the clause
-becomes its slot number, a subterm or subgoal without variables is kept
-as it is (shared, never copied), and any other compound or goal becomes
-a ``(maker, children)`` pair, where ``maker`` is a functor name or a
-goal class.  From the templates it generates the source of two Python
-functions and ``compile()``s it:
+makes templates of the head and the body, which is a term too: every
+variable of the clause becomes its slot number, a subterm without
+variables is kept as it is (shared, never copied), and any other
+compound becomes a ``(functor, children)`` pair.  From the templates it
+generates the source of two Python functions and ``compile()``s it:
 
 * The head matcher takes the call and the trail.  It reads the head's
   arguments left to right, in the order of the WAM's ``get`` instructions
@@ -58,14 +57,7 @@ from itertools import count
 from types import CodeType, FunctionType
 
 from mup.kernel import Compound, Const, Num, Var, _var_ids, deref, occurs, undo_to, unify
-from mup.syntax import (
-    TRUE,
-    Choice,
-    ClassicalOr,
-    Conj,
-    SoftIfThenElse,
-    rebuild,
-)
+from mup.syntax import TRUE, rebuild
 
 # The names generated code refers to, besides its parameters.
 _SCOPE = {
@@ -79,10 +71,6 @@ _SCOPE = {
     "undo_to": undo_to,
     "unify": unify,
 }
-_SCOPE.update(
-    (cls.__name__, cls)
-    for cls in (Choice, ClassicalOr, Conj, SoftIfThenElse)
-)
 
 # Code cache: the source of a generated function -> its code object.  It
 # grows with the number of distinct clause shapes a process compiles.
@@ -152,8 +140,7 @@ def compile_clause(clause):
 
 
 def _template(node, parts):
-    maker = node.functor if type(node) is Compound else type(node)
-    return (maker, tuple(parts))
+    return (node.functor, tuple(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +209,9 @@ def _build(template, names, have, k, temps, lines, pad):
     """
     reused = set()
     fresh = set()
-    stack = []  # suspended parents: maker, iterator over children, parts, depth
+    stack = []  # suspended parents: functor, iterator over children, parts, depth
     # The bottom frame stands for the caller: its one child is ``template``.
-    maker, rest, parts, depth = None, iter((template,)), [], 0
+    functor, rest, parts, depth = None, iter((template,)), [], 0
     while True:
         for child in rest:
             ct = type(child)
@@ -237,8 +224,8 @@ def _build(template, names, have, k, temps, lines, pad):
                     reused.add(child)
                 parts.append("v%d" % child)
             elif ct is tuple:
-                stack.append((maker, rest, parts, depth))
-                maker, children = child
+                stack.append((functor, rest, parts, depth))
+                functor, children = child
                 rest = iter(children)
                 parts = []
                 depth = 0
@@ -246,15 +233,12 @@ def _build(template, names, have, k, temps, lines, pad):
             else:
                 parts.append(k(child))
         else:
-            if maker is None:
+            if functor is None:
                 return parts[0], reused
-            if type(maker) is str:
-                expr = "Compound(%s, %s)" % (k(maker), _tuple(parts))
-            else:
-                expr = "%s(%s)" % (maker.__name__, ", ".join(parts))
+            expr = "Compound(%s, %s)" % (k(functor), _tuple(parts))
             depth += 1
-            maker, rest, parts, outer = stack.pop()
-            if depth == _NEST and maker is not None:
+            functor, rest, parts, outer = stack.pop()
+            if depth == _NEST and functor is not None:
                 name = "b%d" % next(temps)
                 lines.append("%s%s = %s" % (pad, name, expr))
                 expr = name

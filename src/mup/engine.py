@@ -1,9 +1,10 @@
 """The solver: goal reduction plus backchaining over program clauses.
 
-Execution alternates between two phases.  Reducing a goal dispatches on
-its top connective (conjunction splits, committed choice picks a
-disjunct, ...).  Any other goal is a call: its own atom or compound
-term, which runs a built-in (``X = Y`` is ``=/2``) or switches to
+Execution alternates between two phases.  A goal is a term, and
+reducing it dispatches on its functor: a connective (``','/2``,
+``'#'/2`` or ``';'/2``, whose left side may be a ``'*->'/2``) splits,
+picks a disjunct or pushes a choicepoint.  Any other atom or compound is
+a call, which runs a built-in (``X = Y`` is ``=/2``) or switches to
 backchaining.  ``TRUE`` is known by identity and succeeds before any
 lookup; ``CUT`` runs where both lookups miss.  A variable in a goal slot
 (only programmatic goals have one) calls the term it is bound to.
@@ -56,12 +57,9 @@ from mup.compiled import build_body as fresh_rename
 from mup.compiled import match_head as _kunify
 from mup.errors import MupError, UnknownPredicateError
 from mup.syntax import (
+    CONNECTIVES,
     CUT,
     TRUE,
-    Choice,
-    ClassicalOr,
-    Conj,
-    SoftIfThenElse,
     free_goal_vars,
     indicator,
     parse_query,
@@ -198,7 +196,7 @@ class Engine:
 
     def solve_choice(self, left, right, bindings):
         """Run ``left # right`` on caller-owned bindings; yields per success."""
-        goal = Choice(left, right)
+        goal = Compound("#", (left, right))
         yield from self._run(("goal", goal, 0, 1, None), bindings, [0])
 
     def solve_collect(self, goal, answer_vars=None):
@@ -279,14 +277,43 @@ class Engine:
                         continue
 
                     gt = type(goal)
-                    if gt is Conj:
-                        cont = (
-                            "goal", goal.left, depth, cutb,
-                            ("goal", goal.right, depth, cutb, cont),
-                        )
-                        continue
-
-                    if gt is Var or gt is Num:  # a programmatic goal slot
+                    if gt is Compound:
+                        name = goal.functor
+                        args = goal.args
+                        arity = len(args)
+                        if arity == 2 and name in CONNECTIVES:
+                            left, right = args
+                            if name == ",":
+                                cont = (
+                                    "goal", left, depth, cutb,
+                                    ("goal", right, depth, cutb, cont),
+                                )
+                                continue
+                            # A choicepoint for the right side; "#" and
+                            # "*->" commit to the left once it succeeds.
+                            alt = ("goal", right, depth, cutb, cont)
+                            if name == "#":
+                                cp = _ChoicePoint(
+                                    alt, len(bindings), hits[0], (left, right, depth)
+                                )
+                                cont = ("commit", cp, len(cps), first_mode, cont)
+                            elif (type(left) is Compound and left.functor == "*->"
+                                  and len(left.args) == 2):
+                                cp = _ChoicePoint(alt, len(bindings), hits[0])
+                                left, then = left.args
+                                cont = ("commit", cp, len(cps), False,
+                                        ("goal", then, depth, cutb, cont))
+                            else:  # ";"
+                                cp = _ChoicePoint(alt, len(bindings))
+                            cps.append(cp)
+                            bindings.hb = cp.hb
+                            cont = ("goal", left, depth, cutb, cont)
+                            continue
+                        key = (name, arity)
+                    elif gt is Const:
+                        args = ()
+                        key = (goal.name, 0)
+                    else:  # a programmatic goal slot: call the term bound to it
                         goal = kernel.deref(goal)
                         gt = type(goal)
                         if gt is Var:
@@ -295,75 +322,37 @@ class Engine:
                             raise MupError(
                                 "number is not a callable goal: %s" % pretty(goal)
                             )
-                    if gt is Compound or gt is Const:  # a call
-                        key = indicator(goal)
-                        builtin = BUILTINS.get(key)
-                        if builtin is not None:
-                            args = goal.args if gt is Compound else ()
-                            if not builtin.fn(ctx, args):
-                                cont = _FAIL
-                            continue
-                        pred = predicates.get(key)
-                        if pred is None:
-                            if goal is CUT:
-                                if cutb < len(cps):
-                                    del cps[cutb:]
-                                    bindings.hb = cps[-1].hb
-                                continue
-                            if cfg.unknown_predicate == "error":
-                                raise UnknownPredicateError(
-                                    "unknown predicate %s/%d" % key
-                                )
+                        if gt is not Compound and gt is not Const:
+                            raise MupError("cannot solve goal: %r" % (goal,))
+                        cont = ("goal", goal, depth, cutb, cont)
+                        continue
+                    builtin = BUILTINS.get(key)
+                    if builtin is not None:
+                        if not builtin.fn(ctx, args):
                             cont = _FAIL
+                        continue
+                    pred = predicates.get(key)
+                    if pred is None:
+                        if goal is CUT:
+                            if cutb < len(cps):
+                                del cps[cutb:]
+                                bindings.hb = cps[-1].hb
                             continue
-                        if depth_limit is not None and depth + 1 > depth_limit:
-                            hits[0] += 1
-                            cont = _FAIL
-                            continue
-                        if trace is not None:
-                            self._emit("backchain_enter", depth, pretty(goal))
-                            cont = ("exit", depth, pretty(goal), cont)
-                        cont = ("clauses", goal, pred.candidates(goal), 0, depth, cont)
+                        if cfg.unknown_predicate == "error":
+                            raise UnknownPredicateError(
+                                "unknown predicate %s/%d" % key
+                            )
+                        cont = _FAIL
                         continue
-
-                    if gt is Choice:
-                        cp = _ChoicePoint(
-                            ("goal", goal.right, depth, cutb, cont),
-                            len(bindings), hits[0],
-                            (goal.left, goal.right, depth),
-                        )
-                        cps.append(cp)
-                        bindings.hb = cp.hb
-                        cont = (
-                            "goal", goal.left, depth, cutb,
-                            ("commit", cp, len(cps) - 1, first_mode, cont),
-                        )
+                    if depth_limit is not None and depth + 1 > depth_limit:
+                        hits[0] += 1
+                        cont = _FAIL
                         continue
-
-                    if gt is ClassicalOr:
-                        cp = _ChoicePoint(
-                            ("goal", goal.right, depth, cutb, cont), len(bindings)
-                        )
-                        cps.append(cp)
-                        bindings.hb = cp.hb
-                        cont = ("goal", goal.left, depth, cutb, cont)
-                        continue
-
-                    if gt is SoftIfThenElse:
-                        cp = _ChoicePoint(
-                            ("goal", goal.els, depth, cutb, cont),
-                            len(bindings), hits[0],
-                        )
-                        cps.append(cp)
-                        bindings.hb = cp.hb
-                        cont = (
-                            "goal", goal.cond, depth, cutb,
-                            ("commit", cp, len(cps) - 1, False,
-                             ("goal", goal.then, depth, cutb, cont)),
-                        )
-                        continue
-
-                    raise MupError("cannot solve goal: %r" % (goal,))
+                    if trace is not None:
+                        self._emit("backchain_enter", depth, pretty(goal))
+                        cont = ("exit", depth, pretty(goal), cont)
+                    cont = ("clauses", goal, pred.candidates(goal), 0, depth, cont)
+                    continue
 
                 if tag == "clauses":
                     # Try the candidates in source order: match the head,

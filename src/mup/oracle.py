@@ -1,10 +1,11 @@
 """Brute-force reference semantics for differential testing.
 
-Two independent oracles over the same goal/term ASTs the engine uses,
-but sharing none of its machinery: no binding trail, no choicepoint
-stack, no kernel unification.  Substitutions here are persistent dicts,
-search is plain recursive enumeration, and every operation is bounded by
-a backchain-depth limit.
+Two independent oracles over the same terms the engine uses (a goal is
+a term, whose connectives are read by functor), but sharing none of its
+machinery: no binding trail, no choicepoint stack, no kernel
+unification, no arithmetic evaluator.  Substitutions here are persistent
+dicts, search is plain recursive enumeration, and every operation is
+bounded by a backchain-depth limit.
 
 * ``provable`` answers "does ANY derivation of bounded depth exist",
   treating a choice goal angelically (either disjunct may be picked).
@@ -20,15 +21,13 @@ depth bound.
 """
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 
 from mup.errors import MupError
 from mup.syntax import (
-    Choice,
-    ClassicalOr,
     Clause,
-    Conj,
     CUT,
     Program,
     TRUE,
@@ -106,13 +105,16 @@ def _rename_vars(term, mapping):
     return term
 
 
-def _rename_goal(goal, mapping):
-    t = type(goal)
-    if t is Compound or t is Const or t is Var:  # a call
-        return _rename_vars(goal, mapping)
-    if t is Conj or t is Choice or t is ClassicalOr:
-        return t(_rename_goal(goal.left, mapping), _rename_goal(goal.right, mapping))
-    raise MupError("oracle cannot handle goal: %r" % (goal,))
+def _connective(goal):
+    """The functor of a connective goal (``*->`` for a soft if-then-else),
+    or None for a call."""
+    if type(goal) is not Compound or len(goal.args) != 2:
+        return None
+    left = goal.args[0]
+    if (goal.functor == ";" and type(left) is Compound and left.functor == "*->"
+            and len(left.args) == 2):
+        return "*->"
+    return goal.functor if goal.functor in (",", "#", ";") else None
 
 
 def _eval_arith(term, subst):
@@ -126,7 +128,7 @@ def _eval_arith(term, subst):
         if op == "-" and len(term.args) == 1:
             value = _eval_arith(term.args[0], subst)
             return None if value is None else -value
-        if len(term.args) == 2 and op in ("+", "-", "*", "/", "//", "mod"):
+        if len(term.args) == 2 and op in _ARITH:
             a = _eval_arith(term.args[0], subst)
             b = _eval_arith(term.args[1], subst)
             if a is None or b is None:
@@ -134,25 +136,22 @@ def _eval_arith(term, subst):
             if op in ("//", "mod") and not (type(a) is int and type(b) is int):
                 return None
             try:
-                return {
-                    "+": lambda: a + b,
-                    "-": lambda: a - b,
-                    "*": lambda: a * b,
-                    "/": lambda: a / b,
-                    "//": lambda: a // b,
-                    "mod": lambda: a % b,
-                }[op]()
+                return _ARITH[op](a, b)
             except ZeroDivisionError:
                 return None
     return None
 
 
-_COMPARES = {
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "=<": lambda a, b: a <= b,
+_ARITH = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "//": operator.floordiv,
+    "mod": operator.mod,
 }
+
+_COMPARES = {"<": operator.lt, ">": operator.gt, ">=": operator.ge, "=<": operator.le}
 
 
 # ---------------------------------------------------------------------------
@@ -173,23 +172,21 @@ def provable(program, goal, depth):
 
 
 def _prove(program, goal, subst, limit, depth):
-    t = type(goal)
-    if t is Conj:
-        for s1 in _prove(program, goal.left, subst, limit, depth):
-            yield from _prove(program, goal.right, s1, limit, depth)
+    goal = _walk(goal, subst)
+    kind = _connective(goal)
+    if kind == ",":
+        for s1 in _prove(program, goal.args[0], subst, limit, depth):
+            yield from _prove(program, goal.args[1], s1, limit, depth)
         return
-    if t is Choice or t is ClassicalOr:
-        yield from _prove(program, goal.left, subst, limit, depth)
-        yield from _prove(program, goal.right, subst, limit, depth)
+    if kind == "#" or kind == ";":
+        yield from _prove(program, goal.args[0], subst, limit, depth)
+        yield from _prove(program, goal.args[1], subst, limit, depth)
         return
-    if t is Compound or t is Const or t is Var:  # a call
-        for body, new in _call_steps(program, goal, subst, limit, depth) or ():
-            if body is TRUE:
-                yield new
-            else:
-                yield from _prove(program, body, new, limit, depth + 1)
-        return
-    raise MupError("oracle cannot handle goal: %r" % (goal,))
+    for body, new in _call_steps(program, goal, subst, limit, depth) or ():
+        if body is TRUE:
+            yield new
+        else:
+            yield from _prove(program, body, new, limit, depth + 1)
 
 
 def _builtin_answers(term, name, arity, subst):
@@ -241,7 +238,7 @@ def _call_steps(program, term, subst, limit, depth):
     answers = _builtin_answers(term, name, arity, subst)
     if answers is not None:
         return [(TRUE, s) for s in answers]
-    if term is CUT:
+    if term is CUT or _connective(term) == "*->":
         raise MupError("oracle cannot handle goal: %r" % (term,))
     if depth + 1 > limit:
         return None
@@ -250,7 +247,7 @@ def _call_steps(program, term, subst, limit, depth):
         for clause in program.clauses_for(name, arity) or ():
             mapping = {}
             head = _rename_vars(clause.head, mapping)
-            body = _rename_goal(clause.body, mapping)
+            body = _rename_vars(clause.body, mapping)
             new = _unify(head, term, subst)
             if new is not None:
                 yield body, new
@@ -302,15 +299,16 @@ def bruteforce_run(program, goal, depth, mode="soft", answer_vars=None):
 
 
 def _stream(program, goal, subst, limit, depth, mode, hits):
-    t = type(goal)
-    if t is Conj:
-        for s1 in _stream(program, goal.left, subst, limit, depth, mode, hits):
-            yield from _stream(program, goal.right, s1, limit, depth, mode, hits)
+    goal = _walk(goal, subst)
+    kind = _connective(goal)
+    if kind == ",":
+        for s1 in _stream(program, goal.args[0], subst, limit, depth, mode, hits):
+            yield from _stream(program, goal.args[1], s1, limit, depth, mode, hits)
         return
-    if t is Choice:
+    if kind == "#":
         local = _Hits()
         yielded = False
-        for s1 in _stream(program, goal.left, subst, limit, depth, mode, local):
+        for s1 in _stream(program, goal.args[0], subst, limit, depth, mode, local):
             yielded = True
             yield s1
             if mode == "first":
@@ -323,24 +321,21 @@ def _stream(program, goal, subst, limit, depth, mode, hits):
             # its failure is not finite, so the right disjunct stays
             # untried (mirrors the engine).
             return
-        yield from _stream(program, goal.right, subst, limit, depth, mode, hits)
+        yield from _stream(program, goal.args[1], subst, limit, depth, mode, hits)
         return
-    if t is ClassicalOr:
-        yield from _stream(program, goal.left, subst, limit, depth, mode, hits)
-        yield from _stream(program, goal.right, subst, limit, depth, mode, hits)
+    if kind == ";":
+        yield from _stream(program, goal.args[0], subst, limit, depth, mode, hits)
+        yield from _stream(program, goal.args[1], subst, limit, depth, mode, hits)
         return
-    if t is Compound or t is Const or t is Var:  # a call
-        steps = _call_steps(program, goal, subst, limit, depth)
-        if steps is None:
-            hits.count += 1
-            return
-        for body, new in steps:
-            if body is TRUE:
-                yield new
-            else:
-                yield from _stream(program, body, new, limit, depth + 1, mode, hits)
+    steps = _call_steps(program, goal, subst, limit, depth)
+    if steps is None:
+        hits.count += 1
         return
-    raise MupError("oracle cannot handle goal: %r" % (goal,))
+    for body, new in steps:
+        if body is TRUE:
+            yield new
+        else:
+            yield from _stream(program, body, new, limit, depth + 1, mode, hits)
 
 
 # ---------------------------------------------------------------------------
@@ -416,28 +411,28 @@ def _gen_goal(rng, pool, tier, depth, names=None):
         return _gen_leaf(rng, pool, tier)
     r = rng.random()
     if r < 0.30:
-        return Conj(
+        return Compound(",", (
             _gen_goal(rng, pool, tier, depth - 1, names),
             _gen_goal(rng, pool, tier, depth - 1, names),
-        )
+        ))
     if r < 0.50:
-        return Choice(
+        return Compound("#", (
             _gen_goal(rng, pool, tier, depth - 1, names),
             _gen_goal(rng, pool, tier, depth - 1, names),
-        )
+        ))
     if r < 0.62:
-        return ClassicalOr(
+        return Compound(";", (
             _gen_goal(rng, pool, tier, depth - 1, names),
             _gen_goal(rng, pool, tier, depth - 1, names),
-        )
+        ))
     if r < 0.70:
         # A body-only variable: each clause try renames it, so it is
         # existentially quantified.
         var = fresh_var("E%d" % next(names))
-        return Conj(
+        return Compound(",", (
             Compound("=", (var, _gen_term(rng, pool))),
             _gen_goal(rng, pool + [var], tier, depth - 1, names),
-        )
+        ))
     return _gen_leaf(rng, pool, tier)
 
 
@@ -461,10 +456,10 @@ def generate_program(rng):
             pool = [a for a in head_args if type(a) is Var]
             names = itertools.count()
             if rng.random() < 0.5:
-                body = Choice(
+                body = Compound("#", (
                     _gen_goal(rng, pool, tier, rng.randint(0, 2), names),
                     _gen_goal(rng, pool, tier, rng.randint(0, 2), names),
-                )
+                ))
             else:
                 body = _gen_goal(rng, pool, tier, rng.randint(0, 3), names)
             clauses.append(Clause(head, body))
@@ -490,10 +485,11 @@ def generate_query(rng, fresh_names=("Q", "R")):
     if r < 0.55:
         return atom(fresh_var(fresh_names[0]))
     if r < 0.75:
-        return Conj(atom(fresh_var(fresh_names[0])), atom(fresh_var(fresh_names[1])))
+        left = atom(fresh_var(fresh_names[0]))
+        return Compound(",", (left, atom(fresh_var(fresh_names[1]))))
     if r < 0.9:
         shared = fresh_var(fresh_names[0])
-        return Choice(atom(shared), atom(shared))
+        return Compound("#", (atom(shared), atom(shared)))
     return Const("p")
 
 

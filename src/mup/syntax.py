@@ -1,4 +1,4 @@
-"""Concrete syntax and ASTs for programs, clauses and goals.
+"""Concrete syntax of programs, clauses and goals, and their printer.
 
 ``.mpl`` files are UTF-8; ``%`` starts a line comment.  Lists are
 ``[a, b | T]``, variables start uppercase or ``_``, atoms start lowercase or
@@ -16,11 +16,14 @@ are ``'quoted'``; integers and floats are distinct.  One operator table,
 
 A clause, a query and a read/1 term are each one term read at 1200 and
 ended by ``.``; arguments and list elements are read at 999.  A clause is
-split on ``:-``; its body and a query become goals, in which a call
-(``X = Y`` among them) is the called atom or compound itself, and
-``true`` and ``!`` are the interned atoms ``TRUE`` and ``CUT``.  The default
-``choice`` dialect has ``#`` and no ``!``.  The ``prolog`` dialect (used to
-re-check transpiler output) has ``!`` and ``*->`` and no ``#``.
+split on ``:-``.  A goal (a clause body or a query) is the term read, as
+in ISO Prolog: ``','(A, B)``, ``'#'(A, B)`` and ``';'(A, B)`` are its
+connectives, ``(C *-> T ; E)`` is ``';'('*->'(C, T), E)``, and any other
+atom or compound is a call (``X = Y`` among them).  The reader checks
+that a goal can run, and reads ``true`` and ``!`` as the interned atoms
+``TRUE`` and ``CUT``.  The default ``choice`` dialect has ``#`` and no
+``!``.  The ``prolog`` dialect (used to re-check transpiler output) has
+``!`` and ``*->`` and no ``#``.
 """
 
 from math import isinf
@@ -31,60 +34,19 @@ from mup.errors import LoadError, MupError, MupSyntaxError
 from mup.terms import CONS, EMPTY_LIST, Compound, Const, Num, Var, fresh_var, mk_list
 
 # ---------------------------------------------------------------------------
-# Goal / clause / program ASTs
+# Goals, clauses and programs
 
 
-class Goal:
-    __slots__ = ()
-
-    def __repr__(self):
-        fields = ", ".join(repr(getattr(self, f)) for f in type(self).__slots__)
-        return "%s(%s)" % (type(self).__name__, fields)
-
-
-# The goal atoms, interned: the reader maps every ``true`` and ``!`` goal
-# to these, and the engine knows them by identity.
+# The goal atoms, interned: the reader reads every ``true``, and in the
+# prolog dialect every ``!``, as these, and the engine knows them by identity.
 TRUE = Const("true")
-CUT = Const("!")  # Prolog's cut; only parsed in the ``prolog`` dialect
+CUT = Const("!")  # Prolog's cut; only read in the ``prolog`` dialect
 
-
-class Conj(Goal):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-
-
-class Choice(Goal):
-    """Committed choice between two goals (``G0 # G1``)."""
-
-    __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-
-
-class ClassicalOr(Goal):
-    """Backtracking disjunction (``G0 ; G1``), kept for contrast."""
-
-    __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-
-
-class SoftIfThenElse(Goal):
-    """``(C *-> T ; E)``; only parsed in the ``prolog`` dialect."""
-
-    __slots__ = ("cond", "then", "els")
-
-    def __init__(self, cond, then, els):
-        self.cond = cond
-        self.then = then
-        self.els = els
+# The connectives, by functor: every one has arity 2, and ``(C *-> T ; E)``
+# is ``';'('*->'(C, T), E)``.  Any other atom or compound goal is a call.
+CONNECTIVES = frozenset((",", "#", ";"))
+# Indicators a program cannot define: the connectives, ``*->`` and cut.
+_CONTROL = frozenset({(",", 2), ("#", 2), (";", 2), ("*->", 2), ("!", 0)})
 
 
 def indicator(term):
@@ -97,9 +59,8 @@ def indicator(term):
 class Clause:
     """``head :- body``; unit clauses carry TRUE as body.
 
-    A call in the body is its own ``Const`` or ``Compound`` term, with no
-    wrapper node; so are ``X = Y``, ``TRUE`` and ``CUT``.  The connectives
-    are the only goal nodes.
+    The body is a term: connectives are compounds with the functors in
+    ``CONNECTIVES``, and any other atom or compound in it is a call.
     The clause is compiled the first time it is tried:
     ``mup.compiled.compile_clause`` sets ``code``, the clause's generated
     (head matcher, body builder) pair, which is None until then.
@@ -140,8 +101,7 @@ class Program:
     __slots__ = ("clauses", "predicates")
 
     def __init__(self, clauses):
-        # mup.compiled imports the goal classes from this module.
-        from mup.compiled import Predicate
+        from mup.compiled import Predicate  # mup.compiled imports this module
 
         self.clauses = list(clauses)
         self.predicates = {}
@@ -149,7 +109,7 @@ class Program:
             key = clause.indicator()
             pred = self.predicates.get(key)
             if pred is None:
-                if key in _builtins.BUILTINS or key == ("!", 0):
+                if key in _builtins.BUILTINS or key in _CONTROL:
                     raise LoadError(
                         "cannot redefine built-in predicate %s/%d" % key
                     )
@@ -306,22 +266,23 @@ _INFIX = {
 }
 _MINUS = 200  # prefix minus
 _ARG = 999  # arguments and list elements
-# Functors that no called term has.  Outside the prolog dialect, where it
-# makes ``(C *-> T ; E)``, ``'*->'(A, B)`` is a call.
-_NOT_CALLABLE = frozenset(_INFIX) - {"*->"} | {"|", ".", "!"}
-_GOALS = {  # per dialect: the atoms that are goals, and the connectives
-    "choice": ({"true": TRUE}, {",": Conj, "#": Choice, ";": ClassicalOr}),
-    "prolog": ({"true": TRUE, "!": CUT}, {",": Conj, ";": ClassicalOr}),
+# Functors that no called term has.  ``'*->'(C, T)`` is a goal only as the
+# left side of ``;`` in the prolog dialect.
+_NOT_CALLABLE = frozenset(_INFIX) | {"|", ".", "!"}
+_DIALECTS = {  # per dialect: the interned atoms, and the connectives
+    "choice": ({"true": TRUE}, CONNECTIVES),
+    "prolog": ({"true": TRUE, "!": CUT}, CONNECTIVES - {"#"}),
 }
 
 
 class _Reader:
     def __init__(self, text, dialect):
-        if dialect not in _GOALS:
+        if dialect not in _DIALECTS:
             raise ValueError("unknown dialect %r" % (dialect,))
         self.tokens = tokenize(text)
         self.pos = 0
         self.dialect = dialect
+        self.atoms, self.connectives = _DIALECTS[dialect]
         self.start = None  # the first token of the sentence being read
         self.scope = {}
         self.var_order = []
@@ -420,7 +381,7 @@ class _Reader:
             return var
         if kind == "atom" or kind == "qatom":
             if not self.at_punct("("):
-                return Const(tok.value)
+                return self.atoms.get(tok.value) or Const(tok.value)
             self.next()
             args = self.items()
             self.expect_punct(")")
@@ -442,7 +403,7 @@ class _Reader:
             return mk_list(items, tail)
         if tok.value == "!":
             if self.dialect == "prolog":
-                return Const("!")
+                return CUT
             self.fail("cut is not part of this language; use '#' instead", tok)
         self.fail("expected a term", tok)
 
@@ -475,43 +436,33 @@ class _Reader:
         return term
 
     def goal(self, term):
-        """The goal that a clause body or query ``term`` stands for."""
-        atoms, connectives = _GOALS[self.dialect]
-        done = []
-        todo = [term]  # terms still to convert, and (goal class, arity) marks
+        """Check that a clause body or query ``term`` is a goal; return it."""
+        connectives = self.connectives
+        todo = [term]  # the parts still to check, leftmost last
         while todo:
             t = todo.pop()
             tt = type(t)
-            if tt is tuple:  # its parts are the last ``arity`` goals done
-                node, arity = t
-                parts = done[-arity:]
-                del done[-arity:]
-                done.append(node(*parts))
-            elif tt is Const:
-                done.append(atoms.get(t.name) or t)
-            elif tt is Compound:
+            if tt is Compound:
                 functor, args = t.functor, t.args
                 if len(args) == 2 and functor in connectives:
                     left, right = args
                     if (functor == ";" and self.dialect == "prolog"
                             and type(left) is Compound and left.functor == "*->"
                             and len(left.args) == 2):
-                        todo += ((SoftIfThenElse, 3), right, *reversed(left.args))
+                        todo += (right, *reversed(left.args))
                     else:
-                        todo += ((connectives[functor], 2), right, left)
+                        todo += (right, left)
                 elif functor == "*->" and len(args) == 2 and self.dialect == "prolog":
                     self.goal_error("soft if-then-else needs an else: (C *-> T ; E)", t)
-                elif functor not in _NOT_CALLABLE or (
+                elif functor in _NOT_CALLABLE and not (
                     len(args) == 2 and _INFIX.get(functor, (0,))[0] == 700
                 ):
-                    done.append(t)
-                else:
                     self.goal_error("this term cannot be called as a goal", t)
             elif tt is Var:
                 self.goal_error("a variable is not a goal", t)
-            else:
+            elif tt is Num:
                 self.goal_error("a number is not a goal", t)
-        return done[0]
+        return term
 
     def goal_error(self, msg, term):
         tok, text = self.start, pretty(term)
@@ -580,14 +531,18 @@ def _atom_text(name, quoted=True):
 
 
 def pretty(term, quoted=True):
-    """Render a term or a goal; the result reparses to an equal one.
+    """Render a term; the result reparses to an equal one.
 
-    ``quoted=False`` drops atom quoting (the write/1 convention).
-    Iterative, so terms and goals of any depth render in constant host
+    ``quoted=False`` drops atom quoting (the write/1 convention).  A
+    connective prints in canonical form, ``','(a, b)``, unless it is
+    given as ``(goal,)``: then it stands as a goal and prints as an
+    operator.  Iterative, so terms of any depth render in constant host
     stack.
     """
     out = []
-    todo = [term]  # parts still to render, and the text (str) between them
+    # Parts still to render, the text (str) between them, and (goal,) for a
+    # part that stands as a goal.
+    todo = [term]
     while todo:
         t = todo.pop()
         tt = type(t)
@@ -605,11 +560,13 @@ def pretty(term, quoted=True):
         elif tt is Compound:
             todo.extend(reversed(_pieces(t, quoted)))
         else:
-            todo.extend(reversed(_goal_pieces(t)))
+            todo.extend(reversed(_goal_pieces(t[0])))
     return "".join(out)
 
 
-pretty_goal = pretty
+def pretty_goal(goal):
+    """Render a goal: its connectives print as operators."""
+    return pretty((goal,))
 
 
 def _prec(term):
@@ -665,27 +622,56 @@ def _wrap(arg, max_prec):
     return (arg,)
 
 
+def connective(goal):
+    """The connective at the top of ``goal``, or None for a call.
+
+    ``*->`` stands for ``(C *-> T ; E)``, a ``;`` whose left side is a
+    ``*->`` compound.
+    """
+    if type(goal) is not Compound or len(goal.args) != 2:
+        return None
+    functor = goal.functor
+    if functor == ";":
+        left = goal.args[0]
+        if type(left) is Compound and left.functor == "*->" and len(left.args) == 2:
+            return "*->"
+    return functor if functor in CONNECTIVES else None
+
+
 def _goal_pieces(goal):
-    """One goal's rendering: its text and its parts, in order."""
-    t = type(goal)
-    if t is Conj:
+    """One goal's rendering: its text and its parts, in order.
+
+    A part that may be a connective comes as ``(part,)``, so that it
+    prints as a goal too.
+    """
+    kind = connective(goal)
+    if kind is None:  # a call
+        return [goal]
+    left, right = goal.args
+    if kind == ",":
         pieces = []
-        while type(goal) is Conj:  # a right-nested chain prints flat
-            left = goal.left
-            pieces += ("(", left, "), ") if type(left) is Conj else (left, ", ")
-            goal = goal.right
-        pieces.append(goal)
+        while kind == ",":  # a right-nested chain prints flat
+            left, goal = goal.args
+            inner = connective(left)
+            if inner == ",":
+                pieces += ("(", (left,), "), ")
+            else:
+                pieces += ((left,) if inner else left, ", ")
+            kind = connective(goal)
+        pieces.append((goal,) if kind else goal)
         return pieces
-    if t is Choice or t is ClassicalOr:
-        left, right = [goal.left], [goal.right]
-        if type(goal.left) in (Choice, ClassicalOr):
-            left = ["(", goal.left, ")"]
-        if type(goal.right) in (Choice, ClassicalOr) and type(goal.right) is not t:
-            right = ["(", goal.right, ")"]
-        return ["(", *left, " # " if t is Choice else " ; ", *right, ")"]
-    if t is SoftIfThenElse:
-        return ["((", goal.cond, ") *-> (", goal.then, ") ; (", goal.els, "))"]
-    raise TypeError("not a goal: %r" % (goal,))
+    if kind == "*->":
+        cond, then = left.args
+        return ["((", (cond,), ") *-> (", (then,), ") ; (", (right,), "))"]
+    # A disjunction nested on the left, or of the other kind on the right,
+    # is bracketed.
+    left_kind, right_kind = connective(left), connective(right)
+    left = ("(", (left,), ")") if left_kind in ("#", ";") else ((left,),)
+    if right_kind in ("#", ";") and right_kind != kind:
+        right = ("(", (right,), ")")
+    else:
+        right = ((right,),)
+    return ["(", *left, " %s " % kind, *right, ")"]
 
 
 def pretty_clause(clause):
@@ -700,15 +686,8 @@ def format_program(program):
 
 
 # ---------------------------------------------------------------------------
-# Walks over goals and terms, shared by the engine, compiler and transpiler.
-# Each is a loop over an explicit stack, so no goal or term is too deep.
-
-
-def goal_parts(node):
-    """A compound's arguments, or a goal's fields in constructor order."""
-    if type(node) is Compound:
-        return node.args
-    return [getattr(node, field) for field in type(node).__slots__]
+# Walks over terms (goals among them), shared by the engine, compiler and
+# transpiler.  Each is a loop over an explicit stack, so no term is too deep.
 
 
 def free_goal_vars(goal):
@@ -723,17 +702,17 @@ def free_goal_vars(goal):
             if node.id not in seen:
                 seen.add(node.id)
                 out.append(node)
-        elif t is not Const and t is not Num:
-            stack.extend(reversed(goal_parts(node)))
+        elif t is Compound:
+            stack.extend(reversed(node.args))
     return out
 
 
 def rebuild(root, leaf, make):
-    """``root``, a goal or a term, rebuilt bottom-up.
+    """The term ``root``, rebuilt bottom-up.
 
-    Each variable becomes ``leaf(var)``.  A node whose parts all came back
-    as they were is kept as it is (shared); any other becomes
-    ``make(node, parts)``.
+    Each variable becomes ``leaf(var)``.  A compound whose arguments all
+    came back as they were is kept as it is (shared); any other becomes
+    ``make(compound, args)``.
     """
     stack = []  # suspended parents: node, parts, iterator, built
     # The bottom frame stands for the caller: its one part is ``root``.
@@ -745,14 +724,14 @@ def rebuild(root, leaf, make):
             pt = type(part)
             if pt is Var:
                 built.append(leaf(part))
-            elif pt is Const or pt is Num:
-                built.append(part)
-            else:
+            elif pt is Compound:
                 stack.append((node, parts, rest, built))
-                node, parts = part, goal_parts(part)
+                node, parts = part, part.args
                 rest = iter(parts)
                 built = []
                 break
+            else:
+                built.append(part)
         else:
             if not stack:
                 return built[0]
@@ -764,12 +743,10 @@ def rebuild(root, leaf, make):
 def subst_goal(root, mapping):
     """Replace variables by id according to ``mapping`` (a dict id->Term).
 
-    ``root`` is a goal or a term; parts with nothing replaced are shared.
+    Parts of the term ``root`` with nothing replaced are shared.
     """
     return rebuild(root, lambda var: mapping.get(var.id, var), _remake)
 
 
 def _remake(node, parts):
-    if type(node) is Compound:
-        return Compound(node.functor, parts)
-    return type(node)(*parts)
+    return Compound(node.functor, parts)

@@ -1,7 +1,8 @@
 """Source-to-source translation to standard, cut-based Prolog.
 
-Every committed-choice goal ``G0 # G1`` becomes a call to a fresh
-auxiliary predicate carrying the goal's free variables:
+A clause body is a term, read by functor.  Every committed-choice goal
+``G0 # G1`` (a ``'#'/2`` compound among the body's connectives) becomes a
+call to a fresh auxiliary predicate carrying the goal's free variables:
 
 * hard_cut mode emits the classic two-clause encoding of ``(G0, !) ; G1``::
 
@@ -23,14 +24,9 @@ from mup.errors import TranslateError
 from mup.syntax import (
     CUT,
     TRUE,
-    Choice,
-    ClassicalOr,
     Clause,
-    Conj,
-    Goal,
-    SoftIfThenElse,
+    connective,
     free_goal_vars,
-    goal_parts,
     pretty_clause,
     subst_goal,
 )
@@ -113,28 +109,28 @@ def _tx_goal(goal, order, counter, aux_acc, mode):
     done = []
     while todo:
         goal, sides_done = todo.pop()
-        t = type(goal)
         if sides_done:
             right = done.pop()
             left = done.pop()
-            if t is not Choice:
-                done.append(t(left, right))
+            if goal.functor != "#":
+                done.append(Compound(goal.functor, (left, right)))
                 continue
             counter[0] += 1
             name = "%s%d" % (_AUX_PREFIX, counter[0])
-            in_choice = {v.id for v in free_goal_vars(Conj(left, right))}
+            in_choice = {v.id for v in free_goal_vars(goal)}
             params = tuple(v for v in order if v.id in in_choice)
             head = Compound(name, params) if params else Const(name)
             if mode == "hard_cut":
-                aux_acc.append(Clause(head, Conj(left, CUT)))
+                aux_acc.append(Clause(head, Compound(",", (left, CUT))))
                 aux_acc.append(Clause(head, right))
             else:
-                aux_acc.append(Clause(head, SoftIfThenElse(left, TRUE, right)))
+                soft = Compound(";", (Compound("*->", (left, TRUE)), right))
+                aux_acc.append(Clause(head, soft))
             done.append(head)
-        elif t is Choice or t is Conj or t is ClassicalOr:
+        elif connective(goal) in ("#", ",", ";"):
             todo.append((goal, True))
-            todo.append((goal.right, False))
-            todo.append((goal.left, False))
+            todo.append((goal.args[1], False))
+            todo.append((goal.args[0], False))
         else:
             done.append(goal)
     return done[0]
@@ -142,7 +138,7 @@ def _tx_goal(goal, order, counter, aux_acc, mode):
 
 def _clause_var_order(clause):
     """The clause's variables in first-occurrence order."""
-    return free_goal_vars(Conj(clause.head, clause.body))
+    return free_goal_vars(Compound(",", (clause.head, clause.body)))
 
 
 def _check_collisions(program):
@@ -165,9 +161,11 @@ def _called_names(goal):
     stack = [goal]
     while stack:
         goal = stack.pop()
-        if type(goal) is Compound:
+        if connective(goal) is not None or (  # or a soft if-then-else's condition
+            type(goal) is Compound and goal.functor == "*->" and len(goal.args) == 2
+        ):
+            stack.extend(reversed(goal.args))
+        elif type(goal) is Compound:
             yield goal.functor
         elif type(goal) is Const:
             yield goal.name
-        elif isinstance(goal, Goal):
-            stack.extend(reversed(goal_parts(goal)))

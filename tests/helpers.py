@@ -5,14 +5,7 @@ substitutions) used as the ground truth for the unifier property suite.
 
 import random
 
-from mup.syntax import (
-    ClassicalOr,
-    Choice,
-    Clause,
-    Conj,
-    SoftIfThenElse,
-    TRUE,
-)
+from mup.syntax import Clause, TRUE
 from mup.terms import Compound, Const, Num, Var, fresh_var, mk_list
 
 # ---------------------------------------------------------------------------
@@ -20,6 +13,8 @@ from mup.terms import Compound, Const, Num, Var, fresh_var, mk_list
 
 
 def term_equal(a, b, varmap):
+    """Whether terms ``a`` and ``b`` (goals among them) are equal up to
+    renaming; ``varmap`` collects the renaming, a dict id -> id."""
     ta, tb = type(a), type(b)
     if ta is not tb:
         return False
@@ -61,29 +56,9 @@ def same_cells(snapshot):
     return all(var.ref is ref for var, ref in snapshot)
 
 
-def goal_equal(a, b, varmap=None):
-    if varmap is None:
-        varmap = {}
-    ta, tb = type(a), type(b)
-    if ta is not tb:
-        return False
-    if ta is Compound or ta is Const:
-        return term_equal(a, b, varmap)
-    if ta in (Conj, Choice, ClassicalOr):
-        return goal_equal(a.left, b.left, varmap) and goal_equal(
-            a.right, b.right, varmap
-        )
-    if ta is SoftIfThenElse:
-        return all(goal_equal(x, y, varmap) for x, y in
-                   ((a.cond, b.cond), (a.then, b.then), (a.els, b.els)))
-    raise AssertionError("unexpected goal in round-trip: %r" % (a,))
-
-
 def clause_equal(a, b):
     varmap = {}
-    return term_equal(a.head, b.head, varmap) and goal_equal(
-        a.body, b.body, varmap
-    )
+    return term_equal(a.head, b.head, varmap) and term_equal(a.body, b.body, varmap)
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +128,12 @@ class AstGen:
                 return Compound("=", (self.term(2), self.term(2)))
             return self.callable_term()
         if r < 0.6:
-            return Conj(self.goal(depth - 1), self.goal(depth - 1))
-        if r < 0.85:
-            return Choice(self.goal(depth - 1), self.goal(depth - 1))
-        return ClassicalOr(self.goal(depth - 1), self.goal(depth - 1))
+            functor = ","
+        elif r < 0.85:
+            functor = "#"
+        else:
+            functor = ";"
+        return Compound(functor, (self.goal(depth - 1), self.goal(depth - 1)))
 
     def clause(self):
         self.reset_scope()

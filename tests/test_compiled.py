@@ -13,12 +13,9 @@ from mup.compiled import build_body, compile_clause, match_head
 from mup.engine import Engine
 from mup.kernel import Bindings
 from mup.syntax import (
-    Choice,
     Clause,
-    Conj,
     Program,
     free_goal_vars,
-    goal_parts,
     parse_program,
     parse_query,
     subst_goal,
@@ -62,8 +59,8 @@ def test_ground_subterms_and_subgoals_are_shared():
     values = match_head(clause, call, store, False)
     body = build_body(clause, values)
     assert store.deref(call.args[1]) is ground_list  # bound to it, not a copy
-    assert body.right is clause.body.right  # write(done) is not copied
-    assert body.left.args[0] == Const("x")
+    assert body.args[1] is clause.body.args[1]  # write(done) is not copied
+    assert body.args[0].args[0] == Const("x")
 
 
 def test_empty_slots_get_shared_fresh_variables():
@@ -194,8 +191,8 @@ def goals_over(pool):
             st.builds(lambda a, b: Compound("=", (a, b)), terms, terms),
         ),
         lambda kids: st.one_of(
-            st.builds(Conj, kids, kids),
-            st.builds(Choice, kids, kids),
+            st.builds(lambda a, b: Compound(",", (a, b)), kids, kids),
+            st.builds(lambda a, b: Compound("#", (a, b)), kids, kids),
         ),
         max_leaves=6,
     )
@@ -218,8 +215,8 @@ def _shape(roots, budget=300):
         elif t is Num:
             out.append(("num", repr(node.value)))
         else:
-            out.append((node.functor, len(node.args)) if t is Compound else t.__name__)
-            stack.extend(reversed(goal_parts(node)))
+            out.append((node.functor, len(node.args)))
+            stack.extend(reversed(node.args))
     return out
 
 
@@ -251,7 +248,7 @@ def check_against_a_renamed_clause(data, bindings, occurs_checks):
     start_cells = cells(call)
     try:
         for occurs_check in occurs_checks:
-            names = {v.id: fresh_var(v.name) for v in free_goal_vars(Conj(head, body))}
+            names = {v.id: fresh_var(v.name) for v in free_goal_vars(Compound(",", (head, body)))}
             ok = kernel.unify(subst_goal(head, names), call, store, occurs_check)
             if ok:
                 expected = _shape([call, subst_goal(body, names)])

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -16,9 +17,7 @@ from mup.errors import InternalError, LoadError, MupError, UnknownPredicateError
 from mup.kernel import Bindings
 from mup.syntax import (
     CUT,
-    Choice,
     Clause,
-    Conj,
     Program,
     TRUE,
     free_goal_vars,
@@ -109,8 +108,8 @@ def test_true_and_cut_goals_are_the_interned_atoms():
     assert parse_program("p :- true.").clauses[0].body is TRUE
     assert parse_program("p.").clauses[0].body is TRUE
     assert parse_query("true.").goal is TRUE
-    assert parse_query("X = a, true.").goal.right is TRUE
-    cut = parse_program("p :- q, !.", dialect="prolog").clauses[0].body.right
+    assert parse_query("X = a, true.").goal.args[1] is TRUE
+    cut = parse_program("p :- q, !.", dialect="prolog").clauses[0].body.args[1]
     assert cut is CUT
     # The atom '!' outside the prolog dialect is no cut, and prints quoted.
     assert parse_query("'!'.").goal is not CUT
@@ -166,8 +165,8 @@ def test_solve_choice_son_soft(son_program):
     b = Bindings()
     y = fresh_var("Y")
     tom = Const("tom")
-    left = Conj(Compound("male", (tom,)), Compound("father", (y, tom)))
-    right = Conj(Compound("female", (tom,)), Compound("mother", (y, tom)))
+    left = Compound(",", (Compound("male", (tom,)), Compound("father", (y, tom))))
+    right = Compound(",", (Compound("female", (tom,)), Compound("mother", (y, tom))))
     found = []
     for _ in solve_choice(son_program, left, right, b):
         found.append(b.resolve(y))
@@ -188,8 +187,8 @@ def test_solve_choice_left_fails_right_chosen():
 def test_solve_choice_first_mode(son_program):
     y = fresh_var("Y")
     tom = Const("tom")
-    left = Conj(Compound("male", (tom,)), Compound("father", (y, tom)))
-    right = Conj(Compound("female", (tom,)), Compound("mother", (y, tom)))
+    left = Compound(",", (Compound("male", (tom,)), Compound("father", (y, tom))))
+    right = Compound(",", (Compound("female", (tom,)), Compound("mother", (y, tom))))
     b = Bindings()
     engine = Engine(son_program, SolveConfig(commit_mode="first"))
     found = []
@@ -265,7 +264,7 @@ def test_choice_exclusivity_direct():
     g1 = Compound("r", (x,))
     for mode in ("soft", "first"):
         whole = collect_goal(
-            parse_program(program_text), Choice(g0, g1), commit_mode=mode
+            parse_program(program_text), Compound("#", (g0, g1)), commit_mode=mode
         )
         left = collect_goal(parse_program(program_text), g0, commit_mode=mode)
         expected = left.solutions if mode == "soft" else left.solutions[:1]
@@ -457,7 +456,7 @@ def test_conjunction_soundness_random():
     for _ in range(80):
         program = generate_program(rng)
         goal = generate_query(rng)
-        if not isinstance(goal, Conj):
+        if type(goal) is not Compound or goal.functor != ",":
             continue
         cfg = SolveConfig(depth_limit=10, unknown_predicate="fail")
         avs = [v for v in free_goal_vars(goal) if v.name != "_"]
@@ -468,7 +467,7 @@ def test_conjunction_soundness_random():
                 for v in avs
                 if v.name in sol.assignments
             }
-            for part in (goal.left, goal.right):
+            for part in (goal.args[0], goal.args[1]):
                 bound = subst_goal(part, mapping)
                 sub = Engine(program, cfg).solve_collect(bound, [])
                 assert sub.solutions, (part, sol.render())
@@ -501,7 +500,7 @@ def test_long_query_walkers_need_no_host_stack():
     assert len(solutions) == 1
     assert solutions[0].render().endswith(", X2999 = 2999")
     out = subst_goal(goal, {avs[0].id: Num(7)})
-    assert out.right is goal.right  # the unchanged rest is shared
+    assert out.args[1] is goal.args[1]  # the unchanged rest is shared
     assert pretty_goal(out) == "7 = 0, " + text.split(", ", 1)[1]
     assert pretty_goal(goal) == text
 
@@ -811,10 +810,16 @@ def test_calling_a_non_callable_term_is_an_error(term, message):
     # the bindings made before it are undone.
     b = Bindings()
     x = fresh_var("X")
-    left = Conj(Compound("p", (x,)), term)
+    left = Compound(",", (Compound("p", (x,)), term))
     with pytest.raises(MupError, match=message):
         list(Engine(program).solve_choice(left, TRUE, b))
     assert b == [] and b.hb == kernel.ALL and x.ref is None
+
+
+@pytest.mark.parametrize("goal", ["p(a)", None, (Const("p"),)])
+def test_a_goal_that_is_no_term_is_an_error(goal):
+    result = collect_goal(parse_program("p(a)."), goal)
+    assert result.outcome == "errored" and "cannot solve goal" in str(result.error)
 
 
 @pytest.mark.parametrize("case", ["clause body", "query"])
@@ -826,10 +831,41 @@ def test_a_variable_in_a_goal_slot_calls_its_value(case):
         clauses.append(Clause(Compound("p", (g,)), g))
         goal = Compound("p", (Compound("q", (x,)),))
     else:
-        goal = Conj(Compound("=", (g, Compound("q", (x,)))), g)
+        goal = Compound(",", (Compound("=", (g, Compound("q", (x,)))), g))
     result = Engine(Program(clauses)).solve_collect(goal, [x])
     assert [s.render() for s in result.solutions] == ["X = a", "X = b"]
     assert result.outcome == "exhausted"
+
+
+def test_a_variable_goal_bound_to_a_conjunction_runs_it():
+    # A connective is a term, so a goal slot can hold one.
+    g, x = fresh_var("G"), fresh_var("X")
+    clauses = parse_program("q(a). q(b). r(b).").clauses
+    clauses.append(Clause(Compound("p", (g,)), g))
+    conj = Compound(",", (Compound("q", (x,)), Compound("r", (x,))))
+    result = Engine(Program(clauses)).solve_collect(Compound("p", (conj,)), [x])
+    assert [s.render() for s in result.solutions] == ["X = b"]
+    assert result.outcome == "exhausted"
+
+
+@pytest.mark.parametrize("name", [",", "#", ";", "*->"])
+def test_a_program_cannot_define_a_connective(name):
+    head = Compound(name, (Const("a"), Const("b")))
+    with pytest.raises(LoadError, match="%s/2" % re.escape(name)):
+        Program([Clause(head, TRUE)])
+
+
+def test_a_connective_as_data_unifies_and_renders_canonically():
+    x, y = fresh_var("X"), fresh_var("Y")
+    data = Compound(",", (Const("q"), Const("r")))
+    goal = Compound(",", (
+        Compound("=", (x, data)),
+        Compound(",", (Compound("=", (y, data)), Compound("=", (x, y)))),
+    ))
+    result = Engine(parse_program("")).solve_collect(goal, [x, y])
+    assert [s.render() for s in result.solutions] == ["X = ','(q, r), Y = ','(q, r)"]
+    result = Engine(parse_program("")).run_query("X = ','(q, r), Y = ','(q, r), X = Y.")
+    assert [s.render() for s in result.solutions] == ["X = ','(q, r), Y = ','(q, r)"]
 
 
 def test_a_mark_taken_inside_a_stream_is_stale_after_it():

@@ -5,12 +5,9 @@ import pytest
 from mup.errors import LoadError, MupError, MupSyntaxError
 from mup.syntax import (
     _INFIX,
+    _Reader,
     CUT,
     TRUE,
-    Choice,
-    ClassicalOr,
-    Conj,
-    SoftIfThenElse,
     format_program,
     parse_program,
     parse_query,
@@ -21,7 +18,7 @@ from mup.syntax import (
 )
 from mup.terms import Compound, Const, Num, Var, fresh_var
 
-from helpers import AstGen, clause_equal, goal_equal, term_equal
+from helpers import AstGen, clause_equal, term_equal
 
 
 def test_parse_max_clause_shape():
@@ -29,13 +26,13 @@ def test_parse_max_clause_shape():
     clause = program.clauses[0]
     assert clause.indicator() == ("max", 3)
     body = clause.body
-    assert type(body) is Choice
-    assert type(body.left) is Conj
-    assert type(body.left.left) is Compound
-    assert body.left.left.functor == ">="
-    assert body.left.right.functor == "="
-    assert type(body.right.left) is Compound
-    assert body.right.left.functor == "<"
+    assert body.functor == "#"
+    assert body.args[0].functor == ","
+    assert type(body.args[0].args[0]) is Compound
+    assert body.args[0].args[0].functor == ">="
+    assert body.args[0].args[1].functor == "="
+    assert type(body.args[1].args[0]) is Compound
+    assert body.args[1].args[0].functor == "<"
 
 
 def test_parse_unit_clause():
@@ -48,10 +45,10 @@ def test_parse_unit_clause():
 def test_parse_member_choice_clause():
     program = parse_program("member(X,[Y|L]) :- (Y = X) # member(X,L).")
     body = program.clauses[0].body
-    assert type(body) is Choice
-    assert body.left.functor == "="
-    assert type(body.right) is Compound
-    assert body.right.functor == "member"
+    assert body.functor == "#"
+    assert body.args[0].functor == "="
+    assert type(body.args[1]) is Compound
+    assert body.args[1].functor == "member"
 
 
 def test_query_answer_variables():
@@ -78,25 +75,25 @@ def test_anonymous_vars_not_answers_and_distinct():
 def test_precedence_conj_tighter_than_choice():
     query = parse_query("a, b # c, d.")
     goal = query.goal
-    assert type(goal) is Choice
-    assert type(goal.left) is Conj
-    assert type(goal.right) is Conj
-    assert goal.left.left.name == "a"
-    assert goal.right.right.name == "d"
+    assert goal.functor == "#"
+    assert goal.args[0].functor == ","
+    assert goal.args[1].functor == ","
+    assert goal.args[0].args[0].name == "a"
+    assert goal.args[1].args[1].name == "d"
 
 
 def test_choice_and_or_right_assoc():
     goal = parse_query("a # b # c.").goal
-    assert type(goal) is Choice and type(goal.right) is Choice
+    assert goal.functor == "#" and goal.args[1].functor == "#"
     goal = parse_query("a ; b ; c.").goal
-    assert type(goal) is ClassicalOr and type(goal.right) is ClassicalOr
+    assert goal.functor == ";" and goal.args[1].functor == ";"
 
 
 def test_mixed_choice_or_needs_parens():
     with pytest.raises(MupSyntaxError, match="parenthes"):
         parse_query("a # b ; c.")
     goal = parse_query("(a # b) ; c.").goal
-    assert type(goal) is ClassicalOr and type(goal.left) is Choice
+    assert goal.functor == ";" and goal.args[0].functor == "#"
 
 
 def test_cut_rejected_with_hint():
@@ -107,13 +104,25 @@ def test_cut_rejected_with_hint():
 def test_prolog_dialect_accepts_cut_and_soft_ifte():
     program = parse_program("f(X,0) :- X < 2, !.", dialect="prolog")
     body = program.clauses[0].body
-    assert body.right is CUT
+    assert body.args[1] is CUT
     program = parse_program(
         "c(X) :- ((X = a) *-> (true) ; (X = b)).", dialect="prolog"
     )
-    assert type(program.clauses[0].body) is SoftIfThenElse
+    body = program.clauses[0].body
+    assert body.functor == ";" and body.args[0].functor == "*->"
     with pytest.raises(MupSyntaxError):
         parse_program("p :- a # b.", dialect="prolog")
+
+
+def test_soft_if_then_else_functor_is_no_call_in_the_choice_dialect():
+    with pytest.raises(MupSyntaxError, match="goal"):
+        parse_query("'*->'(a, b).")
+    with pytest.raises(MupSyntaxError, match="goal"):
+        parse_program("p :- '*->'(a, b).")
+    with pytest.raises(MupSyntaxError, match="operator"):
+        parse_program("'*->'(a, b).")
+    with pytest.raises(MupSyntaxError, match="operator"):
+        parse_program("'*->'(a, b) :- true.")
 
 
 def test_lists_and_quoted_atoms():
@@ -239,13 +248,13 @@ def test_pretty_round_trip_generated_goals():
         goal = gen.goal(3)
         text = pretty_goal(goal) + "."
         back = parse_query(text).goal
-        assert goal_equal(goal, back), text
+        assert term_equal(goal, back, {}), text
 
 
 def test_operators_inside_terms():
     assert parse_term("f(a = b).") == Compound("f", (Compound("=", (Const("a"), Const("b"))),))
     goal = parse_query("X = (a, b), Y = [(p :- q), 1 < 2].").goal
-    assert goal.left.args[1] == Compound(",", (Const("a"), Const("b")))
+    assert goal.args[0].args[1] == Compound(",", (Const("a"), Const("b")))
     assert pretty_goal(goal) == "X = ','(a, b), Y = [':-'(p, q), 1 < 2]"
     nested = Compound("=", (Compound("=", (Const("a"), Const("b"))), Const("c")))
     assert pretty(nested) == "(a = b) = c"
@@ -258,10 +267,10 @@ def test_operators_inside_terms():
 
 def test_functional_notation_goals():
     goal = parse_query("'='(X, a), '<'(1, 2), is(Y, 3), ','(p, q).").goal
-    assert goal.left.functor == "="
-    assert goal.right.left.functor == "<"
-    assert goal.right.right.left.functor == "is"
-    assert type(goal.right.right.right) is Conj
+    assert goal.args[0].functor == "="
+    assert goal.args[1].args[0].functor == "<"
+    assert goal.args[1].args[1].args[0].functor == "is"
+    assert goal.args[1].args[1].args[1].functor == ","
     for text in ("'+'(a, b).", "'.'(a, b).", "[a].", "- p.", "X.", "3."):
         with pytest.raises(MupSyntaxError, match="goal"):
             parse_query(text)
@@ -273,11 +282,22 @@ def test_functional_notation_goals():
 # Every operator functor, plus the list constructors, in every argument
 # position; leaves include atoms that are operators or need quoting.
 _OP_FUNCTORS = sorted(_INFIX) + ["|", ".", "f"]
-_OP_ATOMS = ("a", "mod", "is", "true", "[]", "-", ",", "|", "!", "'", "two words")
+_OP_ATOMS = ("a", "mod", "is", "true", "[]", "-", ",", "|", "!", "'", "two words",
+             "#", ";", "*->")
+_CONNECTIVES = (",", "#", ";", "*->")
 
 
-def _op_term(rng, depth, scope):
+def _op_term(rng, depth, scope, goal=False):
+    """A random term over the operators; with ``goal``, a connective or call
+    is likelier at the top."""
     r = rng.random()
+    if goal and depth and r < 0.5:
+        functor = rng.choice(_CONNECTIVES)
+        return Compound(functor, tuple(_op_term(rng, depth - 1, scope, True) for _ in "ab"))
+    if goal and r < 0.6:
+        return Const(rng.choice(_OP_ATOMS))
+    if goal and r < 0.7:
+        return Compound("f", (_op_term(rng, max(depth - 1, 0), scope),))
     if depth == 0 or r < 0.3:
         k = rng.random()
         if k < 0.3:
@@ -305,16 +325,20 @@ def test_pretty_round_trip_operator_terms():
 
 _SOUP = ("a", "b", "f", "p", "true", "fail", "is", "mod", "X", "Y", "_", "1",
          "0", "2.5", "'q a'", "'true'", "'!'", "'='", "'-'", "','", "'#'",
-         "'*->'", "'|'", "'.'", "'[]'", "[]", "(", ")", "[", "]", ",", "|", "#",
-         ";", "*->", ":-", "=", "<", ">=", "=<", "+", "-", "*", "//", "!", ".")
+         "'*->'", "';'", "'|'", "'.'", "'[]'", "[]", "(", ")", "[", "]", ",", "|",
+         "#", ";", "*->", ":-", "=", "<", ">=", "=<", "+", "-", "*", "//", "!", ".")
+
+
+def _soup(rng):
+    tokens = rng.choices(_SOUP, k=rng.randint(1, 12)) + ["."]
+    return " ".join(tokens) if rng.random() < 0.8 else "".join(tokens)
 
 
 def test_token_soup_raises_or_reads_back():
     """Whatever the reader accepts prints back to text it reads the same."""
     rng = random.Random(7)
     for _ in range(3000):
-        tokens = rng.choices(_SOUP, k=rng.randint(1, 12)) + ["."]
-        text = " ".join(tokens) if rng.random() < 0.8 else "".join(tokens)
+        text = _soup(rng)
         for dialect in ("choice", "prolog"):
             try:
                 program = parse_program(text, dialect)
@@ -330,7 +354,7 @@ def test_token_soup_raises_or_reads_back():
                 pass
             else:
                 back = parse_query(pretty_goal(query.goal) + ".", dialect)
-                assert goal_equal(query.goal, back.goal), text
+                assert term_equal(query.goal, back.goal, {}), text
         try:
             term = parse_term(text)
         except MupError:
@@ -338,16 +362,42 @@ def test_token_soup_raises_or_reads_back():
         assert term_equal(term, parse_term(pretty(term) + " ."), {}), text
 
 
+def _goal_is_the_term_read(text, dialect):
+    """Whether ``text`` reads as a query, whose goal is then the very term
+    that the dialect's reader reads for it."""
+    try:
+        goal = parse_query(text, dialect).goal
+    except MupError:
+        return False
+    assert term_equal(goal, _Reader(text, dialect).sentence(last=True), {}), text
+    return True
+
+
+def test_a_goal_is_the_term_read():
+    rng = random.Random(11)
+    read = 0
+    for _ in range(3000):
+        text = _soup(rng)
+        for dialect in ("choice", "prolog"):
+            read += _goal_is_the_term_read(text, dialect)
+    for _ in range(3000):
+        goal = _op_term(rng, 3, {}, goal=True)
+        for text in (pretty(goal) + ".", pretty_goal(goal) + "."):
+            for dialect in ("choice", "prolog"):
+                read += _goal_is_the_term_read(text, dialect)
+    assert read > 1000
+
+
 def test_subst_goal_replaces_only_mapped_variables():
     from mup.syntax import subst_goal
     from mup.terms import fresh_var
 
     goal = parse_query("q(X), r(Y, f(Y)), s(a).").goal
-    x, y = goal.left.args[0], goal.right.left.args[0]
+    x, y = goal.args[0].args[0], goal.args[1].args[0].args[0]
     replacement = fresh_var("W")
     out = subst_goal(goal, {x.id: replacement})
-    assert out.left.args[0] is replacement
-    assert out.right is goal.right  # nothing mapped below: shared
+    assert out.args[0].args[0] is replacement
+    assert out.args[1] is goal.args[1]  # nothing mapped below: shared
     out = subst_goal(goal, {y.id: Const("b")})
     assert pretty_goal(out) == "q(X), r(b, f(b)), s(a)"
-    assert out.left is goal.left and out.right.right is goal.right.right
+    assert out.args[0] is goal.args[0] and out.args[1].args[1] is goal.args[1].args[1]

@@ -206,17 +206,18 @@ def _answer_vars(goal):
 def test_programmatic_clause_with_shared_or_anonymous_names(mode):
     # Two distinct variables named X and two named _: printed as they are,
     # they would merge or become fresh anonymous variables when reparsed.
-    from mup.syntax import Choice, Clause, ClassicalOr, Conj, Program, TRUE
+    from mup.syntax import Clause, Program, TRUE
     from mup.syntax import parse_query
     from mup.terms import Compound, Num, fresh_var
 
     x1, x2, u1, u2 = fresh_var("X"), fresh_var("X"), fresh_var("_"), fresh_var("_")
-    left = Conj(
-        ClassicalOr(Compound("=", (x1, Num(1))), Compound("=", (x1, Num(2)))),
-        Conj(Compound("=", (x2, Num(3))),
-             Conj(Compound("=", (u1, Const("u"))), Compound("=", (u2, Const("v"))))),
-    )
-    program = Program([Clause(Compound("p", (x1, x2, u1, u2)), Choice(left, TRUE))])
+    left = Compound(",", (
+        Compound(";", (Compound("=", (x1, Num(1))), Compound("=", (x1, Num(2))))),
+        Compound(",", (Compound("=", (x2, Num(3))),
+                       Compound(",", (Compound("=", (u1, Const("u"))),
+                                      Compound("=", (u2, Const("v"))))))),
+    ))
+    program = Program([Clause(Compound("p", (x1, x2, u1, u2)), Compound("#", (left, TRUE)))])
     out = translate(program, mode)
     assert out.splitlines()[1] == (
         "p(X, X_2, _V_2, _V_3) :- '$choice_1'(X, X_2, _V_2, _V_3).")
