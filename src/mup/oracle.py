@@ -31,6 +31,7 @@ from mup.syntax import (
     CUT,
     Program,
     TRUE,
+    connective,
     format_program,
     free_goal_vars,
     pretty_goal,
@@ -105,18 +106,6 @@ def _rename_vars(term, mapping):
     return term
 
 
-def _connective(goal):
-    """The functor of a connective goal (``*->`` for a soft if-then-else),
-    or None for a call."""
-    if type(goal) is not Compound or len(goal.args) != 2:
-        return None
-    left = goal.args[0]
-    if (goal.functor == ";" and type(left) is Compound and left.functor == "*->"
-            and len(left.args) == 2):
-        return "*->"
-    return goal.functor if goal.functor in (",", "#", ";") else None
-
-
 def _eval_arith(term, subst):
     """Tiny arithmetic evaluator, separate from the engine's."""
     term = _walk(term, subst)
@@ -157,6 +146,10 @@ _COMPARES = {"<": operator.lt, ">": operator.gt, ">=": operator.ge, "=<": operat
 # ---------------------------------------------------------------------------
 # Angelic provability (the declarative reading of choice)
 
+# The oracles recurse on the host stack; past its limit they raise this,
+# as the engine does.
+_TOO_DEEP = "oracle: term nested too deeply for the host stack"
+
 
 def provable(program, goal, depth):
     """True iff some derivation of backchain depth <= ``depth`` exists.
@@ -166,14 +159,17 @@ def provable(program, goal, depth):
     clauses are tried exhaustively.  False means "no proof within the
     depth bound", not disproof.
     """
-    for _ in _prove(program, goal, {}, depth, 0):
-        return True
+    try:
+        for _ in _prove(program, goal, {}, depth, 0):
+            return True
+    except RecursionError:
+        raise MupError(_TOO_DEEP) from None
     return False
 
 
 def _prove(program, goal, subst, limit, depth):
     goal = _walk(goal, subst)
-    kind = _connective(goal)
+    kind = connective(goal)
     if kind == ",":
         for s1 in _prove(program, goal.args[0], subst, limit, depth):
             yield from _prove(program, goal.args[1], s1, limit, depth)
@@ -238,7 +234,7 @@ def _call_steps(program, term, subst, limit, depth):
     answers = _builtin_answers(term, name, arity, subst)
     if answers is not None:
         return [(TRUE, s) for s in answers]
-    if term is CUT or _connective(term) == "*->":
+    if term is CUT or connective(term) == "*->":
         raise MupError("oracle cannot handle goal: %r" % (term,))
     if depth + 1 > limit:
         return None
@@ -289,18 +285,21 @@ def bruteforce_run(program, goal, depth, mode="soft", answer_vars=None):
         answer_vars = [v for v in free_goal_vars(goal) if v.name != "_"]
     hits = _Hits()
     solutions = []
-    for subst in _stream(program, goal, {}, depth, 0, mode, hits):
-        solutions.append(
-            Solution(
-                (v.name, _walk_deep(v, subst)) for v in answer_vars
+    try:
+        for subst in _stream(program, goal, {}, depth, 0, mode, hits):
+            solutions.append(
+                Solution(
+                    (v.name, _walk_deep(v, subst)) for v in answer_vars
+                )
             )
-        )
+    except RecursionError:
+        raise MupError(_TOO_DEEP) from None
     return solutions, hits.count > 0
 
 
 def _stream(program, goal, subst, limit, depth, mode, hits):
     goal = _walk(goal, subst)
-    kind = _connective(goal)
+    kind = connective(goal)
     if kind == ",":
         for s1 in _stream(program, goal.args[0], subst, limit, depth, mode, hits):
             yield from _stream(program, goal.args[1], s1, limit, depth, mode, hits)

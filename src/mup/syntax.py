@@ -2,8 +2,11 @@
 
 ``.mpl`` files are UTF-8; ``%`` starts a line comment.  Lists are
 ``[a, b | T]``, variables start uppercase or ``_``, atoms start lowercase or
-are ``'quoted'``; integers and floats are distinct.  One operator table,
-``_INFIX``, serves the reader and the printer (Prolog's op/3 types):
+are ``'quoted'``; integers and floats are distinct.  The lexer is one
+pattern, ``_TOKEN``, with one alternative per token kind; the reader pulls
+tokens from it as it goes and holds one token of lookahead, so an error is
+reported where the reader meets it.  One operator table, ``_INFIX``,
+serves the reader and the printer (Prolog's op/3 types):
 
     1200 xfx  :-                   rule ``H :- B``
     1100 xfy  #  ;                 committed choice, disjunction (not mixed)
@@ -22,10 +25,11 @@ connectives, ``(C *-> T ; E)`` is ``';'('*->'(C, T), E)``, and any other
 atom or compound is a call (``X = Y`` among them).  The reader checks
 that a goal can run, and reads ``true`` and ``!`` as the interned atoms
 ``TRUE`` and ``CUT``.  The default ``choice`` dialect has ``#`` and no
-``!``.  The ``prolog`` dialect (used to re-check transpiler output) has
-``!`` and ``*->`` and no ``#``.
+``!``: a goal ``'!'`` is an error there too.  The ``prolog`` dialect (used
+to re-check transpiler output) has ``!`` and ``*->`` and no ``#``.
 """
 
+import re
 from math import isinf
 from operator import is_not
 
@@ -127,10 +131,21 @@ class Program:
 # ---------------------------------------------------------------------------
 # Lexer
 
-_SYMBOLS = frozenset(("*->", ":-", ">=", "=<", "//", "(", ")", "[", "]", ",", "|",
-                      ".", "#", ";", "=", "<", ">", "+", "-", "*", "/", "!"))
-
-_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", "'": "'"}
+# One alternative per token kind, tried in order; the longest symbol comes
+# first.  A number takes ASCII digits only.  A quoted atom may not end just
+# before a quote: ``'a'''`` is the atom a', not a followed by a second atom.
+# A character that starts no token is ``bad``, so that ``finditer`` skips
+# none.  The body of a quoted atom repeats its group once per escape, not
+# per character: the regex engine keeps state for each repetition.
+_QUOTED_BODY = r"[^'\\\n]*(?:(?:''|\\[nt\\'])[^'\\\n]*)*"
+_TOKEN = re.compile(r"""
+    (?P<newline>\n) | (?P<space>[^\S\n]+) | (?P<comment>%%[^\n]*)
+  | (?P<float>[0-9]+(?:\.[0-9]+)?[eE][+-]?[0-9]+|[0-9]+\.[0-9]+) | (?P<int>[0-9]+)
+  | (?P<word>\w+) | (?P<qatom>'%s'(?!'))
+  | (?P<punct>\*->|:-|>=|=<|//|[()\[\],|.\#;=<>+\-*/!]) | (?P<bad>.)
+""" % _QUOTED_BODY, re.VERBOSE)
+_ESCAPE = re.compile(r"''|\\.")
+_ESCAPES = {"''": "'", "\\n": "\n", "\\t": "\t", "\\\\": "\\", "\\'": "'"}
 
 
 class Token:
@@ -147,104 +162,56 @@ class Token:
 
 
 def tokenize(text):
-    tokens = []
-    i = 0
-    n = len(text)
-    line = 1
-    linestart = 0
-
-    def err(msg, at):
-        raise MupSyntaxError(msg, line, at - linestart + 1)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            linestart = i
+    """The tokens of ``text``, one at a time, then ``eof`` on every later call."""
+    line, linestart = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind, value, start = match.lastgroup, match.group(), match.start()
+        if kind == "newline":
+            line, linestart = line + 1, start + 1
             continue
-        if ch.isspace():
-            i += 1
+        if kind == "space" or kind == "comment":
             continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start = i
-        if "0" <= ch <= "9":  # ASCII only: isdigit() also takes "²" and "٣"
-            while i < n and "0" <= text[i] <= "9":
-                i += 1
-            is_float = False
-            if i + 1 < n and text[i] == "." and "0" <= text[i + 1] <= "9":
-                is_float = True
-                i += 1
-                while i < n and "0" <= text[i] <= "9":
-                    i += 1
-            if i < n and text[i] in "eE":
-                j = i + 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                if j < n and "0" <= text[j] <= "9":
-                    is_float = True
-                    i = j
-                    while i < n and "0" <= text[i] <= "9":
-                        i += 1
-            word = text[start:i]
+        col = start - linestart + 1
+        if kind == "word":
+            ch = value[0]
+            if ch != "_" and not ch.isalpha():  # "²" and "٣" are \w too
+                _lex_error(text, start, line, col)
+            kind = "var" if ch == "_" or ch.isupper() else "atom"
+        elif kind == "int":
             try:
-                value = float(word) if is_float else int(word)
+                value = int(value)
             except ValueError:  # more digits than int() converts
-                err("integer literal too long", start)
-            if is_float and isinf(value):
-                err("float literal out of range", start)
-            kind = "float" if is_float else "int"
-            tokens.append(Token(kind, value, line, start - linestart + 1))
-            continue
-        if ch == "_" or ch.isalpha():
-            while i < n and (text[i] == "_" or text[i].isalnum()):
-                i += 1
-            word = text[start:i]
-            kind = "var" if (ch == "_" or ch.isupper()) else "atom"
-            tokens.append(Token(kind, word, line, start - linestart + 1))
-            continue
-        if ch == "'":
-            i += 1
-            chars = []
-            while True:
-                if i >= n:
-                    err("unterminated quoted atom", start)
-                c = text[i]
-                if c == "\\":
-                    if i + 1 >= n:
-                        err("bad escape in quoted atom", i)
-                    esc = text[i + 1]
-                    if esc not in _ESCAPES:
-                        err("bad escape \\%s in quoted atom" % esc, i)
-                    chars.append(_ESCAPES[esc])
-                    i += 2
-                    continue
-                if c == "'":
-                    if i + 1 < n and text[i + 1] == "'":
-                        chars.append("'")
-                        i += 2
-                        continue
-                    i += 1
-                    break
-                if c == "\n":
-                    err("newline in quoted atom", i)
-                chars.append(c)
-                i += 1
-            tokens.append(Token("qatom", "".join(chars), line, start - linestart + 1))
-            continue
-        for size in (3, 2, 1):  # the longest symbol that starts here
-            sym = text[i:i + size]
-            if sym in _SYMBOLS:
-                tokens.append(Token("punct", sym, line, start - linestart + 1))
-                i += len(sym)
-                break
+                raise MupSyntaxError("integer literal too long", line, col) from None
+        elif kind == "float":
+            value = float(value)
+            if isinf(value):
+                raise MupSyntaxError("float literal out of range", line, col)
+        elif kind == "qatom":
+            value = _ESCAPE.sub(lambda m: _ESCAPES[m.group()], value[1:-1])
+        elif kind == "bad":
+            _lex_error(text, start, line, col)
+        yield Token(kind, value, line, col)
+    eof = Token("eof", None, line, len(text) - linestart + 1)
+    while True:
+        yield eof
+
+
+def _lex_error(text, at, line, col):
+    """Raise the error for ``text[at]``, at ``col``, which starts no token."""
+    msg = "unexpected character %r" % text[at]
+    if text[at] == "'":  # find what stops the quoted atom
+        end = re.compile(_QUOTED_BODY).match(text, at + 1).end()
+        if end == len(text):
+            msg = "unterminated quoted atom"
         else:
-            err("unexpected character %r" % ch, i)
-    tokens.append(Token("eof", None, line, n - linestart + 1))
-    return tokens
+            col += end - at
+            if text[end] == "\n":
+                msg = "newline in quoted atom"
+            elif end + 1 == len(text):
+                msg = "bad escape in quoted atom"
+            else:
+                msg = "bad escape \\%s in quoted atom" % text[end + 1]
+    raise MupSyntaxError(msg, line, col)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +236,7 @@ _ARG = 999  # arguments and list elements
 # Functors that no called term has.  ``'*->'(C, T)`` is a goal only as the
 # left side of ``;`` in the prolog dialect.
 _NOT_CALLABLE = frozenset(_INFIX) | {"|", ".", "!"}
+_NO_CUT = "cut is not part of this language; use '#' instead"
 _DIALECTS = {  # per dialect: the interned atoms, and the connectives
     "choice": ({"true": TRUE}, CONNECTIVES),
     "prolog": ({"true": TRUE, "!": CUT}, CONNECTIVES - {"#"}),
@@ -279,8 +247,8 @@ class _Reader:
     def __init__(self, text, dialect):
         if dialect not in _DIALECTS:
             raise ValueError("unknown dialect %r" % (dialect,))
-        self.tokens = tokenize(text)
-        self.pos = 0
+        self.pull = tokenize(text).__next__
+        self.tok = self.pull()  # the one token of lookahead
         self.dialect = dialect
         self.atoms, self.connectives = _DIALECTS[dialect]
         self.start = None  # the first token of the sentence being read
@@ -289,16 +257,13 @@ class _Reader:
 
     # -- token plumbing
 
-    def peek(self):
-        return self.tokens[self.pos]
-
     def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        tok = self.tok
+        self.tok = self.pull()
         return tok
 
     def at_punct(self, value):
-        tok = self.tokens[self.pos]
+        tok = self.tok
         return tok.kind == "punct" and tok.value == value
 
     def expect_punct(self, value):
@@ -307,13 +272,13 @@ class _Reader:
             self.fail("expected %r" % value, tok)
 
     def fail(self, msg, tok=None):
-        tok = tok or self.peek()
+        tok = tok or self.tok
         got = "end of input" if tok.kind == "eof" else repr(tok.value)
         raise MupSyntaxError("%s, got %s" % (msg, got), tok.line, tok.col)
 
     def infix(self):
         """The infix operator at the current token, or None."""
-        tok = self.tokens[self.pos]
+        tok = self.tok
         if tok.kind == "qatom" or tok.value not in _INFIX:
             return None
         if tok.value == "#" and self.dialect == "prolog":
@@ -330,7 +295,7 @@ class _Reader:
         while self.at_punct("-"):
             self.next()
             negs += 1
-        tok = self.peek()
+        tok = self.tok
         if negs and tok.kind in ("int", "float"):
             self.next()
             term = Num(-tok.value)
@@ -404,7 +369,7 @@ class _Reader:
         if tok.value == "!":
             if self.dialect == "prolog":
                 return CUT
-            self.fail("cut is not part of this language; use '#' instead", tok)
+            self.fail(_NO_CUT, tok)
         self.fail("expected a term", tok)
 
     def items(self):
@@ -422,16 +387,16 @@ class _Reader:
 
         Reading descends into arguments and parentheses on the host stack.
         """
-        self.start = self.peek()
+        self.start = self.tok
         self.scope = {}
         self.var_order = []
         try:
             term = self.read(1200)
         except RecursionError:
-            tok = self.peek()
+            tok = self.tok
             raise MupSyntaxError("nested too deeply", tok.line, tok.col) from None
         self.expect_punct(".")
-        if last and self.peek().kind != "eof":
+        if last and self.tok.kind != "eof":
             self.fail("unexpected input after '.'")
         return term
 
@@ -462,6 +427,8 @@ class _Reader:
                 self.goal_error("a variable is not a goal", t)
             elif tt is Num:
                 self.goal_error("a number is not a goal", t)
+            elif t.name == "!" and t is not CUT:  # a quoted '!' in this dialect
+                self.goal_error(_NO_CUT, t)
         return term
 
     def goal_error(self, msg, term):
@@ -493,7 +460,7 @@ def parse_program(text, dialect="choice"):
     """Parse a full program (clauses terminated by ``.``)."""
     reader = _Reader(text, dialect)
     clauses = []
-    while reader.peek().kind != "eof":
+    while reader.tok.kind != "eof":
         clauses.append(reader.clause())
     return Program(clauses)
 

@@ -13,7 +13,9 @@ from mup.engine import (
     solve_choice,
 )
 from mup import kernel
-from mup.errors import InternalError, LoadError, MupError, UnknownPredicateError
+from mup.errors import (
+    InternalError, LoadError, MupError, MupSyntaxError, UnknownPredicateError,
+)
 from mup.kernel import Bindings
 from mup.syntax import (
     CUT,
@@ -111,9 +113,12 @@ def test_true_and_cut_goals_are_the_interned_atoms():
     assert parse_query("X = a, true.").goal.args[1] is TRUE
     cut = parse_program("p :- q, !.", dialect="prolog").clauses[0].body.args[1]
     assert cut is CUT
-    # The atom '!' outside the prolog dialect is no cut, and prints quoted.
-    assert parse_query("'!'.").goal is not CUT
-    assert pretty(parse_query("'!'.").goal) == "'!'"
+    # The atom '!' outside the prolog dialect is no cut, and prints quoted;
+    # as a goal it is an error, as a bare ! is.
+    atom = parse_query("X = '!'.").goal.args[1]
+    assert atom is not CUT and pretty(atom) == "'!'"
+    with pytest.raises(MupSyntaxError, match="cut is not part"):
+        parse_query("'!'.")
     with pytest.raises(LoadError, match="!/0"):
         parse_program("'!'.")
 

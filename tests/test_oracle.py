@@ -13,6 +13,7 @@ from mup.oracle import (
     selftest,
 )
 from mup.syntax import free_goal_vars, parse_program, parse_query
+from mup.terms import Const
 
 from conftest import multiset
 from helpers import clause_equal
@@ -172,6 +173,18 @@ def test_oracles_reject_a_cut():
         bruteforce_run(parse_program("p."), goal, 5)
     with pytest.raises(MupError, match="cannot handle"):
         provable(parse_program("p."), goal, 5)
+
+
+def test_oracles_raise_a_mup_error_past_the_host_stack():
+    # The oracles recurse on the host stack; a long body ends in the
+    # error the engine gives, not a bare RecursionError.
+    program = parse_program("p :- %s." % ", ".join(["true"] * 5000))
+    for oracle in (provable, count_solutions_bruteforce):
+        # Catching the RecursionError too keeps a failure quick to report.
+        with pytest.raises((MupError, RecursionError)) as info:
+            oracle(program, Const("p"), 5)
+        assert isinstance(info.value, MupError), oracle.__name__
+        assert "nested too deeply" in str(info.value)
 
 
 def test_generated_cases_are_reproducible():

@@ -1,4 +1,7 @@
+import gc
+import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -15,6 +18,7 @@ from mup.syntax import (
     pretty,
     pretty_clause,
     pretty_goal,
+    tokenize,
 )
 from mup.terms import Compound, Const, Num, Var, fresh_var
 
@@ -185,6 +189,111 @@ def test_deep_nesting_is_a_syntax_error_and_prints_back():
 def test_unterminated_quoted_atom():
     with pytest.raises(MupSyntaxError, match="unterminated"):
         parse_program("p('oops.")
+
+
+# Text for the lexer's pinned digest: every token kind, and the characters
+# at its edges.  "²", "٣" and "Ⅷ" are \w but start no word, "ǅ" is a
+# title-case letter, and NBSP, U+2028 and form feed are spaces but not
+# newlines.  The pieces in _LEX_EDGES each stop the lexer.
+_LEX_PIECES = (
+    "a", "foo", "X", "_", "_x", "Ab", "is", "mod", "é", "ǅ", "0", "7", "12",
+    ".5", "e", "E", "e+", "e-", "1.5e3", "(", ")", "[", "]", ",", "|", ".",
+    "#", ";", "*->", ":-", ">=", "=<", "//", "=", "<", ">", "+", "-", "*",
+    "/", "!", "'", "''", "'a'", "'!'", "\\n", "\\'", "%", " ", "\n", "\t",
+    "\x0c", "\xa0", "\u2028",
+)
+_LEX_EDGES = ("²", "٣", "Ⅷ", "\\", "\\q", "\"", "@", "1e400", "9" * 4301)
+
+
+def _lex_record(text):
+    """The tokens of ``text`` up to ``eof``, or its lexical error."""
+    out = []
+    try:
+        for tok in tokenize(text):
+            out.append((tok.kind, repr(tok.value), tok.line, tok.col))
+            if tok.kind == "eof":
+                return repr(out)
+    except MupSyntaxError as err:
+        return "error: %s" % err
+
+
+def lexer_digest(count, seed=0):
+    rng = random.Random(seed)
+    sha = hashlib.sha256()
+    for _ in range(count):
+        text = "".join(rng.choice(_LEX_EDGES if rng.random() < 0.03 else _LEX_PIECES)
+                       for _ in range(rng.randint(0, 25)))
+        sha.update(_lex_record(text).encode("utf-8") + b"\0")
+    return sha.hexdigest()
+
+
+def test_lexer_tokens_and_errors_are_pinned():
+    # Each text's tokens (kind, value, line, column) or its lexical error
+    # may not drift.  The digest was taken from the hand-written scanner
+    # that the one-pattern lexer replaced.
+    assert lexer_digest(20000) == (
+        "ed96b62b7b24678297a56b163833bb0af49532983d4668354499e4a38adcceb8")
+
+
+def test_first_error_in_the_text_is_reported():
+    # The reader meets the grammar error before the lexer reaches the
+    # unterminated atom further on.
+    with pytest.raises(MupSyntaxError, match="expected a term, got '.'") as info:
+        parse_program("p :- . q('abc")
+    assert (info.value.line, info.value.column) == (1, 6)
+    with pytest.raises(MupSyntaxError, match="unterminated") as info:
+        parse_program("p :- q.\nr('abc")
+    assert (info.value.line, info.value.column) == (2, 3)
+
+
+def test_doubled_quotes_in_quoted_atoms():
+    assert parse_term("'a'''.") == Const("a'")
+    assert parse_term("'''' = 'it''s'.").args == (Const("'"), Const("it's"))
+    # A quoted atom does not end just before a quote.
+    with pytest.raises(MupSyntaxError, match="unterminated"):
+        parse_term("';''[.")
+
+
+def test_parsing_peaks_near_what_the_program_keeps():
+    # The reader holds one token, not the program's token list.
+    text = "".join("f(%d, v%d).\n" % (k, k % 100) for k in range(10000))
+    parse_program(text[:1000])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        program = parse_program(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(program) == 10000
+    assert peak - base <= 1.5 * (kept - base)
+
+
+def test_a_long_quoted_atom_reads_in_memory_near_its_length():
+    # The regex engine keeps state per repetition of a group; the quoted
+    # atom's group repeats per escape, not per character.
+    text = "'%s'." % ("a" * 200000)
+    tracemalloc.start()
+    try:
+        term = parse_term(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert term == Const("a" * 200000)
+    assert peak <= 4 * len(text)
+
+
+def test_quoted_cut_is_no_goal_in_the_choice_dialect():
+    for text in ("p :- '!'.", "p :- q, ('!' # r)."):
+        with pytest.raises(MupSyntaxError, match="cut is not part"):
+            parse_program(text)
+    with pytest.raises(MupSyntaxError, match="cut is not part"):
+        parse_query("'!'.")
+    assert parse_query("X = '!'.").goal.args[1] == Const("!")  # data reads
+    body = parse_program("p :- q, '!'.", dialect="prolog").clauses[0].body
+    assert body.args[1] is CUT
+    assert parse_query("'!'.", dialect="prolog").goal is CUT
 
 
 def test_builtin_redefinition_rejected_at_load():
