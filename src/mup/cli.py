@@ -9,6 +9,10 @@ from mup.builtins import IoPorts
 from mup.engine import ERRORED, LIMITED, Engine, SolveConfig
 from mup.errors import LoadError, MupError
 from mup.syntax import Program, parse_program
+from mup.terms import Solution
+
+# What ``run`` and the shell say when a limit may have hidden answers.
+_LIMITED = "% search was limited"
 
 
 def _engine_flags(parser):
@@ -174,7 +178,7 @@ def _cmd_run(args, out=None, err=None):
         print("error: %s" % result.error, file=err)
         return 2
     if result.outcome == LIMITED:
-        print("% search was limited", file=err)
+        print(_LIMITED, file=err)
     if not result.solutions:
         print("false.", file=out)
         return 1
@@ -283,33 +287,40 @@ def repl_loop(program, cfg, inp=None, out=None, trace_on=False):
         except MupError as exc:
             emit("error: %s\n" % exc)
             continue
-        stream = engine.solve(query.goal, query.answer_vars)
-        _enumerate_answers(stream, inp, emit, end_line)
+        _enumerate_answers(engine, query, inp, emit, end_line)
 
 
-def _enumerate_answers(stream, inp, emit, end_line):
-    while True:
-        try:
-            solution = next(stream)
-            text = solution.render()
-        except StopIteration:
-            end_line()
-            emit("false.\n")
-            return
-        except MupError as exc:
-            emit("error: %s\n" % exc)
-            return
-        end_line()  # separate program output (write/1) from the answer
-        emit(text)
-        answer = inp.readline()
-        if answer is None or answer == "":
-            emit(".\n")
-            return
-        if answer.strip() == ";":
+def _enumerate_answers(engine, query, inp, emit, end_line):
+    """Show the answers of ``query`` one per ';', as ``run`` collects them.
+
+    Past ``max_solutions`` answers, or when the depth limit cut the
+    search off, the shell says that the search was limited.
+    """
+    answer_vars, hits, stream = engine._query(query.goal, query.answer_vars)
+    shown = 0
+    try:
+        for _ in stream:
+            if shown == engine.cfg.max_solutions:  # one answer too many
+                end_line()
+                emit(_LIMITED + "\n")
+                return
+            text = Solution.from_bindings(answer_vars).render()
+            end_line()  # separate program output (write/1) from the answer
+            emit(text)
+            shown += 1
+            if inp.readline().strip() != ";":
+                emit(".\n")
+                return
             emit(";\n")
-            continue
-        emit(".\n")
+    except MupError as exc:
+        emit("error: %s\n" % exc)
         return
+    finally:
+        stream.close()
+    end_line()
+    if hits[0]:
+        emit(_LIMITED + "\n")
+    emit("false.\n")
 
 
 if __name__ == "__main__":

@@ -56,8 +56,10 @@ import builtins
 from itertools import count
 from types import CodeType, FunctionType
 
-from mup.kernel import Compound, Const, Num, Var, _var_ids, deref, occurs, undo_to, unify
-from mup.syntax import TRUE, rebuild
+from mup.kernel import (
+    Compound, Const, Num, Var, _var_ids, deref, occurs, rebuild, undo_to, unify,
+)
+from mup.syntax import TRUE
 
 # The names generated code refers to, besides its parameters.
 _SCOPE = {

@@ -1,10 +1,13 @@
 """Term kernel.
 
-Terms, the variable id counter, shallow/deep dereferencing, the binding
-store and first-order unification.  ``terms``, ``compiled``,
-``builtins`` and ``engine`` build on these names; ``kernel.unify``,
-``kernel.undo_to`` and ``kernel.resolve`` are looked up as module
-attributes at call time, so ``mupbench`` can time them as layers.
+Terms, the variable id counter, dereferencing, the binding store,
+first-order unification and ``rebuild``, the one bottom-up term walk:
+``resolve``, ``syntax.free_goal_vars``, ``syntax.subst_goal``, clause
+compilation and answer display are each a ``rebuild``.  ``terms``,
+``compiled``, ``builtins`` and ``engine`` build on these names;
+``kernel.unify``, ``kernel.undo_to`` and ``kernel.resolve`` are looked
+up as module attributes at call time, so ``mupbench`` can time them as
+layers.
 
 Representation notes:
 
@@ -26,6 +29,7 @@ Representation notes:
 
 import itertools
 import sys
+from operator import is_not
 
 from mup.errors import InternalError, MupError
 
@@ -175,48 +179,12 @@ def resolve(t, copies=None):
     replaced, by a copy of its cell kept there.  A copy has the cell's id
     and name, so it prints and compares as the cell does, but no run
     binds it; a run may still bind the cell, and need not undo that if
-    the cell is younger than its choicepoints.
-    Iterative postorder rebuild, so arbitrarily long list spines resolve
-    in constant host stack.  A variable met again inside its own value (a
-    cyclic binding, which unification without the occurs check allows)
-    has no finite resolution: MupError.
+    the cell is younger than its choicepoints.  A cyclic binding has no
+    finite resolution: MupError (see ``rebuild``).
     """
-    t = deref(t)
-    if type(t) is Var and copies is not None:
-        return _copy(t, copies)
-    if type(t) is not Compound:
-        return t
-    expanding = set()  # ids of the variables whose values are being rebuilt
-    stack = [[t, 0, [], None]]  # frames: node, next arg index, rebuilt args, var id
-    while True:
-        frame = stack[-1]
-        node = frame[0]
-        idx = frame[1]
-        if idx == len(node.args):
-            built = Compound(node.functor, tuple(frame[2]))
-            stack.pop()
-            if not stack:
-                return built
-            expanding.discard(frame[3])
-            stack[-1][2].append(built)
-            continue
-        frame[1] = idx + 1
-        child = node.args[idx]
-        if type(child) is Var:
-            vid = child.id
-            child = deref(child)
-            if type(child) is Compound:
-                if vid in expanding:
-                    raise MupError("cannot resolve a cyclic term")
-                expanding.add(vid)
-                stack.append([child, 0, [], vid])
-                continue
-            if type(child) is Var and copies is not None:
-                child = _copy(child, copies)
-        elif type(child) is Compound:
-            stack.append([child, 0, [], None])
-            continue
-        frame[2].append(child)
+    if copies is None:
+        return rebuild(t)
+    return rebuild(t, lambda var: _copy(var, copies))
 
 
 def _copy(var, copies):
@@ -224,6 +192,65 @@ def _copy(var, copies):
     if copy is None:
         copy = copies[var.id] = Var(var.id, var.name)
     return copy
+
+
+def _remake(node, parts):
+    return Compound(node.functor, parts)
+
+
+def rebuild(root, leaf=None, make=_remake):
+    """The term ``root``, rebuilt bottom-up, with bindings followed.
+
+    A bound variable stands for its value, which is rebuilt in turn; an
+    unbound one becomes ``leaf(var)``, or stays itself if ``leaf`` is
+    None.  A compound whose parts all came back as they were is kept as
+    it is (shared); any other becomes ``make(compound, parts)``.  A loop
+    over an explicit stack, so arbitrarily long list spines rebuild in
+    constant host stack.  A variable met again inside its own value (a
+    cyclic binding, which unification without the occurs check allows)
+    has no finite rebuild: MupError.
+    """
+    stack = []  # suspended parents: node, parts, iterator, built, var id
+    expanding = set()  # ids of the variables whose values are being rebuilt
+    # The bottom frame stands for the caller: its one part is ``root``.
+    node, parts, vid = None, (root,), None
+    rest = iter(parts)
+    built = []
+    while True:
+        for part in rest:
+            pt = type(part)
+            if pt is Var:
+                value = part  # deref, inline: resolve's cost is per variable
+                while pt is Var and value.ref is not None:
+                    value = value.ref
+                    pt = type(value)
+                if pt is Var:
+                    built.append(value if leaf is None else leaf(value))
+                    continue
+                if pt is not Compound:
+                    built.append(value)
+                    continue
+                if part.id in expanding:
+                    raise MupError("cannot resolve a cyclic term")
+                expanding.add(part.id)
+                stack.append((node, parts, rest, built, vid))
+                node, parts, vid = value, value.args, part.id
+                break
+            if pt is Compound:
+                stack.append((node, parts, rest, built, vid))
+                node, parts, vid = part, part.args, None
+                break
+            built.append(part)
+        else:
+            if not stack:
+                return built[0]
+            out = make(node, built) if any(map(is_not, built, parts)) else node
+            expanding.discard(vid)
+            node, parts, rest, built, vid = stack.pop()
+            built.append(out)
+            continue
+        rest = iter(parts)
+        built = []
 
 
 class Bindings(list):

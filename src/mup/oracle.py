@@ -1,11 +1,12 @@
 """Brute-force reference semantics for differential testing.
 
-Two independent oracles over the same terms the engine uses (a goal is
+One search, ``_stream``, over the same terms the engine uses (a goal is
 a term, whose connectives are read by functor), but sharing none of its
 machinery: no binding trail, no choicepoint stack, no kernel
 unification, no arithmetic evaluator.  Substitutions here are persistent
-dicts, search is plain recursive enumeration, and every operation is
-bounded by a backchain-depth limit.
+dicts, search is plain recursive enumeration, and every call is bounded
+by a backchain-depth limit.  The search reads a choice goal in one of
+two ways:
 
 * ``provable`` answers "does ANY derivation of bounded depth exist",
   treating a choice goal angelically (either disjunct may be picked).
@@ -144,7 +145,7 @@ _COMPARES = {"<": operator.lt, ">": operator.gt, ">=": operator.ge, "=<": operat
 
 
 # ---------------------------------------------------------------------------
-# Angelic provability (the declarative reading of choice)
+# The search, under either reading of choice
 
 # The oracles recurse on the host stack; past its limit they raise this,
 # as the engine does.
@@ -160,29 +161,111 @@ def provable(program, goal, depth):
     depth bound", not disproof.
     """
     try:
-        for _ in _prove(program, goal, {}, depth, 0):
+        for _ in _stream(program, goal, {}, depth, 0, "angelic", [0]):
             return True
     except RecursionError:
         raise MupError(_TOO_DEEP) from None
     return False
 
 
-def _prove(program, goal, subst, limit, depth):
+def count_solutions_bruteforce(program, goal, depth, mode="soft",
+                               answer_vars=None):
+    """Solutions of ``goal`` under committed-choice semantics.
+
+    Independent twin of the engine's search: same left-first, committed
+    meaning of choice (``mode`` picks soft or first commit), same depth
+    accounting, different implementation strategy.  Returns Solution
+    objects in derivation order.
+    """
+    solutions, _ = bruteforce_run(program, goal, depth, mode, answer_vars)
+    return solutions
+
+
+def bruteforce_run(program, goal, depth, mode="soft", answer_vars=None):
+    """Like count_solutions_bruteforce but also reports depth truncation."""
+    if mode not in ("soft", "first"):
+        raise ValueError("mode must be 'soft' or 'first'")
+    if answer_vars is None:
+        answer_vars = [v for v in free_goal_vars(goal) if v.name != "_"]
+    hits = [0]
+    solutions = []
+    try:
+        for subst in _stream(program, goal, {}, depth, 0, mode, hits):
+            solutions.append(
+                Solution(
+                    (v.name, _walk_deep(v, subst)) for v in answer_vars
+                )
+            )
+    except RecursionError:
+        raise MupError(_TOO_DEEP) from None
+    return solutions, hits[0] > 0
+
+
+def _stream(program, goal, subst, limit, depth, mode, hits):
+    """Yield each substitution that proves ``goal``, in derivation order.
+
+    ``mode`` reads ``G0 # G1``: "soft" and "first" commit to the left
+    side once it succeeds, as the engine does; "angelic" tries both
+    sides, as ``;`` does.  ``hits[0]`` counts the calls the depth bound
+    cuts off.
+    """
     goal = _walk(goal, subst)
     kind = connective(goal)
     if kind == ",":
-        for s1 in _prove(program, goal.args[0], subst, limit, depth):
-            yield from _prove(program, goal.args[1], s1, limit, depth)
+        for s1 in _stream(program, goal.args[0], subst, limit, depth, mode, hits):
+            yield from _stream(program, goal.args[1], s1, limit, depth, mode, hits)
+        return
+    if kind == "#" and mode != "angelic":
+        local = [0]
+        yielded = False
+        for s1 in _stream(program, goal.args[0], subst, limit, depth, mode, local):
+            yielded = True
+            yield s1
+            if mode == "first":
+                break
+        hits[0] += local[0]
+        if yielded:
+            return
+        if local[0]:
+            # Left was cut off by the depth bound without ever succeeding:
+            # its failure is not finite, so the right disjunct stays
+            # untried (mirrors the engine).
+            return
+        yield from _stream(program, goal.args[1], subst, limit, depth, mode, hits)
         return
     if kind == "#" or kind == ";":
-        yield from _prove(program, goal.args[0], subst, limit, depth)
-        yield from _prove(program, goal.args[1], subst, limit, depth)
+        yield from _stream(program, goal.args[0], subst, limit, depth, mode, hits)
+        yield from _stream(program, goal.args[1], subst, limit, depth, mode, hits)
         return
-    for body, new in _call_steps(program, goal, subst, limit, depth) or ():
-        if body is TRUE:
+    # A call: a built-in answers at once; otherwise each clause whose
+    # renamed head unifies with the call gives its renamed body, one
+    # clause at a time, in source order.
+    if type(goal) is Compound:
+        name, arity = goal.functor, len(goal.args)
+    elif type(goal) is Const:
+        name, arity = goal.name, 0
+    else:
+        raise MupError("oracle cannot call %r" % (goal,))
+    answers = _builtin_answers(goal, name, arity, subst)
+    if answers is not None:
+        yield from answers
+        return
+    if goal is CUT or kind == "*->":
+        raise MupError("oracle cannot handle goal: %r" % (goal,))
+    if depth + 1 > limit:
+        hits[0] += 1
+        return
+    for clause in program.clauses_for(name, arity) or ():
+        mapping = {}
+        head = _rename_vars(clause.head, mapping)
+        body = _rename_vars(clause.body, mapping)
+        new = _unify(head, goal, subst)
+        if new is None:
+            continue
+        if body is TRUE:  # a fact
             yield new
         else:
-            yield from _prove(program, body, new, limit, depth + 1)
+            yield from _stream(program, body, new, limit, depth + 1, mode, hits)
 
 
 def _builtin_answers(term, name, arity, subst):
@@ -213,128 +296,6 @@ def _builtin_answers(term, name, arity, subst):
         new = _unify(term.args[0], Num(value), subst)
         return [new] if new is not None else []
     return None
-
-
-def _call_steps(program, term, subst, limit, depth):
-    """One resolution step of the call ``term``: (goal, substitution) pairs.
-
-    A built-in answers with ``(TRUE, s)`` pairs.  Otherwise each clause
-    whose renamed head unifies with the call gives its renamed body, one
-    clause at a time, in source order.  A fact's body is ``TRUE`` too,
-    and the callers take any ``(TRUE, s)`` pair as a solution.  None if
-    the depth bound cuts the call off.
-    """
-    term = _walk(term, subst)
-    if type(term) is Compound:
-        name, arity = term.functor, len(term.args)
-    elif type(term) is Const:
-        name, arity = term.name, 0
-    else:
-        raise MupError("oracle cannot call %r" % (term,))
-    answers = _builtin_answers(term, name, arity, subst)
-    if answers is not None:
-        return [(TRUE, s) for s in answers]
-    if term is CUT or connective(term) == "*->":
-        raise MupError("oracle cannot handle goal: %r" % (term,))
-    if depth + 1 > limit:
-        return None
-
-    def steps():
-        for clause in program.clauses_for(name, arity) or ():
-            mapping = {}
-            head = _rename_vars(clause.head, mapping)
-            body = _rename_vars(clause.body, mapping)
-            new = _unify(head, term, subst)
-            if new is not None:
-                yield body, new
-
-    return steps()
-
-
-# ---------------------------------------------------------------------------
-# Left-biased committed enumeration (the engine's operational reading)
-
-
-class _Hits:
-    """Counts derivation branches cut off by the depth bound."""
-
-    __slots__ = ("count",)
-
-    def __init__(self):
-        self.count = 0
-
-
-def count_solutions_bruteforce(program, goal, depth, mode="soft",
-                               answer_vars=None):
-    """Solutions of ``goal`` under committed-choice semantics.
-
-    Independent twin of the engine's search: same left-first, committed
-    meaning of choice (``mode`` picks soft or first commit), same depth
-    accounting, different implementation strategy.  Returns Solution
-    objects in derivation order.
-    """
-    solutions, _ = bruteforce_run(program, goal, depth, mode, answer_vars)
-    return solutions
-
-
-def bruteforce_run(program, goal, depth, mode="soft", answer_vars=None):
-    """Like count_solutions_bruteforce but also reports depth truncation."""
-    if mode not in ("soft", "first"):
-        raise ValueError("mode must be 'soft' or 'first'")
-    if answer_vars is None:
-        answer_vars = [v for v in free_goal_vars(goal) if v.name != "_"]
-    hits = _Hits()
-    solutions = []
-    try:
-        for subst in _stream(program, goal, {}, depth, 0, mode, hits):
-            solutions.append(
-                Solution(
-                    (v.name, _walk_deep(v, subst)) for v in answer_vars
-                )
-            )
-    except RecursionError:
-        raise MupError(_TOO_DEEP) from None
-    return solutions, hits.count > 0
-
-
-def _stream(program, goal, subst, limit, depth, mode, hits):
-    goal = _walk(goal, subst)
-    kind = connective(goal)
-    if kind == ",":
-        for s1 in _stream(program, goal.args[0], subst, limit, depth, mode, hits):
-            yield from _stream(program, goal.args[1], s1, limit, depth, mode, hits)
-        return
-    if kind == "#":
-        local = _Hits()
-        yielded = False
-        for s1 in _stream(program, goal.args[0], subst, limit, depth, mode, local):
-            yielded = True
-            yield s1
-            if mode == "first":
-                break
-        hits.count += local.count
-        if yielded:
-            return
-        if local.count:
-            # Left was cut off by the depth bound without ever succeeding:
-            # its failure is not finite, so the right disjunct stays
-            # untried (mirrors the engine).
-            return
-        yield from _stream(program, goal.args[1], subst, limit, depth, mode, hits)
-        return
-    if kind == ";":
-        yield from _stream(program, goal.args[0], subst, limit, depth, mode, hits)
-        yield from _stream(program, goal.args[1], subst, limit, depth, mode, hits)
-        return
-    steps = _call_steps(program, goal, subst, limit, depth)
-    if steps is None:
-        hits.count += 1
-        return
-    for body, new in steps:
-        if body is TRUE:
-            yield new
-        else:
-            yield from _stream(program, body, new, limit, depth + 1, mode, hits)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 ``.mpl`` files are UTF-8; ``%`` starts a line comment.  Lists are
 ``[a, b | T]``, variables start uppercase or ``_``, atoms start lowercase or
 are ``'quoted'``; integers and floats are distinct.  The lexer is one
-pattern, ``_TOKEN``, with one alternative per token kind; the reader pulls
-tokens from it as it goes and holds one token of lookahead, so an error is
-reported where the reader meets it.  One operator table, ``_INFIX``,
+pattern, ``_TOKEN``, with one alternative per token kind (a quoted atom's
+body is then read a piece at a time); the reader pulls tokens from it as
+it goes and holds one token of lookahead, so an error is reported where
+the reader meets it.  One operator table, ``_INFIX``,
 serves the reader and the printer (Prolog's op/3 types):
 
     1200 xfx  :-                   rule ``H :- B``
@@ -31,10 +32,10 @@ to re-check transpiler output) has ``!`` and ``*->`` and no ``#``.
 
 import re
 from math import isinf
-from operator import is_not
 
 from mup import builtins as _builtins
 from mup.errors import LoadError, MupError, MupSyntaxError
+from mup.kernel import rebuild
 from mup.terms import CONS, EMPTY_LIST, Compound, Const, Num, Var, fresh_var, mk_list
 
 # ---------------------------------------------------------------------------
@@ -132,19 +133,20 @@ class Program:
 # Lexer
 
 # One alternative per token kind, tried in order; the longest symbol comes
-# first.  A number takes ASCII digits only.  A quoted atom may not end just
-# before a quote: ``'a'''`` is the atom a', not a followed by a second atom.
-# A character that starts no token is ``bad``, so that ``finditer`` skips
-# none.  The body of a quoted atom repeats its group once per escape, not
-# per character: the regex engine keeps state for each repetition.
-_QUOTED_BODY = r"[^'\\\n]*(?:(?:''|\\[nt\\'])[^'\\\n]*)*"
+# first.  A number takes ASCII digits only.  A quoted atom's token is its
+# opening quote: ``_quoted_atom`` reads the rest.  A character that starts
+# no token is ``bad``, so that ``finditer`` skips none.
 _TOKEN = re.compile(r"""
-    (?P<newline>\n) | (?P<space>[^\S\n]+) | (?P<comment>%%[^\n]*)
+    (?P<newline>\n) | (?P<space>[^\S\n]+) | (?P<comment>%[^\n]*)
   | (?P<float>[0-9]+(?:\.[0-9]+)?[eE][+-]?[0-9]+|[0-9]+\.[0-9]+) | (?P<int>[0-9]+)
-  | (?P<word>\w+) | (?P<qatom>'%s'(?!'))
+  | (?P<word>\w+) | (?P<qatom>')
   | (?P<punct>\*->|:-|>=|=<|//|[()\[\],|.\#;=<>+\-*/!]) | (?P<bad>.)
-""" % _QUOTED_BODY, re.VERBOSE)
-_ESCAPE = re.compile(r"''|\\.")
+""", re.VERBOSE)
+# One piece of a quoted atom's body: a run of plain characters or an
+# escape.  The pieces are matched one at a time, because the regex engine
+# keeps state for each repetition of a group.  A quote that is not doubled
+# ends the atom: ``'a'''`` is the atom a'.
+_QUOTED_PIECE = re.compile(r"[^'\\\n]+|''|\\[nt\\']")
 _ESCAPES = {"''": "'", "\\n": "\n", "\\t": "\t", "\\\\": "\\", "\\'": "'"}
 
 
@@ -163,55 +165,72 @@ class Token:
 
 def tokenize(text):
     """The tokens of ``text``, one at a time, then ``eof`` on every later call."""
-    line, linestart = 1, 0
-    for match in _TOKEN.finditer(text):
-        kind, value, start = match.lastgroup, match.group(), match.start()
-        if kind == "newline":
-            line, linestart = line + 1, start + 1
-            continue
-        if kind == "space" or kind == "comment":
-            continue
-        col = start - linestart + 1
-        if kind == "word":
-            ch = value[0]
-            if ch != "_" and not ch.isalpha():  # "²" and "٣" are \w too
-                _lex_error(text, start, line, col)
-            kind = "var" if ch == "_" or ch.isupper() else "atom"
-        elif kind == "int":
-            try:
-                value = int(value)
-            except ValueError:  # more digits than int() converts
-                raise MupSyntaxError("integer literal too long", line, col) from None
-        elif kind == "float":
-            value = float(value)
-            if isinf(value):
-                raise MupSyntaxError("float literal out of range", line, col)
-        elif kind == "qatom":
-            value = _ESCAPE.sub(lambda m: _ESCAPES[m.group()], value[1:-1])
-        elif kind == "bad":
-            _lex_error(text, start, line, col)
-        yield Token(kind, value, line, col)
+    line, linestart, pos = 1, 0, 0
+    while pos is not None:  # a scan, restarted after each quoted atom
+        tokens, pos = _TOKEN.finditer(text, pos), None
+        for token in tokens:
+            kind, value, start = token.lastgroup, token.group(), token.start()
+            if kind == "newline":
+                line, linestart = line + 1, start + 1
+                continue
+            if kind == "space" or kind == "comment":
+                continue
+            col = start - linestart + 1
+            if kind == "word":
+                ch = value[0]
+                if ch != "_" and not ch.isalpha():  # "²" and "٣" are \w too
+                    kind = "bad"
+                else:
+                    kind = "var" if ch == "_" or ch.isupper() else "atom"
+            elif kind == "int":
+                try:
+                    value = int(value)
+                except ValueError:  # more digits than int() converts
+                    raise MupSyntaxError(
+                        "integer literal too long", line, col) from None
+            elif kind == "float":
+                value = float(value)
+                if isinf(value):
+                    raise MupSyntaxError("float literal out of range", line, col)
+            elif kind == "qatom":
+                value, pos = _quoted_atom(text, start + 1, line, col)
+            if kind == "bad":
+                msg = "unexpected character %r" % text[start]
+                raise MupSyntaxError(msg, line, col)
+            yield Token(kind, value, line, col)
+            if pos is not None:
+                break
     eof = Token("eof", None, line, len(text) - linestart + 1)
     while True:
         yield eof
 
 
-def _lex_error(text, at, line, col):
-    """Raise the error for ``text[at]``, at ``col``, which starts no token."""
-    msg = "unexpected character %r" % text[at]
-    if text[at] == "'":  # find what stops the quoted atom
-        end = re.compile(_QUOTED_BODY).match(text, at + 1).end()
-        if end == len(text):
-            msg = "unterminated quoted atom"
-        else:
-            col += end - at
-            if text[end] == "\n":
-                msg = "newline in quoted atom"
-            elif end + 1 == len(text):
-                msg = "bad escape in quoted atom"
-            else:
-                msg = "bad escape \\%s in quoted atom" % text[end + 1]
-    raise MupSyntaxError(msg, line, col)
+def _quoted_atom(text, pos, line, col):
+    """The atom whose body starts at ``pos``, and the position after it.
+
+    ``col`` is the column of the opening quote, at ``pos - 1``.
+    """
+    start = pos
+    pieces = []
+    match = _QUOTED_PIECE.match
+    while True:
+        piece = match(text, pos)
+        if piece is None:
+            break
+        pos = piece.end()
+        piece = piece.group()
+        pieces.append(_ESCAPES.get(piece, piece))
+    if pos == len(text):
+        raise MupSyntaxError("unterminated quoted atom", line, col)
+    if text[pos] == "'":
+        return "".join(pieces), pos + 1
+    if text[pos] == "\n":
+        msg = "newline in quoted atom"
+    elif pos + 1 == len(text):
+        msg = "bad escape in quoted atom"
+    else:
+        msg = "bad escape \\%s in quoted atom" % text[pos + 1]
+    raise MupSyntaxError(msg, line, col + 1 + pos - start)
 
 
 # ---------------------------------------------------------------------------
@@ -653,58 +672,16 @@ def format_program(program):
 
 
 # ---------------------------------------------------------------------------
-# Walks over terms (goals among them), shared by the engine, compiler and
-# transpiler.  Each is a loop over an explicit stack, so no term is too deep.
+# Walks over terms (goals among them), shared by the engine, oracle and
+# transpiler.  Each is a ``kernel.rebuild``, so no term is too deep, and a
+# bound variable stands for its value.
 
 
 def free_goal_vars(goal):
-    """Variables of ``goal`` in first-occurrence order."""
-    seen = set()
-    out = []
-    stack = [goal]
-    while stack:
-        node = stack.pop()
-        t = type(node)
-        if t is Var:
-            if node.id not in seen:
-                seen.add(node.id)
-                out.append(node)
-        elif t is Compound:
-            stack.extend(reversed(node.args))
-    return out
-
-
-def rebuild(root, leaf, make):
-    """The term ``root``, rebuilt bottom-up.
-
-    Each variable becomes ``leaf(var)``.  A compound whose arguments all
-    came back as they were is kept as it is (shared); any other becomes
-    ``make(compound, args)``.
-    """
-    stack = []  # suspended parents: node, parts, iterator, built
-    # The bottom frame stands for the caller: its one part is ``root``.
-    node, parts = None, (root,)
-    rest = iter(parts)
-    built = []
-    while True:
-        for part in rest:
-            pt = type(part)
-            if pt is Var:
-                built.append(leaf(part))
-            elif pt is Compound:
-                stack.append((node, parts, rest, built))
-                node, parts = part, part.args
-                rest = iter(parts)
-                built = []
-                break
-            else:
-                built.append(part)
-        else:
-            if not stack:
-                return built[0]
-            out = make(node, built) if any(map(is_not, built, parts)) else node
-            node, parts, rest, built = stack.pop()
-            built.append(out)
+    """The unbound variables of ``goal`` in first-occurrence order."""
+    found = {}
+    rebuild(goal, lambda var: found.setdefault(var.id, var))
+    return list(found.values())
 
 
 def subst_goal(root, mapping):
@@ -712,8 +689,4 @@ def subst_goal(root, mapping):
 
     Parts of the term ``root`` with nothing replaced are shared.
     """
-    return rebuild(root, lambda var: mapping.get(var.id, var), _remake)
-
-
-def _remake(node, parts):
-    return Compound(node.functor, parts)
+    return rebuild(root, lambda var: mapping.get(var.id, var))

@@ -111,8 +111,6 @@ def _display_assignments(assignments):
     its own query name; any other unbound variable gets ``_G0``, ``_G1``,
     ... avoiding collisions with query names.
     """
-    from mup.syntax import _remake, rebuild  # mup.syntax imports this module
-
     own_name = {}
     for name, term in assignments.items():
         if type(term) is Var and term.name == name:
@@ -136,6 +134,6 @@ def _display_assignments(assignments):
     for name, term in assignments.items():
         if type(term) is Var and own_name.get(term.id) == name:
             continue  # variable stayed free
-        out.append((name, rebuild(term, display_var, _remake)))
+        out.append((name, kernel.rebuild(term, display_var)))
     return out
 

@@ -103,8 +103,11 @@ def _tx_goal(goal, order, counter, aux_acc, mode):
 
     Inner choices are translated (numbered and emitted) before the choices
     around them.  ``todo`` holds goals still to translate and connectives
-    whose two sides are done; ``done`` holds translated goals.
+    whose two sides are done; ``done`` holds translated goals.  A choice's
+    variables are those of its translated sides, in which an inner choice
+    is its auxiliary call, so each choice costs the size of its sides.
     """
+    rank = {v.id: i for i, v in enumerate(order)}
     todo = [(goal, False)]
     done = []
     while todo:
@@ -117,8 +120,8 @@ def _tx_goal(goal, order, counter, aux_acc, mode):
                 continue
             counter[0] += 1
             name = "%s%d" % (_AUX_PREFIX, counter[0])
-            in_choice = {v.id for v in free_goal_vars(goal)}
-            params = tuple(v for v in order if v.id in in_choice)
+            in_choice = free_goal_vars(Compound(",", (left, right)))
+            params = tuple(sorted(in_choice, key=lambda v: rank[v.id]))
             head = Compound(name, params) if params else Const(name)
             if mode == "hard_cut":
                 aux_acc.append(Clause(head, Compound(",", (left, CUT))))

@@ -298,6 +298,21 @@ def test_repl_exhausted_prints_false():
     assert "false." in text
 
 
+def test_repl_stops_after_max_solutions():
+    script = "p(X).\n;\n;\n:quit.\n"
+    text = run_repl(script, "p(1). p(2). p(3).\n", SolveConfig(max_solutions=2))
+    assert "X = 1;\nX = 2;\n% search was limited\n?- " in text
+    assert "X = 3" not in text and "false." not in text
+    # With no answer past the limit the search ends as usual.
+    text = run_repl(script, "p(1). p(2).\n", SolveConfig(max_solutions=2))
+    assert "X = 2;\nfalse.\n" in text and "limited" not in text
+
+
+def test_repl_reports_a_search_cut_off_by_the_depth_limit():
+    text = run_repl("q(1).\n:quit.\n", "q(X) :- q(X).\n", SolveConfig(depth_limit=5))
+    assert "% search was limited\nfalse.\n" in text
+
+
 def test_batch_and_repl_agree(tmp_path):
     program_text = "p(a). p(b). p(c).\n"
     program = parse_program(program_text)
@@ -388,6 +403,43 @@ def test_deterministic_countdown_runs_in_bounded_memory():
     small = countdown_max_rss_kb(1000)
     large = countdown_max_rss_kb(200_000)
     assert large - small < 4 * 1024, (small, large)
+
+
+def test_escapes_in_a_quoted_atom_read_in_bounded_memory():
+    # Escapes are read one at a time: a pattern repeating a group per
+    # escape grew max RSS by 240 MB on this atom.
+    code = (
+        "import resource\n"
+        "from mup.syntax import parse_term\n"
+        "text = \"'\" + \"''\" * 500000 + \"'.\"\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "assert parse_term(text).name == \"'\" * 500000\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=child_env(), timeout=120, preexec_fn=_limit_child_memory,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 40 * 1024
+
+
+def test_translation_is_linear_in_the_number_of_choices(tmp_path):
+    # Each choice's variables come from its translated sides, where an
+    # inner choice is one call; walking each original subtree took minutes.
+    path = tmp_path / "chain.mpl"
+    path.write_text("p(X) :- %s.\n" % " # ".join("X = %d" % i for i in range(20000)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mup.cli", "translate", str(path), "-o",
+         str(tmp_path / "chain.pl")],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+        preexec_fn=_limit_child_memory,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = (tmp_path / "chain.pl").read_text().splitlines()
+    assert len(lines) == 2 + 2 * 19999  # a comment, p/1 and two per '#'
+    assert lines[-2:] == ["'$choice_19999'(X) :- X = 0, !.",
+                          "'$choice_19999'(X) :- '$choice_19998'(X)."]
 
 
 def test_import_mup_leaves_oracle_and_transpiler_unloaded():

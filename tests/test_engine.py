@@ -22,7 +22,6 @@ from mup.syntax import (
     Clause,
     Program,
     TRUE,
-    free_goal_vars,
     parse_program,
     parse_query,
     pretty,
@@ -392,13 +391,15 @@ def test_no_binding_outlives_a_stream(how):
     expected = Engine(program).run_query(text)  # on a query of its own
     query = parse_query(text)
     _end_a_stream(how, program, query)
-    assert all(var.ref is None for var in free_goal_vars(query.goal))
+    # The answer variables are all of the query's variables, and
+    # free_goal_vars would skip a bound one.
+    assert all(var.ref is None for var in query.answer_vars)
     again = Engine(program).solve_collect(query.goal, query.answer_vars)
     assert again.outcome == expected.outcome
     assert [s.render() for s in again.solutions] == [
         s.render() for s in expected.solutions
     ]
-    assert all(var.ref is None for var in free_goal_vars(query.goal))
+    assert all(var.ref is None for var in query.answer_vars)
 
 
 def test_determinism_same_sequences_and_traces():

@@ -90,6 +90,25 @@ def test_resolve_shared_values_but_not_cycles(k):
         k.undo_to(trail, 0)
 
 
+def test_resolve_shares_what_it_leaves_unchanged(k):
+    from mup.errors import MupError
+    from mup.syntax import free_goal_vars
+
+    ground = k.Compound("f", (k.Const("a"), k.Compound("g", (k.Num(1),))))
+    assert k.resolve(ground) is ground
+    assert k.resolve(ground, {}) is ground
+    x, y, z = k.Var(1, "X"), k.Var(2, "Y"), k.Var(3, "Z")
+    x.ref = k.Compound("f", (x,))  # X = f(X), bound without the occurs check
+    with pytest.raises(MupError, match="cannot resolve a cyclic term"):
+        k.resolve(k.Compound("p", (x,)))
+    x.ref = None
+    # A bound variable stands for its value's variables, each listed once,
+    # where it first occurs.
+    bound([(y, k.Compound("g", (z, x)))])
+    goal = k.Compound(",", (k.Compound("p", (z, y)), k.Compound("q", (x, z, y))))
+    assert [v.name for v in free_goal_vars(goal)] == ["Z", "X"]
+
+
 def test_resolve_idempotent_on_fixed_bindings(k):
     x, y = k.Var(1, "X"), k.Var(2, "Y")
     bound([(x, k.Compound("g", (y,))), (y, k.Num(1))])
