@@ -35,6 +35,17 @@ choicepoints as well, which mirrors the cut-based encoding).  In soft
 mode the committed choicepoint is popped if it is on top of the stack,
 and else only loses its continuation.
 
+A guard is decided without a choicepoint.  The comparisons (``<``,
+``>``, ``=<`` and ``>=`` on two arguments) that make up or lead a
+``#``'s left side, alone or as the first goals of a ``','/2`` chain,
+bind nothing, so they run where the ``#`` is reduced, each through its
+``BUILTINS`` entry.  When one fails, the right side runs; when the whole
+left side is comparisons and all hold, the run goes on past the ``#``.
+Neither pushes a choicepoint or a commit frame, and the trace is the one
+the choicepoint would give.  Otherwise the rest of the left side gets
+the choicepoint and commit frame as above.  ``;`` and the condition of
+``*->`` always push a choicepoint.
+
 Trailing is conditional (``kernel.Bindings``).  The store's boundary is
 the newest choicepoint's, so a binding of a variable made since the
 newest choicepoint is not trailed, and a deterministic loop leaves no
@@ -73,6 +84,7 @@ EXHAUSTED = "exhausted"
 LIMITED = "limited"
 ERRORED = "errored"
 
+_GUARD_TESTS = frozenset(("<", ">", "=<", ">="))
 _COMMIT_MODES = ("soft", "first")
 _UNKNOWN_MODES = ("error", "fail")
 
@@ -165,14 +177,23 @@ class Engine:
     # -- public streams ----------------------------------------------------
 
     def solve(self, goal, answer_vars=None):
-        """Lazily yield every Solution of ``goal``, in derivation order.
+        """Lazily yield the Solutions of ``goal``, in derivation order,
+        at most ``max_solutions`` of them.
 
         ``goal`` is solved in place: its own variables hold the bindings
-        until the stream is exhausted, closed or dropped, or raises.
+        until the stream is exhausted, closed or dropped, or raises.  The
+        stream cannot tell a search the depth limit cut off from a
+        finished one; ``solve_collect`` reports that as ``limited``.
         """
         answer_vars, _, stream = self._query(goal, answer_vars)
+        remaining = self.cfg.max_solutions
         for _ in stream:
             yield Solution.from_bindings(answer_vars)
+            if remaining is not None:
+                remaining -= 1
+                if not remaining:
+                    stream.close()  # undoes the run's bindings
+                    return
 
     def backchain(self, atom, bindings, clauses=None):
         """Prove the atomic goal ``atom`` against ``clauses``.
@@ -293,10 +314,45 @@ class Engine:
                             # "*->" commit to the left once it succeeds.
                             alt = ("goal", right, depth, cutb, cont)
                             if name == "#":
+                                # The comparisons that lead the left side bind
+                                # nothing, so they are decided in place, with a
+                                # choicepoint's trace; a choicepoint is pushed
+                                # only for the rest of the left side.
+                                rest = left
+                                while rest is not None:
+                                    test = rest
+                                    after = None
+                                    if (type(test) is Compound and test.functor == ","
+                                            and len(test.args) == 2):
+                                        test, after = test.args
+                                    if (type(test) is not Compound
+                                            or test.functor not in _GUARD_TESTS
+                                            or len(test.args) != 2):
+                                        break
+                                    if trace is not None:
+                                        if after is not None:
+                                            self._emit("reduce", depth, pretty_goal(rest))
+                                        self._emit("reduce", depth, pretty_goal(test))
+                                    if BUILTINS[(test.functor, 2)].fn(ctx, test.args):
+                                        rest = after
+                                        if rest is None and trace is not None:
+                                            self._emit_choice(
+                                                depth, ("left", left), ("right", right)
+                                            )
+                                    else:
+                                        if trace is not None:
+                                            self._emit_choice(
+                                                depth, ("right", right), ("left", left)
+                                            )
+                                        cont = alt
+                                        rest = None
+                                if rest is None:
+                                    continue
                                 cp = _ChoicePoint(
                                     alt, len(bindings), hits[0], (left, right, depth)
                                 )
                                 cont = ("commit", cp, len(cps), first_mode, cont)
+                                left = rest
                             elif (type(left) is Compound and left.functor == "*->"
                                   and len(left.args) == 2):
                                 cp = _ChoicePoint(alt, len(bindings), hits[0])

@@ -216,17 +216,16 @@ def _stream(program, goal, subst, limit, depth, mode, hits):
             yield from _stream(program, goal.args[1], s1, limit, depth, mode, hits)
         return
     if kind == "#" and mode != "angelic":
-        local = [0]
+        before = hits[0]
         yielded = False
-        for s1 in _stream(program, goal.args[0], subst, limit, depth, mode, local):
+        for s1 in _stream(program, goal.args[0], subst, limit, depth, mode, hits):
             yielded = True
             yield s1
             if mode == "first":
                 break
-        hits[0] += local[0]
         if yielded:
             return
-        if local[0]:
+        if hits[0] != before:
             # Left was cut off by the depth bound without ever succeeding:
             # its failure is not finite, so the right disjunct stays
             # untried (mirrors the engine).

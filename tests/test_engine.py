@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 import re
 
@@ -13,6 +15,7 @@ from mup.engine import (
     solve_choice,
 )
 from mup import kernel
+from mup.builtins import BUILTINS
 from mup.errors import (
     InternalError, LoadError, MupError, MupSyntaxError, UnknownPredicateError,
 )
@@ -317,6 +320,15 @@ def test_max_solutions_truncation():
     assert outcome == LIMITED
     sols, outcome = collect("p(a). p(b).", "p(X).", max_solutions=2)
     assert outcome == EXHAUSTED
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 4])
+def test_a_stream_stops_after_max_solutions(limit):
+    query = parse_query("n(X).")
+    cfg = SolveConfig(max_solutions=limit)
+    answers = solve(parse_program("n(1). n(2). n(3)."), query.goal, cfg)
+    assert [s.render() for s in answers] == ["X = 1", "X = 2", "X = 3"][:limit]
+    assert query.answer_vars[0].ref is None  # the run's bindings are undone
 
 
 def test_unknown_predicate_error_and_fail():
@@ -626,6 +638,187 @@ def test_golden_trace_head_mismatch():
     assert events == GOLDEN_MISMATCH_TRACE
 
 
+# ---------------------------------------------------------------------------
+# Guards: a '#' whose left side starts with arithmetic comparisons
+
+GUARD_PROGRAM = """
+ne(A, B) :- (A < B) # (A > B).
+c(N) :- (N =< 0) # (M is N-1, c(M)).
+in(X) :- (X >= 0, X =< 9) # fail.
+max(X, Y, M) :- (X >= Y, M = X) # (X < Y, M = Y).
+f(X, Y) :- (X >= 2, Y = 3) # (X < 2, Y = 0).
+m(1).
+m(2).
+p(X, Y) :- (X > 0, m(Y)) # Y = none.
+loop :- loop.
+h(X, R) :- (X > 0, loop) # R = no.
+nest(X, R) :- ((X > 0, X < 5), R = a) # R = b.
+g(D) :- ne(2, 1), c(1), in(5), f(5, D), (h(1, _) ; true).
+"""
+
+# g(D) takes the right side of a single test (ne), runs a countdown step
+# each way (c), passes a two-test guard (in), passes a test before a
+# binding (f) and a test before a call the depth limit cuts off (h), which
+# must not fall through to R = no.
+GOLDEN_GUARD_TRACE = [
+    ("reduce", 0, "g(D)"),
+    ("backchain_enter", 0, "g(D)"),
+    ("unify_ok", 0, "g(D) ~ g(D)"),
+    ("reduce", 1, "ne(2, 1), c(1), in(5), f(5, D), (h(1, _) ; true)"),
+    ("reduce", 1, "ne(2, 1)"),
+    ("backchain_enter", 1, "ne(2, 1)"),
+    ("unify_ok", 1, "ne(A, B) ~ ne(2, 1)"),
+    ("reduce", 2, "(2 < 1 # 2 > 1)"),
+    ("reduce", 2, "2 < 1"),
+    ("choice_taken", 2, "right 2 > 1"),
+    ("choice_discarded", 2, "left 2 < 1"),
+    ("reduce", 2, "2 > 1"),
+    ("backchain_exit", 1, "ne(2, 1)"),
+    ("reduce", 1, "c(1), in(5), f(5, D), (h(1, _) ; true)"),
+    ("reduce", 1, "c(1)"),
+    ("backchain_enter", 1, "c(1)"),
+    ("unify_ok", 1, "c(N) ~ c(1)"),
+    ("reduce", 2, "(1 =< 0 # M is 1 - 1, c(M))"),
+    ("reduce", 2, "1 =< 0"),
+    ("choice_taken", 2, "right M is 1 - 1, c(M)"),
+    ("choice_discarded", 2, "left 1 =< 0"),
+    ("reduce", 2, "M is 1 - 1, c(M)"),
+    ("reduce", 2, "M is 1 - 1"),
+    ("reduce", 2, "c(M)"),
+    ("backchain_enter", 2, "c(M)"),
+    ("unify_ok", 2, "c(N) ~ c(M)"),
+    ("reduce", 3, "(M =< 0 # M is M - 1, c(M))"),
+    ("reduce", 3, "M =< 0"),
+    ("choice_taken", 3, "left M =< 0"),
+    ("choice_discarded", 3, "right M is M - 1, c(M)"),
+    ("backchain_exit", 2, "c(M)"),
+    ("backchain_exit", 1, "c(1)"),
+    ("reduce", 1, "in(5), f(5, D), (h(1, _) ; true)"),
+    ("reduce", 1, "in(5)"),
+    ("backchain_enter", 1, "in(5)"),
+    ("unify_ok", 1, "in(X) ~ in(5)"),
+    ("reduce", 2, "(5 >= 0, 5 =< 9 # fail)"),
+    ("reduce", 2, "5 >= 0, 5 =< 9"),
+    ("reduce", 2, "5 >= 0"),
+    ("reduce", 2, "5 =< 9"),
+    ("choice_taken", 2, "left 5 >= 0, 5 =< 9"),
+    ("choice_discarded", 2, "right fail"),
+    ("backchain_exit", 1, "in(5)"),
+    ("reduce", 1, "f(5, D), (h(1, _) ; true)"),
+    ("reduce", 1, "f(5, D)"),
+    ("backchain_enter", 1, "f(5, D)"),
+    ("unify_ok", 1, "f(X, Y) ~ f(5, D)"),
+    ("reduce", 2, "(5 >= 2, D = 3 # 5 < 2, D = 0)"),
+    ("reduce", 2, "5 >= 2, D = 3"),
+    ("reduce", 2, "5 >= 2"),
+    ("reduce", 2, "D = 3"),
+    ("choice_taken", 2, "left 5 >= 2, D = 3"),
+    ("choice_discarded", 2, "right 5 < 2, D = 0"),
+    ("backchain_exit", 1, "f(5, D)"),
+    ("reduce", 1, "(h(1, _) ; true)"),
+    ("reduce", 1, "h(1, _)"),
+    ("backchain_enter", 1, "h(1, _)"),
+    ("unify_ok", 1, "h(X, R) ~ h(1, _)"),
+    ("reduce", 2, "(1 > 0, loop # _ = no)"),
+    ("reduce", 2, "1 > 0, loop"),
+    ("reduce", 2, "1 > 0"),
+    ("reduce", 2, "loop"),
+    ("backchain_enter", 2, "loop"),
+    ("unify_ok", 2, "loop ~ loop"),
+    ("reduce", 3, "loop"),
+    ("backchain_enter", 3, "loop"),
+    ("unify_ok", 3, "loop ~ loop"),
+    ("reduce", 4, "loop"),
+    ("backchain_enter", 4, "loop"),
+    ("unify_ok", 4, "loop ~ loop"),
+    ("reduce", 5, "loop"),
+    ("backchain_enter", 5, "loop"),
+    ("unify_ok", 5, "loop ~ loop"),
+    ("reduce", 6, "loop"),
+    ("reduce", 1, "true"),
+    ("backchain_exit", 0, "g(D)"),
+]
+
+# Each query's outcome and answers, or its error, the same in both commit
+# modes except where FIRST_MODE_GUARD_ANSWERS says otherwise.
+GUARD_CASES = [
+    ("ne(1, 2).", "exhausted: true"),
+    ("ne(2, 1).", "exhausted: true"),
+    ("ne(2, 2).", "exhausted:"),
+    ("c(2).", "exhausted: true"),
+    ("c(9).", "limited:"),
+    ("in(5).", "exhausted: true"),
+    ("in(-1).", "exhausted:"),
+    ("in(12).", "exhausted:"),
+    ("max(3, 9, M).", "exhausted: M = 9"),
+    ("max(9, 3, M).", "exhausted: M = 9"),
+    ("max(4, 4, M).", "exhausted: M = 4"),
+    ("f(1, Y).", "exhausted: Y = 0"),
+    ("f(5, Y).", "exhausted: Y = 3"),
+    ("f(5, 0).", "exhausted:"),
+    ("p(1, Y).", "exhausted: Y = 1 | Y = 2"),
+    ("p(0, Y).", "exhausted: Y = none"),
+    ("h(1, R).", "limited:"),
+    ("h(0, R).", "exhausted: R = no"),
+    ("nest(3, R).", "exhausted: R = a"),
+    ("nest(7, R).", "exhausted: R = b"),
+    ("ne(X, 1).", "errored: arguments of arithmetic are not sufficiently instantiated"),
+    ("in(X).", "errored: arguments of arithmetic are not sufficiently instantiated"),
+    ("max(X, 1, M).", "errored: arguments of arithmetic are not sufficiently instantiated"),
+    ("f(1 + a, Y).", "errored: not an arithmetic expression: a"),
+    ("(1 < 2) # fail.", "exhausted: true"),
+    ("X = 3, ((X < 2) # true).", "exhausted: X = 3"),
+    ("g(D).", "limited: D = 3"),
+]
+FIRST_MODE_GUARD_ANSWERS = {"p(1, Y).": "exhausted: Y = 1"}
+
+
+def guard_run(query, mode):
+    """A one-line summary of the query's result, and its trace events."""
+    events = []
+    engine = Engine(
+        parse_program(GUARD_PROGRAM),
+        SolveConfig(commit_mode=mode, depth_limit=6),
+        trace=events.append,
+    )
+    result = engine.run_query(query)
+    if result.error is not None:
+        summary = "%s: %s" % (result.outcome, result.error)
+    else:
+        answers = " | ".join(s.render() for s in result.solutions)
+        summary = ("%s: %s" % (result.outcome, answers)).rstrip()
+    return summary, [(e.kind, e.depth, e.payload) for e in events]
+
+
+@pytest.mark.parametrize("mode", ["soft", "first"])
+def test_golden_guard_trace(mode):
+    summary, events = guard_run("g(D).", mode)
+    assert summary == "limited: D = 3"
+    assert events == GOLDEN_GUARD_TRACE
+
+
+@pytest.mark.parametrize("mode", ["soft", "first"])
+@pytest.mark.parametrize("query, expected", GUARD_CASES)
+def test_guard_answers(query, expected, mode):
+    if mode == "first":
+        expected = FIRST_MODE_GUARD_ANSWERS.get(query, expected)
+    assert guard_run(query, mode)[0] == expected
+
+
+def test_guard_traces_are_pinned():
+    # Deciding a guard in place may not change a trace event: the digest
+    # covers every event of every guard case in both commit modes.
+    digest = hashlib.sha256()
+    for query, _ in GUARD_CASES:
+        for mode in ("soft", "first"):
+            summary, events = guard_run(query, mode)
+            digest.update(("%s %s %s\n" % (query, mode, summary)).encode())
+            for event in events:
+                digest.update(("%d %s %s\n" % (event[1], event[0], event[2])).encode())
+    assert digest.hexdigest() == (
+        "c0d7690365051019b9ae008bd317dfa4c35fe88e731b7a4627fd8baf4a46243e")
+
+
 @pytest.mark.parametrize(
     "query, expected",
     [
@@ -663,6 +856,24 @@ def test_deterministic_countdown_keeps_the_trail_short():
     assert len(list(engine.backchain(Compound("c", (Num(2000),)), b))) == 1
     assert len(sizes) > 2000 * 5
     assert max(sizes) <= 2
+
+
+def test_a_guard_calls_its_comparison_through_builtins(monkeypatch):
+    # The benchmark counts built-in calls by wrapping the entries of
+    # BUILTINS, so a guard decided in place must look its test up there.
+    key = ("=<", 2)
+    entry = BUILTINS[key]
+    calls = []
+
+    def counting(ctx, args):
+        calls.append(args)
+        return entry.fn(ctx, args)
+
+    with monkeypatch.context() as patch:
+        patch.setitem(BUILTINS, key, dataclasses.replace(entry, fn=counting))
+        assert renders(COUNTDOWN, "c(1000).") == ["true"]
+    assert len(calls) == 1001
+    assert BUILTINS[key] is entry
 
 
 @pytest.mark.parametrize("call, facts", [
