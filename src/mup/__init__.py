@@ -9,6 +9,7 @@ of the semantics.
 
 from mup.builtins import IoPorts, eval_arith
 from mup.engine import (
+    Answers,
     Engine,
     QueryResult,
     SolveConfig,
@@ -62,6 +63,7 @@ def __getattr__(name):
 
 
 __all__ = [
+    "Answers",
     "ArithTypeError",
     "Bindings",
     "Clause",

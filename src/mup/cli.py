@@ -8,8 +8,7 @@ import sys
 from mup.builtins import IoPorts
 from mup.engine import ERRORED, LIMITED, Engine, SolveConfig
 from mup.errors import LoadError, MupError
-from mup.syntax import Program, parse_program
-from mup.terms import Solution
+from mup.syntax import Program, parse_program, parse_query
 
 # What ``run`` and the shell say when a limit may have hidden answers.
 _LIMITED = "% search was limited"
@@ -96,13 +95,13 @@ def _tracer(on, write):
     return (lambda event: write("%s\n" % event.line())) if on else None
 
 
-def _load_file(path, dialect="choice"):
+def _load_file(path):
     with open(path, encoding="utf-8") as handle:
         try:
             text = handle.read()
         except UnicodeDecodeError as exc:
             raise LoadError("%s is not UTF-8 text: %s" % (path, exc)) from None
-    return parse_program(text, dialect=dialect)
+    return parse_program(text)
 
 
 def build_parser():
@@ -119,16 +118,19 @@ def build_parser():
     p_run.add_argument("-q", "--query", required=True, metavar="GOAL.",
                        help="query text, terminated by '.'")
     _engine_flags(p_run)
+    p_run.set_defaults(run=_cmd_run)
 
     p_repl = sub.add_parser("repl", help="interactive query shell")
     p_repl.add_argument("files", nargs="*", help="program files to preload")
     _engine_flags(p_repl)
+    p_repl.set_defaults(run=_cmd_repl)
 
     p_tr = sub.add_parser("translate", help="compile to cut-based Prolog")
     p_tr.add_argument("file", help="program file (.mpl)")
     p_tr.add_argument("-o", "--output", required=True, metavar="OUT.pl")
     p_tr.add_argument("--mode", choices=("hard", "soft"), default="hard",
                       help="encoding of choice: (G,!);H or (G *-> true ; H)")
+    p_tr.set_defaults(run=_cmd_translate)
 
     p_st = sub.add_parser(
         "selftest",
@@ -137,6 +139,7 @@ def build_parser():
     p_st.add_argument("--seed", type=int, default=0)
     p_st.add_argument("--cases", type=_positive_int, default=300)
     p_st.add_argument("--depth", type=_positive_int, default=10)
+    p_st.set_defaults(run=_cmd_selftest)
 
     return parser
 
@@ -148,39 +151,28 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "repl":
-            return _cmd_repl(args)
-        if args.command == "translate":
-            return _cmd_translate(args)
-        return _cmd_selftest(args)
-    except MupError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return args.run(args)
+    except (MupError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 
 
-def _cmd_run(args, out=None, err=None):
-    out = out or sys.stdout
-    err = err or sys.stderr
+def _cmd_run(args):
     program = _load_file(args.file)
-    write, end_line = _writer(out)
+    write, end_line = _writer(sys.stdout)
     io = IoPorts(write=write)
-    engine = Engine(program, _config(args), io=io, trace=_tracer(args.trace, err.write))
-    result = engine.run_query(args.query)
+    trace = _tracer(args.trace, sys.stderr.write)
+    result = Engine(program, _config(args), io=io, trace=trace).run_query(args.query)
     end_line()  # separate program output (write/1) from answers
     for solution in result.solutions:
-        print("%s." % solution.render(), file=out)
+        print("%s." % solution.render())
     if result.outcome == ERRORED:
-        print("error: %s" % result.error, file=err)
+        print("error: %s" % result.error, file=sys.stderr)
         return 2
     if result.outcome == LIMITED:
-        print(_LIMITED, file=err)
+        print(_LIMITED, file=sys.stderr)
     if not result.solutions:
-        print("false.", file=out)
+        print("false.")
         return 1
     return 0
 
@@ -230,7 +222,6 @@ def repl_loop(program, cfg, inp=None, out=None, trace_on=False):
     """
     inp = inp or sys.stdin
     out = out or sys.stdout
-    clauses = list(program.clauses)
     emit, end_line = _writer(out, flush=True)
     io = IoPorts(read_line=lambda: inp.readline() or None, write=emit)
     tracer = _tracer(trace_on, emit)
@@ -246,33 +237,22 @@ def repl_loop(program, cfg, inp=None, out=None, trace_on=False):
         if not line:
             continue
         if line.startswith(":"):
-            directive = line.rstrip(".").strip()
-            parts = directive[1:].split()
-            if not parts:
-                emit("unknown directive\n")
-                continue
-            if parts[0] == "quit":
+            parts = line.rstrip(".")[1:].split()
+            if parts[:1] == ["quit"]:
                 return
-            if parts[0] == "load" and len(parts) == 2:
+            if len(parts) == 2 and parts[0] == "load":
                 try:
-                    loaded = _load_file(parts[1])
+                    program = Program(program.clauses + _load_file(parts[1]).clauses)
                 except (MupError, OSError) as exc:
-                    emit("error: %s\n" % exc)
-                    continue
-                clauses.extend(loaded.clauses)
-                try:
-                    program = Program(clauses)
-                except MupError as exc:
-                    clauses = list(program.clauses)
                     emit("error: %s\n" % exc)
                     continue
                 emit("loaded %s\n" % parts[1])
                 continue
-            if parts[0] == "trace" and len(parts) == 2 and parts[1] in ("on", "off"):
+            if len(parts) == 2 and parts[0] == "trace" and parts[1] in ("on", "off"):
                 tracer = _tracer(parts[1] == "on", emit)
                 emit("trace %s\n" % parts[1])
                 continue
-            if parts[0] == "commit" and len(parts) == 2 and parts[1] in ("soft", "first"):
+            if len(parts) == 2 and parts[0] == "commit" and parts[1] in ("soft", "first"):
                 cfg = dataclasses.replace(cfg, commit_mode=parts[1])
                 emit("commit mode: %s\n" % parts[1])
                 continue
@@ -280,46 +260,35 @@ def repl_loop(program, cfg, inp=None, out=None, trace_on=False):
             continue
 
         engine = Engine(program, cfg, io=io, trace=tracer)
-        try:
-            from mup.syntax import parse_query
-
-            query = parse_query(line)
-        except MupError as exc:
-            emit("error: %s\n" % exc)
-            continue
-        _enumerate_answers(engine, query, inp, emit, end_line)
+        _enumerate_answers(engine, line, inp, emit, end_line)
 
 
-def _enumerate_answers(engine, query, inp, emit, end_line):
-    """Show the answers of ``query`` one per ';', as ``run`` collects them.
+def _enumerate_answers(engine, text, inp, emit, end_line):
+    """Show the answers of query ``text`` one per ';', as ``run`` collects them.
 
-    Past ``max_solutions`` answers, or when the depth limit cut the
-    search off, the shell says that the search was limited.
+    After ``max_solutions`` answers, or when the depth limit cut the search
+    off, the shell says that the search was limited.
     """
-    answer_vars, hits, stream = engine._query(query.goal, query.answer_vars)
     shown = 0
     try:
-        for _ in stream:
-            if shown == engine.cfg.max_solutions:  # one answer too many
-                end_line()
-                emit(_LIMITED + "\n")
-                return
-            text = Solution.from_bindings(answer_vars).render()
+        query = parse_query(text)
+        answers = engine.solve(query.goal, query.answer_vars)
+        for shown, solution in enumerate(answers, 1):
             end_line()  # separate program output (write/1) from the answer
-            emit(text)
-            shown += 1
+            emit(solution.render())
             if inp.readline().strip() != ";":
+                answers.close()
                 emit(".\n")
                 return
             emit(";\n")
     except MupError as exc:
         emit("error: %s\n" % exc)
         return
-    finally:
-        stream.close()
     end_line()
-    if hits[0]:
+    if answers.outcome == LIMITED:
         emit(_LIMITED + "\n")
+        if shown == engine.cfg.max_solutions:  # stopped at the limit
+            return
     emit("false.\n")
 
 

@@ -57,10 +57,12 @@ the caller's bindings are all trailed.  A run nested on the same store
 (say, from a trace hook) thus leaves the outer run trailing more than it
 needs until its next choicepoint is pushed or popped, which is safe.
 
-Solutions come out of a lazy stream: no search happens between pulls.
+Solutions come out of a lazy stream, ``Answers``: no search happens
+between pulls, and once the stream has ended it tells how.
 """
 
-from dataclasses import dataclass, field
+from contextlib import suppress
+from dataclasses import dataclass
 
 from mup import kernel
 from mup.builtins import BUILTINS, BuiltinContext, IoPorts
@@ -131,7 +133,7 @@ class TraceEvent:
 class QueryResult:
     solutions: list
     outcome: str
-    error: MupError | None = field(default=None)
+    error: MupError | None = None
 
 
 # Continuation frames (a linked list: each frame's last field is the next):
@@ -177,23 +179,11 @@ class Engine:
     # -- public streams ----------------------------------------------------
 
     def solve(self, goal, answer_vars=None):
-        """Lazily yield the Solutions of ``goal``, in derivation order,
-        at most ``max_solutions`` of them.
-
-        ``goal`` is solved in place: its own variables hold the bindings
-        until the stream is exhausted, closed or dropped, or raises.  The
-        stream cannot tell a search the depth limit cut off from a
-        finished one; ``solve_collect`` reports that as ``limited``.
-        """
-        answer_vars, _, stream = self._query(goal, answer_vars)
-        remaining = self.cfg.max_solutions
-        for _ in stream:
-            yield Solution.from_bindings(answer_vars)
-            if remaining is not None:
-                remaining -= 1
-                if not remaining:
-                    stream.close()  # undoes the run's bindings
-                    return
+        """The Solutions of ``goal``, in derivation order, as an ``Answers``
+        stream.  ``goal`` is solved in place: its own variables hold the
+        bindings until the stream ends, is closed or dropped."""
+        ending = [None, None]
+        return Answers(_search(self, goal, answer_vars, ending), ending)
 
     def backchain(self, atom, bindings, clauses=None):
         """Prove the atomic goal ``atom`` against ``clauses``.
@@ -210,9 +200,8 @@ class Engine:
         if clauses is None:
             pred = self.program.predicates.get(indicator(goal))
             clauses = [] if pred is None else pred.candidates(goal)
-        else:
-            if not isinstance(clauses, (list, tuple)):
-                clauses = [clauses]
+        elif not isinstance(clauses, (list, tuple)):
+            clauses = [clauses]
         yield from self._run(("clauses", goal, clauses, 0, 0, None), bindings, [0])
 
     def solve_choice(self, left, right, bindings):
@@ -222,26 +211,12 @@ class Engine:
 
     def solve_collect(self, goal, answer_vars=None):
         """Collect up to max_solutions answers for an already-parsed goal."""
-        answer_vars, hits, stream = self._query(goal, answer_vars)
+        answers = self.solve(goal, answer_vars)
         solutions = []
-        try:
-            for _ in stream:
-                if len(solutions) == self.cfg.max_solutions:  # one answer too many
-                    return QueryResult(solutions, LIMITED)
-                solutions.append(Solution.from_bindings(answer_vars))
-        except MupError as exc:
-            return QueryResult(solutions, ERRORED, exc)
-        finally:
-            stream.close()
-        return QueryResult(solutions, LIMITED if hits[0] else EXHAUSTED)
-
-    def _query(self, goal, answer_vars):
-        """The answer variables, hit counter and stream of a query."""
-        if answer_vars is None:
-            answer_vars = [v for v in free_goal_vars(goal) if v.name != "_"]
-        hits = [0]
-        stream = self._run(("goal", goal, 0, 1, None), Bindings(), hits)
-        return answer_vars, hits, stream
+        with suppress(MupError):  # the stream keeps it as its error
+            for solution in answers:
+                solutions.append(solution)
+        return QueryResult(solutions, answers.outcome, answers.error)
 
     def run_query(self, text):
         """Parse and solve ``text``; collect up to max_solutions answers."""
@@ -492,6 +467,61 @@ class Engine:
         finally:
             kernel.undo_to(bindings, base.mark)
             bindings.hb = kernel.ALL
+
+
+class Answers:
+    """A query's lazy stream of Solutions, at most ``max_solutions``.
+
+    ``outcome`` is None until the stream ends, and then EXHAUSTED if the
+    search finished, LIMITED if the depth limit cut it off or an answer
+    lay past ``max_solutions``, or ERRORED if it raised ``error``, a
+    MupError.  ``close()`` ends it early, with ``outcome`` None.  However
+    it ends, the run's bindings are undone and ``outcome`` stays as it is.
+    """
+
+    # The search is a generator that does not refer to the stream: a cycle
+    # would keep a dropped stream's bindings until the cyclic collector ran.
+    # A for loop iterates the generator itself, with no call per answer.
+    __slots__ = ("_search", "_ending")
+
+    def __init__(self, search, ending):
+        self._search = search
+        self._ending = ending  # [outcome, error], set when the search ends
+
+    outcome = property(lambda self: self._ending[0])
+    error = property(lambda self: self._ending[1])
+
+    def __iter__(self):
+        return self._search
+
+    def __next__(self):
+        return next(self._search)
+
+    def close(self):
+        self._search.close()
+
+
+def _search(engine, goal, answer_vars, ending):
+    """The Solutions of ``goal``; ``ending`` gets the outcome and error."""
+    if answer_vars is None:
+        answer_vars = [v for v in free_goal_vars(goal) if v.name != "_"]
+    hits = [0]
+    run = engine._run(("goal", goal, 0, 1, None), Bindings(), hits)
+    left = engine.cfg.max_solutions
+    try:
+        for _ in run:
+            if left == 0:  # an answer lay past max_solutions
+                ending[0] = LIMITED
+                return
+            yield Solution.from_bindings(answer_vars)
+            if left is not None:
+                left -= 1
+        ending[0] = LIMITED if hits[0] else EXHAUSTED
+    except MupError as exc:
+        ending[:] = ERRORED, exc
+        raise
+    finally:
+        run.close()  # undoes the run's bindings
 
 
 # -- module-level convenience wrappers --------------------------------------

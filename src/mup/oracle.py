@@ -251,10 +251,13 @@ def _stream(program, goal, subst, limit, depth, mode, hits):
         return
     if goal is CUT or kind == "*->":
         raise MupError("oracle cannot handle goal: %r" % (goal,))
-    if depth + 1 > limit:
+    # A call with no clauses fails finitely, as in the engine: only a
+    # call that could backchain is cut off by the bound.
+    clauses = program.clauses_for(name, arity)
+    if clauses and depth + 1 > limit:
         hits[0] += 1
         return
-    for clause in program.clauses_for(name, arity) or ():
+    for clause in clauses or ():
         mapping = {}
         head = _rename_vars(clause.head, mapping)
         body = _rename_vars(clause.body, mapping)

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from mup.engine import (
+    ERRORED,
     EXHAUSTED,
     LIMITED,
     Engine,
@@ -327,8 +328,35 @@ def test_a_stream_stops_after_max_solutions(limit):
     query = parse_query("n(X).")
     cfg = SolveConfig(max_solutions=limit)
     answers = solve(parse_program("n(1). n(2). n(3)."), query.goal, cfg)
+    assert answers.outcome is None
     assert [s.render() for s in answers] == ["X = 1", "X = 2", "X = 3"][:limit]
     assert query.answer_vars[0].ref is None  # the run's bindings are undone
+    # Past the limit lay another answer, or none.
+    assert answers.outcome == (LIMITED if limit < 3 else EXHAUSTED)
+
+
+def test_a_stream_reports_a_search_the_depth_limit_cut_off():
+    engine = Engine(parse_program("q(X) :- q(X)."), SolveConfig(depth_limit=5))
+    answers = engine.solve(parse_query("q(1).").goal)
+    assert answers.outcome is None
+    assert list(answers) == []
+    assert answers.outcome == LIMITED and answers.error is None
+    # An ended stream stays ended, and its outcome does not change.
+    with pytest.raises(StopIteration):
+        next(answers)
+    assert answers.outcome == LIMITED
+
+
+def test_a_cyclic_answer_ends_the_stream_errored():
+    query = parse_query("X = f(X), Y = f(Y), X = Y.")
+    answers = Engine(parse_program("p.")).solve(query.goal, query.answer_vars)
+    with pytest.raises(MupError, match="cyclic") as info:
+        next(answers)
+    assert answers.outcome == ERRORED and answers.error is info.value
+    assert all(var.ref is None for var in query.answer_vars)
+    with pytest.raises(StopIteration):
+        next(answers)
+    assert answers.outcome == ERRORED
 
 
 def test_unknown_predicate_error_and_fail():
@@ -368,6 +396,7 @@ def test_stream_exhaustion_is_repeatable():
     for _ in range(3):
         with pytest.raises(StopIteration):
             next(stream)
+        assert stream.outcome == EXHAUSTED
 
 
 IN_PLACE_PROGRAM = "p(1). p(2). p(3). q(N, f(N, _))."
@@ -376,24 +405,34 @@ IN_PLACE_PROGRAM = "p(1). p(2). p(3). q(N, f(N, _))."
 def _end_a_stream(how, program, query):
     """Solve ``query`` in place and end the run the way ``how`` names."""
     engine = Engine(program)
+    if how == "truncated":
+        engine = Engine(program, SolveConfig(max_solutions=1))
+    stream = engine.solve(query.goal, query.answer_vars)
+    assert stream.outcome is None
     if how == "exhausted":
-        assert len(list(engine.solve(query.goal, query.answer_vars))) == 3
+        assert len(list(stream)) == 3
+        assert stream.outcome == EXHAUSTED
     elif how in ("closed", "dropped"):
-        stream = engine.solve(query.goal, query.answer_vars)
         assert next(stream).render() == "X = 1, Y = f(1, _G0)"
         # The first answer's bindings are in the query's own variables.
         assert query.answer_vars[0].ref == Num(1)
         if how == "closed":
             stream.close()
+            assert stream.outcome is None  # ended early, not by the search
+            with pytest.raises(StopIteration):
+                next(stream)
         else:
             del stream
     elif how == "truncated":
-        engine = Engine(program, SolveConfig(max_solutions=1))
+        assert len(list(stream)) == 1
+        assert stream.outcome == LIMITED
         assert engine.solve_collect(query.goal, query.answer_vars).outcome == LIMITED
     else:  # an error after a binding
         with pytest.raises(UnknownPredicateError):
-            list(engine.solve(query.goal, query.answer_vars))
-        assert engine.solve_collect(query.goal, query.answer_vars).outcome == "errored"
+            list(stream)
+        assert stream.outcome == ERRORED
+        assert isinstance(stream.error, UnknownPredicateError)
+        assert engine.solve_collect(query.goal, query.answer_vars).outcome == ERRORED
 
 
 @pytest.mark.parametrize("how", ["exhausted", "closed", "dropped", "truncated", "error"])
