@@ -1,9 +1,9 @@
 """Built-in predicates: arithmetic comparison, is/2, read/1, write/1,
 writeq/1.
 
-The engine consults ``BUILTINS`` before backchaining, so a (name, arity)
-listed here can never be resolved against user clauses, and programs that
-try to define one are rejected at load time.
+A program that tries to define a (name, arity) listed here is rejected
+at load time, so the engine, which looks a call up among the program's
+predicates before ``BUILTINS``, never resolves one against user clauses.
 
 All built-ins here are deterministic: they succeed at most once and leave
 no choicepoint.  I/O side effects are not undone on backtracking.
@@ -99,8 +99,16 @@ def eval_arith(term):
     own value (a cyclic binding) is an EvalError.
     """
     t = kernel.deref(term)
-    if type(t) is Num:
+    tt = type(t)
+    if tt is Num:
         return t.value
+    if tt is Compound and len(t.args) == 2 and t.functor in _BINARY:
+        # The common case, ``N - 1``: a binary operator on two numbers.
+        a, b = t.args
+        a = kernel.deref(a)
+        b = kernel.deref(b)
+        if type(a) is Num and type(b) is Num:
+            return _apply(t.functor, a.value, b.value)
     # Subterms to evaluate, operators to apply, and the ids of variables
     # whose values are done; a cycle through ``term`` is caught one level down.
     todo = [t]

@@ -459,26 +459,24 @@ class Predicate:
             run[key] = [bucket, clause]
 
     def candidates(self, goal):
-        """The clauses that may match the dereferenced call ``goal``."""
-        if not self.keyed or type(goal) is not Compound:
-            return self.clauses
-        key = index_key(deref(goal.args[0]))
-        if key is None:
-            return self.clauses
-        blocks = self.blocks
-        if len(blocks) == 1:  # one run of keyed clauses
-            bucket = blocks[0].get(key)
-            if bucket is None:
-                return ()
-            return bucket if type(bucket) is list else (bucket,)
-        found = []
-        for block in blocks:
-            if type(block) is not dict:
-                found.append(block)
-                continue
-            bucket = block.get(key)
-            if type(bucket) is list:
-                found.extend(bucket)
-            elif bucket is not None:
-                found.append(bucket)
-        return found
+        """The clauses that may match the dereferenced call ``goal``, in
+        source order: the bare Clause when only one may, else a sequence."""
+        if self.keyed:  # a head has a first argument, so the call is a compound
+            key = index_key(deref(goal.args[0]))
+            if key is not None:
+                blocks = self.blocks
+                if len(blocks) == 1:  # one run of keyed clauses, held by key
+                    return blocks[0].get(key, ())
+                found = []
+                for block in blocks:
+                    if type(block) is not dict:
+                        found.append(block)
+                        continue
+                    bucket = block.get(key)
+                    if type(bucket) is list:
+                        found.extend(bucket)
+                    elif bucket is not None:
+                        found.append(bucket)
+                return found[0] if len(found) == 1 else found
+        clauses = self.clauses
+        return clauses[0] if len(clauses) == 1 else clauses

@@ -4,30 +4,35 @@ Execution alternates between two phases.  A goal is a term, and
 reducing it dispatches on its functor: a connective (``','/2``,
 ``'#'/2`` or ``';'/2``, whose left side may be a ``'*->'/2``) splits,
 picks a disjunct or pushes a choicepoint.  Any other atom or compound is
-a call, which runs a built-in (``X = Y`` is ``=/2``) or switches to
-backchaining.  ``TRUE`` is known by identity and succeeds before any
-lookup; ``CUT`` runs where both lookups miss.  A variable in a goal slot
-(only programmatic goals have one) calls the term it is bound to.
+a call, which switches to backchaining or runs a built-in (``X = Y`` is
+``=/2``).  The program's predicates are looked up first, as no program
+may define a built-in.  ``TRUE`` is known by identity and succeeds
+before any lookup; ``CUT`` runs where both lookups miss.  A variable in
+a goal slot (only programmatic goals have one) calls the term it is
+bound to.
 
 Backchaining works on clauses compiled to Python code the first time
 they are tried (``mup.compiled``).  The call's dereferenced first
 argument selects the candidates from the predicate's first-argument
-index, in source order.  For each candidate the clause's generated head
-matcher runs first; only when it succeeds does the generated body
-builder make the body (parts without variables are shared, not copied),
-which is reduced one level deeper.  No clause is copied just to fail,
-and when no other candidate remains no choicepoint is left behind.
-``_kunify`` (head matching) and ``fresh_rename`` (body building) are
-looked up as module globals at run time, so ``mupbench`` can time them
-as layers.
+index, in source order, and the first is tried where the call is
+reduced.  For each candidate the clause's generated head matcher runs
+first; only when it succeeds does the generated body builder make the
+body (parts without variables are shared, not copied), which is reduced
+one level deeper.  No clause is copied just to fail, and when no other
+candidate remains no choicepoint is left behind.  A lone candidate comes
+bare, not in a sequence, and is tried on its own path, which has no
+choicepoint to consider.  ``_kunify`` (head matching) and
+``fresh_rename`` (body building) are looked up as module globals at run
+time, so ``mupbench`` can time them as layers.
 
 The search itself is iterative: an explicit continuation (a linked list
 of frames, each holding the next) plus a stack of choicepoints, so
 derivation depth never eats the host call stack.  A choicepoint is a
 continuation to resume, a trail mark to undo to and a boundary: an id
 drawn from the variable counter when it is pushed.  The run is the
-bottom choicepoint; failure ends when it pops it.  A call's untried
-clauses are one more continuation, and every failure resumes the newest
+bottom choicepoint; failure ends when it pops it.  When a head match
+succeeds and candidates remain, the choicepoint's continuation is a
+``clauses`` frame that tries them, and every failure resumes the newest
 live choicepoint.  Committed choice plants a commit frame after the
 chosen disjunct; when control passes it, the choicepoint for the other
 disjunct is dropped (and, in ``first`` mode, the chosen disjunct's own
@@ -73,6 +78,7 @@ from mup.syntax import (
     CONNECTIVES,
     CUT,
     TRUE,
+    Clause,
     free_goal_vars,
     indicator,
     parse_query,
@@ -138,7 +144,9 @@ class QueryResult:
 
 # Continuation frames (a linked list: each frame's last field is the next):
 #   ("goal", goal, depth, cut_barrier, next)
-#   ("clauses", goal_term, clauses, idx, depth, next)  -- try clauses[idx:]
+#   ("clauses", goal, clauses, idx, depth, next)  -- try clauses[idx:]; only
+#       a choicepoint's continuation (and Engine.backchain's start): a
+#       call tries its first candidate where it is reduced
 #   ("commit", choicepoint, cp_index, first_mode, next)
 #   ("exit", depth, payload, next)     -- tracing only
 #   ("fail", None)                     -- resume the newest live choicepoint
@@ -199,8 +207,8 @@ class Engine:
             raise MupError("atomic goal expected, got %s" % pretty(goal))
         if clauses is None:
             pred = self.program.predicates.get(indicator(goal))
-            clauses = [] if pred is None else pred.candidates(goal)
-        elif not isinstance(clauses, (list, tuple)):
+            clauses = () if pred is None else pred.candidates(goal)
+        if not isinstance(clauses, (list, tuple)):  # a lone Clause
             clauses = [clauses]
         yield from self._run(("clauses", goal, clauses, 0, 0, None), bindings, [0])
 
@@ -234,6 +242,13 @@ class Engine:
         self._emit(
             "choice_discarded", depth,
             "%s %s" % (discarded[0], pretty_goal(discarded[1])),
+        )
+
+    def _emit_unify(self, values, depth, clause, goal):
+        """Trace a head match; the source head prints as a renamed copy would."""
+        self._emit(
+            "unify_fail" if values is None else "unify_ok", depth,
+            "%s ~ %s" % (pretty(clause.head), pretty(goal)),
         )
 
     def _run(self, cont, bindings, hits):
@@ -357,13 +372,13 @@ class Engine:
                             raise MupError("cannot solve goal: %r" % (goal,))
                         cont = ("goal", goal, depth, cutb, cont)
                         continue
-                    builtin = BUILTINS.get(key)
-                    if builtin is not None:
-                        if not builtin.fn(ctx, args):
-                            cont = _FAIL
-                        continue
                     pred = predicates.get(key)
-                    if pred is None:
+                    if pred is None:  # no program defines a built-in's key
+                        builtin = BUILTINS.get(key)
+                        if builtin is not None:
+                            if not builtin.fn(ctx, args):
+                                cont = _FAIL
+                            continue
                         if goal is CUT:
                             if cutb < len(cps):
                                 del cps[cutb:]
@@ -382,52 +397,25 @@ class Engine:
                     if trace is not None:
                         self._emit("backchain_enter", depth, pretty(goal))
                         cont = ("exit", depth, pretty(goal), cont)
-                    cont = ("clauses", goal, pred.candidates(goal), 0, depth, cont)
-                    continue
-
-                if tag == "clauses":
-                    # Try the candidates in source order: match the head,
-                    # and build the body only on a match.  Leave a
-                    # choicepoint only if other candidates remain.
-                    _, goal_term, clauses, idx, depth, cont = frame
-                    mark = len(bindings)
-                    # While other candidates remain, a failed match is
-                    # undone through the trail, so every binding is trailed.
-                    last = len(clauses) - 1
-                    if idx < last:
-                        bindings.hb = kernel.ALL
-                    while idx <= last:
-                        clause = clauses[idx]
-                        idx += 1
-                        values = _kunify(clause, goal_term, bindings, occ)
-                        ok = values is not None
+                    clauses = pred.candidates(goal)
+                    if type(clauses) is Clause:
+                        # A lone candidate leaves no choicepoint, so its head
+                        # match trails by the boundary as it stands.
+                        values = _kunify(clauses, goal, bindings, occ)
                         if trace is not None:
-                            # The source head prints as a renamed copy would.
-                            self._emit(
-                                "unify_ok" if ok else "unify_fail",
-                                depth,
-                                "%s ~ %s"
-                                % (pretty(clause.head), pretty(goal_term)),
-                            )
-                        if ok:
-                            break
-                        if idx == last:  # the last candidate is left
-                            bindings.hb = cps[-1].hb
-                    else:
-                        cont = _FAIL
+                            self._emit_unify(values, depth, clauses, goal)
+                        if values is None:
+                            cont = _FAIL
+                        else:
+                            body = fresh_rename(clauses, values)
+                            cont = ("goal", body, depth + 1, len(cps), cont)
                         continue
-                    cutb = len(cps)
-                    if idx <= last:
-                        cp = _ChoicePoint(
-                            ("clauses", goal_term, clauses, idx, depth, cont), mark
-                        )
-                        cps.append(cp)
-                        bindings.hb = cp.hb
-                    body = fresh_rename(clause, values)
-                    cont = ("goal", body, depth + 1, cutb, cont)
-                    continue
+                    idx = 0
 
-                if tag == "fail":
+                elif tag == "clauses":  # a choicepoint retries the rest
+                    _, goal, clauses, idx, depth, cont = frame
+
+                elif tag == "fail":
                     while True:
                         cp = cps.pop()
                         if not cps:  # the base is popped: the run has failed
@@ -447,7 +435,7 @@ class Engine:
                     bindings.hb = cps[-1].hb
                     continue
 
-                if tag == "commit":
+                elif tag == "commit":
                     _, cp, index, first, cont = frame
                     if index < len(cps) and cps[index] is cp and cp.cont is not None:
                         cp.cont = None
@@ -459,9 +447,40 @@ class Engine:
                             bindings.hb = cps[-1].hb
                     continue
 
-                # "exit"
-                _, depth, payload, cont = frame
-                self._emit("backchain_exit", depth, payload)
+                else:  # "exit"
+                    _, depth, payload, cont = frame
+                    self._emit("backchain_exit", depth, payload)
+                    continue
+
+                # Try clauses[idx:] in source order: match the head, and
+                # build the body only on a match.  Leave a choicepoint only
+                # if other candidates remain.
+                mark = len(bindings)
+                # While other candidates remain, a failed match is undone
+                # through the trail, so every binding is trailed.
+                last = len(clauses) - 1
+                if idx < last:
+                    bindings.hb = kernel.ALL
+                while idx <= last:
+                    clause = clauses[idx]
+                    idx += 1
+                    values = _kunify(clause, goal, bindings, occ)
+                    if trace is not None:
+                        self._emit_unify(values, depth, clause, goal)
+                    if values is not None:
+                        break
+                    if idx == last:  # the last candidate is left
+                        bindings.hb = cps[-1].hb
+                else:
+                    cont = _FAIL
+                    continue
+                cutb = len(cps)
+                if idx <= last:
+                    cp = _ChoicePoint(("clauses", goal, clauses, idx, depth, cont), mark)
+                    cps.append(cp)
+                    bindings.hb = cp.hb
+                body = fresh_rename(clause, values)
+                cont = ("goal", body, depth + 1, cutb, cont)
         except RecursionError:
             raise MupError("term nested too deeply for the host stack") from None
         finally:

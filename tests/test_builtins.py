@@ -1,10 +1,14 @@
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mup.builtins import BUILTINS, BuiltinContext, IoPorts, eval_arith
 from mup.engine import Engine, SolveConfig
-from mup.errors import ArithTypeError, EvalError, InstantiationError
+from mup.errors import ArithTypeError, EvalError, InstantiationError, LoadError
 from mup.kernel import Bindings
-from mup.syntax import parse_program, parse_query
+from mup.syntax import _CONTROL, TRUE, Clause, Program, parse_program, parse_query
 from mup.terms import Compound, Const, Num, fresh_var
 
 from conftest import collect
@@ -66,6 +70,107 @@ def test_eval_arith_shared_values_but_not_cycles():
     for term in (u, Compound("-", (Num(0), v))):
         with pytest.raises(EvalError, match="cyclic"):
             eval_arith(term)
+
+
+# Random expression trees, evaluated by eval_arith and by a plain-Python
+# reference.  A tree is ("num", value), ("atom", name), ("var", None) for
+# an unbound variable, ("var", tree) for one bound to ``tree``,
+# ("neg", tree) or (op, left, right).
+
+_OPS = ("+", "-", "*", "/", "//", "mod")
+_NUMBERS = st.one_of(
+    st.integers(-20, 20),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0, 0.0, -0.0, 0.5, 10**400, -(10**400), 1.0e308, -1.0e308]),
+).map(lambda value: ("num", value))
+_OPERANDS = st.one_of(_NUMBERS, _NUMBERS.map(lambda num: ("var", num)))
+_LEAVES = st.one_of(
+    _NUMBERS,
+    st.just(("var", None)),
+    st.sampled_from(["a", "[]"]).map(lambda name: ("atom", name)),
+)
+_TREES = st.one_of(
+    st.tuples(st.sampled_from(_OPS), _OPERANDS, _OPERANDS),  # depth 1
+    st.recursive(
+        _LEAVES,
+        lambda sub: st.one_of(
+            st.tuples(st.sampled_from(_OPS), sub, sub),
+            sub.map(lambda tree: ("neg", tree)),
+            sub.map(lambda tree: ("var", tree)),
+        ),
+        max_leaves=12,
+    ),
+)
+
+
+def _term(tree, b):
+    kind = tree[0]
+    if kind == "num":
+        return Num(tree[1])
+    if kind == "atom":
+        return Const(tree[1])
+    if kind == "var":
+        var = fresh_var("X")
+        if tree[1] is not None:
+            b.bind(var, _term(tree[1], b))
+        return var
+    if kind == "neg":
+        return Compound("-", (_term(tree[1], b),))
+    return Compound(kind, (_term(tree[1], b), _term(tree[2], b)))
+
+
+def _reference(tree):
+    """Evaluate ``tree`` left to right, as ISO arithmetic with Python's
+    ``//`` and ``%`` for ``//`` and ``mod``."""
+    kind = tree[0]
+    if kind == "num":
+        return tree[1]
+    if kind == "atom":
+        raise ArithTypeError(tree[1])
+    if kind == "var":
+        if tree[1] is None:
+            raise InstantiationError("unbound")
+        return _reference(tree[1])
+    if kind == "neg":
+        return -_reference(tree[1])
+    a = _reference(tree[1])
+    b = _reference(tree[2])
+    if kind in ("//", "mod") and not (type(a) is int and type(b) is int):
+        raise ArithTypeError(kind)
+    try:
+        if kind == "+":
+            value = a + b
+        elif kind == "-":
+            value = a - b
+        elif kind == "*":
+            value = a * b
+        elif kind == "/":
+            value = a / b
+        elif kind == "//":
+            value = a // b
+        else:
+            value = a % b
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise EvalError(str(exc)) from None
+    if type(value) is float and not math.isfinite(value):
+        raise EvalError("overflow")
+    return value
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_TREES)
+def test_eval_arith_agrees_with_a_reference_evaluator(tree):
+    term = _term(tree, Bindings())
+    try:
+        want = _reference(tree)
+    except EvalError as exc:
+        with pytest.raises(EvalError) as raised:
+            eval_arith(term)
+        assert type(raised.value) is type(exc)
+        return
+    got = eval_arith(term)
+    assert type(got) is type(want) and got == want
 
 
 def test_eval_arith_overflow_is_an_error():
@@ -183,12 +288,18 @@ def test_write_then_fail_keeps_output():
     assert io.captured() == "hello"
 
 
-def test_builtin_dispatch_beats_program_clauses():
-    # true/0 etc. can never be user-defined; load rejects the attempt.
-    from mup.errors import LoadError
-
+@pytest.mark.parametrize(
+    "key", sorted(BUILTINS) + sorted(_CONTROL), ids=lambda key: "%s/%d" % key
+)
+def test_no_program_defines_a_builtin_or_control_key(key):
+    # The engine looks a call up in the program's predicates before
+    # BUILTINS and handles the connectives and cut itself, so it relies on
+    # no program defining any of these.
+    name, arity = key
+    args = tuple(fresh_var("A") for _ in range(arity))
+    head = Compound(name, args) if arity else Const(name)
     with pytest.raises(LoadError):
-        parse_program("true :- fail.")
+        Program([Clause(head, TRUE)])
 
 
 def test_rprime_program(rprime_program):

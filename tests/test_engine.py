@@ -164,6 +164,48 @@ def test_backchain_explicit_clause_group():
     assert found == [Const("b")]
 
 
+@pytest.mark.parametrize("text, call, expected", [
+    ("p(X, Y) :- Y = got(X).", "p(a, Y)", [Compound("got", (Const("a"),))]),
+    ("r(a, 1). r(b, 2). r(c, 3).", "r(b, Y)", [Num(2)]),
+    ("r(a, 1). r(X, 2). r(b, 3).", "r(b, Y)", [Num(2), Num(3)]),
+])
+def test_backchain_default_clauses(text, call, expected):
+    # A one-clause predicate, and a first-argument key that selects one
+    # clause of several (and two, across a variable-headed clause).
+    b = Bindings()
+    atom = parse_query(call + ".").goal
+    y = atom.args[1]
+    found = []
+    for _ in Engine(parse_program(text)).backchain(atom, b):
+        found.append(b.resolve(y))
+    assert found == expected
+    assert b == [] and y.ref is None
+
+
+@pytest.mark.parametrize("q, call", [
+    ("q(f(X, b)).", "q(f(Y, c))"),  # the call's Y is taken, not bound
+    ("q(f(a, b)).", "q(f(Y, c))"),  # bound by the kernel's unify, then undone
+    ("q(f(a, b), _).", "q(f(Y, c), z)"),  # bound by a generated matcher
+    # The first-argument key selects one clause of two.
+    ("q(g, 1). q(f(a, b), _).", "q(f(Y, c), z)"),
+])
+@pytest.mark.parametrize("mode", ["soft", "first"])
+def test_a_lone_candidate_that_fails_leaves_no_binding(q, call, mode):
+    # Y is older than the ';' choicepoint, so binding it in a head match
+    # that then fails on b = c must be undone before the next disjunct.
+    program = "t(R) :- (%s ; Y = d ; Y = e), R = Y.\n%s" % (call, q)
+    assert renders(program, "t(R).", commit_mode=mode) == ["R = d", "R = e"]
+
+
+def test_a_one_clause_predicate_under_a_depth_limit_reports_limited():
+    sols, outcome = collect("p(X) :- p(f(X)).", "p(a).", depth_limit=20)
+    assert sols == [] and outcome == LIMITED
+    sols, outcome = collect(
+        "p(X) :- p(f(X)). t(R) :- (p(a) # R = no).", "t(R).", depth_limit=20
+    )
+    assert sols == [] and outcome == LIMITED
+
+
 # ---------------------------------------------------------------------------
 # Committed choice
 
