@@ -16,7 +16,8 @@ generates the source of two Python functions and ``compile()``s it:
   both sides are dereferenced, an unbound side is bound (the younger cell
   to the older if both are unbound, after an occurrence check when the
   occurs check is on), and only two non-variables go to
-  ``kernel.unify``.  An atom or a number is checked or bound in place.
+  ``kernel.unify``.  An atom or a number is checked or bound in place,
+  an atom by identity, as there is one object per atom.
   Each compound argument, down to ``_DEPTH`` levels, is one block that
   dereferences the call's subterm once.  If that is a compound, the block
   checks functor and arity and reads the arguments, a compound argument
@@ -49,7 +50,8 @@ clause without variables gets no code; its head is unified with the call
 by ``kernel.unify`` and its body is used as it is.
 
 ``Predicate`` keeps a predicate's clauses in source order and indexes
-them on the first head argument, as the WAM's ``switch_on_term`` does.
+them on the first head argument, as the WAM's ``switch_on_term`` does;
+an atom keys by itself.
 """
 
 import builtins
@@ -66,7 +68,6 @@ _SCOPE = {
     "__builtins__": builtins,
     "ids": _var_ids,
     "Compound": Compound,
-    "Const": Const,
     "Num": Num,
     "Var": Var,
     "occurs": occurs,
@@ -385,8 +386,8 @@ def _constant_lines(node, source, pad, k, fail):
     out.append("%sif type(t) is Var:" % pad)
     out.append("%s    t.ref = %s" % (pad, const))
     out.extend(_trail_lines(pad + "    "))
-    if type(node) is Const:
-        test = "type(t) is not Const or t.name != %s" % k(node.name)
+    if type(node) is Const:  # one object per atom
+        test = "t is not %s" % const
     else:
         value = node.value
         test = "type(t) is not Num or t.value != %s or type(t.value) is not %s" % (
@@ -403,13 +404,13 @@ def _constant_lines(node, source, pad, k, fail):
 def index_key(term):
     """The first-argument index key of a dereferenced term (None for a var).
 
-    An atom keys by its name and an integer by its value; a float keys by
-    a 1-tuple, so that ``1`` and ``1.0`` stay apart; a compound keys by
-    its functor and arity.
+    An atom keys by itself (one object per atom) and an integer by its
+    value; a float keys by a 1-tuple, so that ``1`` and ``1.0`` stay
+    apart; a compound keys by its functor and arity.
     """
     tt = type(term)
     if tt is Const:
-        return term.name
+        return term
     if tt is Num:
         value = term.value
         return value if type(value) is int else (value,)

@@ -24,6 +24,13 @@ Representation notes:
   the newest choicepoint was pushed, so a cell made since then is bound
   in place only: backtracking cannot reach it again.  Outside a run
   ``hb`` is ``ALL`` and every binding is trailed.
+* An atom is one object per name: ``Const(name)`` returns the atom
+  that ``_ATOMS``, the atom table, holds for the name, and makes and
+  stores it on a miss, as the WAM's atom table does (Warren 1983;
+  Ait-Kaci 1991).  So atoms compare, hash and unify by identity.  The
+  table grows with each distinct name read, ``read/1`` included, and
+  never shrinks.  An object made past the table (the reader's cut) is
+  no atom of its name; a copy or a pickle of it is that atom.
 * Lists are ordinary compounds: ``'.'(Head, Tail)`` ending in ``'[]'``.
 """
 
@@ -41,6 +48,9 @@ _PAIRS = 100_000
 
 # The one source of variable ids.
 _var_ids = itertools.count(1)
+
+# The atom table: name -> the one atom of that name.
+_ATOMS = {}
 
 
 class Var:
@@ -70,16 +80,22 @@ class Var:
 
 
 class Const:
+    """An atom: ``Const(name)`` is the one atom of that name."""
+
     __slots__ = ("name",)
 
-    def __init__(self, name):
-        self.name = name
+    def __new__(cls, name):
+        atom = _ATOMS.get(name)
+        if atom is None:
+            atom = object.__new__(cls)
+            atom.name = name
+            # Two threads that make the same new atom keep the first stored.
+            atom = _ATOMS.setdefault(name, atom)
+        return atom
 
-    def __eq__(self, other):
-        return type(other) is Const and other.name == self.name
-
-    def __hash__(self):
-        return hash(("const", self.name))
+    def __getnewargs__(self):
+        # copy, deepcopy and pickle make the atom again through __new__.
+        return (self.name,)
 
     def __repr__(self):
         return "Const(%r)" % (self.name,)
@@ -130,9 +146,6 @@ class Compound:
                 stack.extend(zip(a.args, b.args))
             elif ta is Var:
                 if a.id != b.id:
-                    return False
-            elif ta is Const:
-                if a.name != b.name:
                     return False
             elif ta is Num:
                 if type(a.value) is not type(b.value) or a.value != b.value:
@@ -361,7 +374,7 @@ def unify(t, s, trail, occurs_check=False):
             undo_to(trail, mark)
             return False
         if ta is Const:
-            if a.name != b.name:
+            if a is not b:
                 undo_to(trail, mark)
                 return False
         elif ta is Num:

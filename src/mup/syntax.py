@@ -24,10 +24,13 @@ split on ``:-``.  A goal (a clause body or a query) is the term read, as
 in ISO Prolog: ``','(A, B)``, ``'#'(A, B)`` and ``';'(A, B)`` are its
 connectives, ``(C *-> T ; E)`` is ``';'('*->'(C, T), E)``, and any other
 atom or compound is a call (``X = Y`` among them).  The reader checks
-that a goal can run, and reads ``true`` and ``!`` as the interned atoms
-``TRUE`` and ``CUT``.  The default ``choice`` dialect has ``#`` and no
-``!``: a goal ``'!'`` is an error there too.  The ``prolog`` dialect (used
-to re-check transpiler output) has ``!`` and ``*->`` and no ``#``.
+that a goal can run.  Every atom is read as ``Const(name)``, the one atom
+of its name, so ``true`` is ``TRUE``; ``!`` and ``'!'`` are the atom
+``'!'``.  The ``prolog`` dialect (used to re-check transpiler output) has
+``!`` and ``*->`` and no ``#``: where ``!`` stands as a goal, as in ISO
+Prolog, the reader puts ``CUT`` in its place, and everywhere else it
+stays an atom.  The default ``choice`` dialect has ``#`` and no cut: a
+goal ``!`` is an error there.
 """
 
 import re
@@ -42,10 +45,14 @@ from mup.terms import CONS, EMPTY_LIST, Compound, Const, Num, Var, fresh_var, mk
 # Goals, clauses and programs
 
 
-# The goal atoms, interned: the reader reads every ``true``, and in the
-# prolog dialect every ``!``, as these, and the engine knows them by identity.
+# The goal the engine knows by identity: every ``true`` is this atom.
 TRUE = Const("true")
-CUT = Const("!")  # Prolog's cut; only read in the ``prolog`` dialect
+# Prolog's cut: made past the atom table, so no atom is the cut.  The
+# prolog dialect reads a ``!`` that stands as a goal as this.
+CUT = object.__new__(Const)
+CUT.name = "!"
+_CUT_ATOM = Const("!")
+_NIL = Const(EMPTY_LIST)
 
 # The connectives, by functor: every one has arity 2, and ``(C *-> T ; E)``
 # is ``';'('*->'(C, T), E)``.  Any other atom or compound goal is a call.
@@ -256,9 +263,9 @@ _ARG = 999  # arguments and list elements
 # left side of ``;`` in the prolog dialect.
 _NOT_CALLABLE = frozenset(_INFIX) | {"|", ".", "!"}
 _NO_CUT = "cut is not part of this language; use '#' instead"
-_DIALECTS = {  # per dialect: the interned atoms, and the connectives
-    "choice": ({"true": TRUE}, CONNECTIVES),
-    "prolog": ({"true": TRUE, "!": CUT}, CONNECTIVES - {"#"}),
+_DIALECTS = {  # per dialect: the connectives
+    "choice": CONNECTIVES,
+    "prolog": CONNECTIVES - {"#"},
 }
 
 
@@ -269,7 +276,7 @@ class _Reader:
         self.pull = tokenize(text).__next__
         self.tok = self.pull()  # the one token of lookahead
         self.dialect = dialect
-        self.atoms, self.connectives = _DIALECTS[dialect]
+        self.connectives = _DIALECTS[dialect]
         self.start = None  # the first token of the sentence being read
         self.scope = {}
         self.var_order = []
@@ -365,7 +372,7 @@ class _Reader:
             return var
         if kind == "atom" or kind == "qatom":
             if not self.at_punct("("):
-                return self.atoms.get(tok.value) or Const(tok.value)
+                return Const(tok.value)
             self.next()
             args = self.items()
             self.expect_punct(")")
@@ -377,7 +384,7 @@ class _Reader:
         if tok.value == "[":
             if self.at_punct("]"):
                 self.next()
-                return Const(EMPTY_LIST)
+                return _NIL
             items = self.items()
             tail = None
             if self.at_punct("|"):
@@ -386,9 +393,7 @@ class _Reader:
             self.expect_punct("]")
             return mk_list(items, tail)
         if tok.value == "!":
-            if self.dialect == "prolog":
-                return CUT
-            self.fail(_NO_CUT, tok)
+            return _CUT_ATOM
         self.fail("expected a term", tok)
 
     def items(self):
@@ -420,23 +425,38 @@ class _Reader:
         return term
 
     def goal(self, term):
-        """Check that a clause body or query ``term`` is a goal; return it."""
+        """Check that a clause body or query ``term`` is a goal; return it.
+
+        In the prolog dialect each ``!`` that stands as a goal becomes
+        ``CUT``, and the connectives above it are made anew; every other
+        part is kept as it is.
+        """
         connectives = self.connectives
-        todo = [term]  # the parts still to check, leftmost last
+        prolog = self.dialect == "prolog"
+        # The parts still to check, leftmost last; a connective comes back
+        # as (connective,) once its two parts are checked.
+        todo = [term]
+        done = []  # the checked parts, for the connectives above them
         while todo:
             t = todo.pop()
             tt = type(t)
-            if tt is Compound:
+            if tt is tuple:
+                t = t[0]
+                right = done.pop()
+                left = done.pop()
+                if left is not t.args[0] or right is not t.args[1]:
+                    t = Compound(t.functor, (left, right))
+            elif tt is Compound:
                 functor, args = t.functor, t.args
                 if len(args) == 2 and functor in connectives:
                     left, right = args
-                    if (functor == ";" and self.dialect == "prolog"
-                            and type(left) is Compound and left.functor == "*->"
-                            and len(left.args) == 2):
-                        todo += (right, *reversed(left.args))
+                    if (functor == ";" and prolog and type(left) is Compound
+                            and left.functor == "*->" and len(left.args) == 2):
+                        todo += ((t,), right, (left,), *reversed(left.args))
                     else:
-                        todo += (right, left)
-                elif functor == "*->" and len(args) == 2 and self.dialect == "prolog":
+                        todo += ((t,), right, left)
+                    continue
+                if functor == "*->" and len(args) == 2 and prolog:
                     self.goal_error("soft if-then-else needs an else: (C *-> T ; E)", t)
                 elif functor in _NOT_CALLABLE and not (
                     len(args) == 2 and _INFIX.get(functor, (0,))[0] == 700
@@ -446,9 +466,12 @@ class _Reader:
                 self.goal_error("a variable is not a goal", t)
             elif tt is Num:
                 self.goal_error("a number is not a goal", t)
-            elif t.name == "!" and t is not CUT:  # a quoted '!' in this dialect
-                self.goal_error(_NO_CUT, t)
-        return term
+            elif t is _CUT_ATOM:
+                if not prolog:
+                    self.goal_error(_NO_CUT, t)
+                t = CUT
+            done.append(t)
+        return done[0]
 
     def goal_error(self, msg, term):
         tok, text = self.start, pretty(term)
@@ -576,7 +599,7 @@ def _pieces(term, quoted):
                 pieces.append(", ")
             pieces.append(term.args[0])
             term = term.args[1]
-        if not (type(term) is Const and term.name == EMPTY_LIST):
+        if term is not _NIL:
             pieces += ("|", term)
         pieces.append("]")
         return pieces

@@ -1,5 +1,7 @@
 """Term kernel tests: dereferencing, the trail, unification, resolve."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -292,3 +294,14 @@ def test_unify_remembers_pairs_past_its_bound(k, monkeypatch):
         x, y = k.Var(1, "X"), k.Var(2, "Y")
         bound([(x, k.Compound("f", (x,) + tail_x)), (y, k.Compound("f", (y,) + tail_y))])
         assert k.unify(x, y, trail, False) is expected
+
+
+def test_copies_and_pickles_keep_the_interned_atoms(k):
+    term = k.Compound("f", (k.Const("a"), k.Compound("g", (k.Const("[]"),)), k.Num(1)))
+    for back in (copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))):
+        atom = back(k.Const("a"))
+        assert atom is k.Const("a") and atom.name == "a"
+        out = back(term)
+        assert out.args[0] is k.Const("a")
+        assert out.args[1].args[0] is k.Const("[]")
+        assert out == term

@@ -4,13 +4,18 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mup.engine import Engine
 from mup.errors import LoadError, MupError, MupSyntaxError
 from mup.syntax import (
     _INFIX,
     _Reader,
     CUT,
     TRUE,
+    Clause,
+    Program,
     format_program,
     parse_program,
     parse_query,
@@ -294,6 +299,56 @@ def test_quoted_cut_is_no_goal_in_the_choice_dialect():
     body = parse_program("p :- q, '!'.", dialect="prolog").clauses[0].body
     assert body.args[1] is CUT
     assert parse_query("'!'.", dialect="prolog").goal is CUT
+
+
+def test_a_cut_only_stands_as_a_goal_in_the_prolog_dialect():
+    # ISO Prolog's reading: '!' is the cut where it stands as a goal and
+    # the atom '!' everywhere else, in either dialect.
+    clause = parse_program("p(!, X) :- X = '!', (! ; q(!)).", dialect="prolog").clauses[0]
+    assert clause.head.args[0] is Const("!")
+    unify, disjunction = clause.body.args
+    assert unify.args[1] is Const("!")
+    assert disjunction.args[0] is CUT and disjunction.args[1].args[0] is Const("!")
+    assert pretty_clause(clause) == "p('!', X) :- X = '!', (! ; q('!'))."
+    assert parse_query("X = !.").goal.args[1] is Const("!")
+    with pytest.raises(MupSyntaxError, match="cut is not part"):
+        parse_program("p :- q, !.")
+
+
+def test_a_goal_without_a_cut_is_kept_as_read():
+    text = "p :- a, (b ; c *-> d ; e), f."
+    reader = _Reader(text, "prolog")
+    body = reader.sentence().args[1]
+    assert reader.goal(body) is body
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.text(), st.text())
+def test_one_atom_per_name(a, b):
+    assert (Const(a) is Const(b)) == (a == b)
+    for name in (a, b):
+        assert parse_term(pretty(Const(name)) + ".") is Const(name)
+    assert Const("!") is not CUT
+
+
+def test_a_programmatic_true_goal_runs_as_a_parsed_one():
+    x = fresh_var("X")
+    built = Program([
+        Clause(Compound("p", (Const("a"),)), Const("true")),
+        Clause(Compound("p", (Const("b"),)), Compound(",", (Const("true"), Const("true")))),
+    ])
+    built_goal = Compound(",", (Compound("p", (x,)), Const("true")))
+    parsed = parse_program("p(a) :- true. p(b) :- true, true.")
+    query = parse_query("p(X), true.")
+    runs = []
+    for program, goal, answer_vars in ((built, built_goal, [x]),
+                                       (parsed, query.goal, query.answer_vars)):
+        events = []
+        engine = Engine(program, trace=events.append)
+        answers = [s.render() for s in engine.solve(goal, answer_vars)]
+        runs.append((answers, [(e.kind, e.depth, e.payload) for e in events]))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == ["X = a", "X = b"]
 
 
 def test_builtin_redefinition_rejected_at_load():

@@ -98,6 +98,18 @@ def test_translated_operator_arguments_reparse():
         assert [s.render() for s in answers] == ["true"]
 
 
+def test_a_data_cut_atom_survives_translation():
+    # The prolog dialect reads '!' as the cut only where it stands as a
+    # goal, so a translated fact keeps the atom '!' of its source.
+    program = parse_program("p('!'). p(a).")
+    translated = parse_program(translate(program, "hard_cut"), dialect="prolog")
+    for prog in (program, translated):
+        engine = Engine(prog)
+        assert [s.render() for s in engine.run_query("p('!').").solutions] == ["true"]
+        answers = engine.run_query("p(X).").solutions
+        assert [s.render() for s in answers] == ["X = '!'", "X = a"]
+
+
 def test_max_translation_behaviour(max_program=None):
     program = parse_program("max(X,Y,M) :- (X >= Y, M = X) # (X < Y, M = Y).")
     translated = parse_program(translate(program, "hard_cut"), dialect="prolog")
