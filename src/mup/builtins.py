@@ -7,6 +7,11 @@ predicates before ``BUILTINS``, never resolves one against user clauses.
 
 All built-ins here are deterministic: they succeed at most once and leave
 no choicepoint.  I/O side effects are not undone on backtracking.
+
+The arithmetic built-ins take plain numbers in place: a comparison reads
+a side that dereferences to a number without calling ``eval_arith``, and
+``is/2`` binds an unbound left side with ``kernel.bind`` instead of
+unifying.  Each is still called through its ``BUILTINS`` entry.
 """
 
 import operator
@@ -86,6 +91,7 @@ _BINARY = {
     "//": operator.floordiv,
     "mod": operator.mod,
 }
+_EXACT = ("+", "-", "*")  # never raise, and stay ints, on two ints
 _NEGATE = "neg"  # marks a unary minus on the work stack
 
 
@@ -97,18 +103,31 @@ def eval_arith(term):
     evaluated left to right on a work stack, so a long chain such as
     ``1+1+...+1`` needs no host stack.  A variable met again inside its
     own value (a cyclic binding) is an EvalError.
+
+    Number fast paths: variables are dereferenced inline; a number is its
+    value; a binary operator on two numbers, the common ``N - 1``, is
+    applied at once, and ``+``, ``-`` and ``*`` on two ints skip
+    ``_apply``, whose checks cannot fire for them.
     """
-    t = kernel.deref(term)
+    t = term
+    while type(t) is Var and t.ref is not None:
+        t = t.ref
     tt = type(t)
     if tt is Num:
         return t.value
     if tt is Compound and len(t.args) == 2 and t.functor in _BINARY:
-        # The common case, ``N - 1``: a binary operator on two numbers.
         a, b = t.args
-        a = kernel.deref(a)
-        b = kernel.deref(b)
+        while type(a) is Var and a.ref is not None:
+            a = a.ref
+        while type(b) is Var and b.ref is not None:
+            b = b.ref
         if type(a) is Num and type(b) is Num:
-            return _apply(t.functor, a.value, b.value)
+            op = t.functor
+            a = a.value
+            b = b.value
+            if op in _EXACT and type(a) is int and type(b) is int:
+                return _BINARY[op](a, b)
+            return _apply(op, a, b)
     # Subterms to evaluate, operators to apply, and the ids of variables
     # whose values are done; a cycle through ``term`` is caught one level down.
     todo = [t]
@@ -129,8 +148,9 @@ def eval_arith(term):
             continue
         if tt is Var:
             vid = t.id
-            t = kernel.deref(t)
-            tt = type(t)
+            while tt is Var and t.ref is not None:
+                t = t.ref
+                tt = type(t)
             if tt is Compound:
                 if vid in expanding:
                     raise EvalError("arithmetic on a cyclic term")
@@ -151,8 +171,11 @@ def eval_arith(term):
                 todo.append(args[0])
                 continue
             if len(args) == 2 and op in _BINARY:
-                a = kernel.deref(args[0])
-                b = kernel.deref(args[1])
+                a, b = args
+                while type(a) is Var and a.ref is not None:
+                    a = a.ref
+                while type(b) is Var and b.ref is not None:
+                    b = b.ref
                 if type(a) is Num and type(b) is Num:  # the common case
                     values.append(_apply(op, a.value, b.value))
                 else:
@@ -186,14 +209,30 @@ def _cmp(test):
     """A comparison built-in; ``test`` is one of ``operator``'s comparisons."""
 
     def run(ctx, args):
-        return test(eval_arith(args[0]), eval_arith(args[1]))
+        a, b = args
+        while type(a) is Var and a.ref is not None:
+            a = a.ref
+        while type(b) is Var and b.ref is not None:
+            b = b.ref
+        return test(
+            a.value if type(a) is Num else eval_arith(a),
+            b.value if type(b) is Num else eval_arith(b),
+        )
 
     return run
 
 
 def _is(ctx, args):
+    """``X is E``: an unbound ``X`` is bound in place, as ``unify`` would
+    bind it; a bound one is unified with the value."""
     value = eval_arith(args[1])
-    return ctx.unify(args[0], Num(value))
+    x = args[0]
+    while type(x) is Var:
+        if x.ref is None:
+            kernel.bind(ctx.bindings, x, Num(value))
+            return True
+        x = x.ref
+    return ctx.unify(x, Num(value))
 
 
 def _unify_builtin(ctx, args):

@@ -29,8 +29,8 @@ Representation notes:
   stores it on a miss, as the WAM's atom table does (Warren 1983;
   Ait-Kaci 1991).  So atoms compare, hash and unify by identity.  The
   table grows with each distinct name read, ``read/1`` included, and
-  never shrinks.  An object made past the table (the reader's cut) is
-  no atom of its name; a copy or a pickle of it is that atom.
+  never shrinks.  ``CUT``, made past the table, is no atom of its
+  name; a copy or a pickle of it is ``CUT`` again.
 * Lists are ordinary compounds: ``'.'(Head, Tail)`` ending in ``'[]'``.
 """
 
@@ -93,12 +93,21 @@ class Const:
             atom = _ATOMS.setdefault(name, atom)
         return atom
 
-    def __getnewargs__(self):
-        # copy, deepcopy and pickle make the atom again through __new__.
-        return (self.name,)
+    def __reduce__(self):
+        # copy, deepcopy and pickle make an atom again through the table,
+        # and keep the cut as itself, by its name in this module.
+        if self is CUT:
+            return "CUT"
+        return (Const, (self.name,))
 
     def __repr__(self):
         return "Const(%r)" % (self.name,)
+
+
+# Prolog's cut: made past the atom table, so no atom is the cut.  The
+# prolog dialect's reader reads a ``!`` that stands as a goal as this.
+CUT = object.__new__(Const)
+CUT.name = "!"
 
 
 class Num:

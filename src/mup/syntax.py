@@ -38,7 +38,7 @@ from math import isinf
 
 from mup import builtins as _builtins
 from mup.errors import LoadError, MupError, MupSyntaxError
-from mup.kernel import rebuild
+from mup.kernel import CUT, rebuild
 from mup.terms import CONS, EMPTY_LIST, Compound, Const, Num, Var, fresh_var, mk_list
 
 # ---------------------------------------------------------------------------
@@ -47,11 +47,7 @@ from mup.terms import CONS, EMPTY_LIST, Compound, Const, Num, Var, fresh_var, mk
 
 # The goal the engine knows by identity: every ``true`` is this atom.
 TRUE = Const("true")
-# Prolog's cut: made past the atom table, so no atom is the cut.  The
-# prolog dialect reads a ``!`` that stands as a goal as this.
-CUT = object.__new__(Const)
-CUT.name = "!"
-_CUT_ATOM = Const("!")
+_CUT_ATOM = Const("!")  # a goal ``!`` in the prolog dialect is ``CUT`` instead
 _NIL = Const(EMPTY_LIST)
 
 # The connectives, by functor: every one has arity 2, and ``(C *-> T ; E)``

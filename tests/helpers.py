@@ -26,7 +26,7 @@ def term_equal(a, b, varmap):
         varmap[a.id] = b.id
         return True
     if ta is Const:
-        return a.name == b.name
+        return a is b
     if ta is Num:
         return type(a.value) is type(b.value) and a.value == b.value
     if a.functor != b.functor or len(a.args) != len(b.args):

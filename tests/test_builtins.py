@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from mup.engine import Engine, SolveConfig
 from mup.errors import ArithTypeError, EvalError, InstantiationError, LoadError
 from mup.kernel import Bindings
 from mup.syntax import _CONTROL, TRUE, Clause, Program, parse_program, parse_query
-from mup.terms import Compound, Const, Num, fresh_var
+from mup.terms import Compound, Const, Num, Var, fresh_var
 
 from conftest import collect
 
@@ -173,6 +175,89 @@ def test_eval_arith_agrees_with_a_reference_evaluator(tree):
     assert type(got) is type(want) and got == want
 
 
+_COMPARISONS = {
+    "<": operator.lt, ">": operator.gt, "=<": operator.le, ">=": operator.ge,
+}
+
+
+def _outcome(run):
+    """What ``run()`` gives: ("value", result) or ("error", error class)."""
+    try:
+        return ("value", run())
+    except Exception as exc:
+        return ("error", type(exc))
+
+
+def _other_class(value):
+    """A number of the other class, equal to ``value`` where one is."""
+    if type(value) is float:
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return 0.5
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(sorted(_COMPARISONS)),
+    _TREES,
+    _TREES,
+    st.sampled_from(["unbound", "same", "other class", "other", "atom"]),
+    st.booleans(),
+    st.integers(-2, 2),
+)
+def test_arithmetic_builtins_agree_with_the_reference(
+    name, left, right, lhs, through_var, hb_offset
+):
+    b = Bindings()
+    ctx = BuiltinContext(b, IoPorts.scripted([]))
+    args = (_term(left, b), _term(right, b))
+    mark = len(b)
+    compare = _COMPARISONS[name]
+    want = _outcome(lambda: compare(_reference(left), _reference(right)))
+    assert _outcome(lambda: BUILTINS[(name, 2)].fn(ctx, args)) == want
+    assert len(b) == mark  # a comparison binds nothing
+
+    # X is Right, for each kind of left side X.
+    value = _outcome(lambda: _reference(right))
+    x = fresh_var("X")
+    if lhs == "unbound":
+        target = x
+    else:
+        if lhs == "atom" or value[0] == "error":
+            target = Const("a")
+        else:
+            number = value[1]
+            if lhs == "other class":
+                number = _other_class(number)
+            elif lhs == "other":
+                number = number + 1
+            target = Num(number)
+        if through_var:
+            b.bind(x, target)
+        else:
+            x = target
+    b.hb = hb_offset + (x.id if type(x) is Var else 0)
+    mark = len(b)
+    got = _outcome(lambda: BUILTINS[("is", 2)].fn(ctx, (x, args[1])))
+    if value[0] == "error":
+        assert got == value
+    elif lhs == "unbound":
+        assert got == ("value", True)
+        assert type(x.ref) is Num
+        assert type(x.ref.value) is type(value[1]) and x.ref.value == value[1]
+    else:
+        same = (
+            type(target) is Num
+            and type(target.value) is type(value[1])
+            and target.value == value[1]
+        )
+        assert got == ("value", same)
+    trailed = lhs == "unbound" and value[0] == "value" and x.id < b.hb
+    assert b[mark:] == ([x] if trailed else [])
+
+
 def test_eval_arith_overflow_is_an_error():
     big = "1" + "0" * 400
     for text in (big + " / 1", big + " * 1.0", "1.0e308 * 10", "-(1.0e308) - 1.0e308"):
@@ -213,6 +298,24 @@ def test_is_binds_result():
     assert sols == ["true"]
     sols, _ = collect("p.", "4 is 2 + 3.")
     assert sols == []
+
+
+def test_builtins_are_looked_up_at_call_time(monkeypatch):
+    # mupbench counts builtin calls by swapping wrappers into BUILTINS, so
+    # both the flat guard and a plain call must find each entry there.
+    calls = {"=<": 0, "is": 0}
+    for name in calls:
+        entry = BUILTINS[(name, 2)]
+
+        def counting(ctx, args, name=name, fn=entry.fn):
+            calls[name] += 1
+            return fn(ctx, args)
+
+        counted = dataclasses.replace(entry, fn=counting)
+        monkeypatch.setitem(BUILTINS, (name, 2), counted)
+    sols, _ = collect("c(N) :- (N =< 0) # (M is N-1, c(M)).", "c(3).")
+    assert sols == ["true"]
+    assert calls == {"=<": 4, "is": 3}
 
 
 def test_read_builtin_scripted():

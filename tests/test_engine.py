@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import itertools
@@ -920,6 +921,16 @@ def test_prolog_cut_prunes_later_clauses(query, expected):
     goal = parse_query(query, dialect="prolog")
     sols = Engine(program).solve(goal.goal, goal.answer_vars)
     assert [s.render() for s in sols] == expected
+
+
+def test_a_copied_prolog_goal_keeps_its_cut():
+    program = parse_program("p(1). p(2).", dialect="prolog")
+    query = parse_query("p(X), !.", dialect="prolog")
+    goal, answer_vars = copy.deepcopy((query.goal, query.answer_vars))
+    assert goal.args[1] is CUT
+    result = Engine(program).solve_collect(goal, answer_vars)
+    assert result.outcome == EXHAUSTED
+    assert [s.render() for s in result.solutions] == ["X = 1"]
 
 
 # ---------------------------------------------------------------------------

@@ -305,3 +305,16 @@ def test_copies_and_pickles_keep_the_interned_atoms(k):
         assert out.args[0] is k.Const("a")
         assert out.args[1].args[0] is k.Const("[]")
         assert out == term
+
+
+def test_copies_and_pickles_keep_the_cut(k):
+    # Protocols 0 and 1 cannot pickle a compound, whose class has slots.
+    backs = [copy.copy, copy.deepcopy] + [
+        lambda t, protocol=protocol: pickle.loads(pickle.dumps(t, protocol))
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    goal = k.Compound(",", (k.Const("p"), k.CUT))
+    for back in backs:
+        assert back(k.CUT) is k.CUT
+        assert back(goal).args[1] is k.CUT
+        assert back(k.Const("!")) is k.Const("!") is not k.CUT

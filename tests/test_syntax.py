@@ -526,14 +526,35 @@ def test_token_soup_raises_or_reads_back():
         assert term_equal(term, parse_term(pretty(term) + " ."), {}), text
 
 
+def _cut_goals(term):
+    """``term`` with each ``!`` that stands as a goal replaced by ``CUT``,
+    as the prolog dialect reads a goal."""
+    if term is Const("!"):
+        return CUT
+    if (type(term) is not Compound or term.functor not in (",", ";")
+            or len(term.args) != 2):
+        return term
+    left, right = term.args
+    if (term.functor == ";" and type(left) is Compound and left.functor == "*->"
+            and len(left.args) == 2):
+        left = Compound("*->", tuple(map(_cut_goals, left.args)))
+    else:
+        left = _cut_goals(left)
+    return Compound(term.functor, (left, _cut_goals(right)))
+
+
 def _goal_is_the_term_read(text, dialect):
     """Whether ``text`` reads as a query, whose goal is then the very term
-    that the dialect's reader reads for it."""
+    that the dialect's reader reads for it, with its cuts in the prolog
+    dialect."""
     try:
         goal = parse_query(text, dialect).goal
     except MupError:
         return False
-    assert term_equal(goal, _Reader(text, dialect).sentence(last=True), {}), text
+    term = _Reader(text, dialect).sentence(last=True)
+    if dialect == "prolog":
+        term = _cut_goals(term)
+    assert term_equal(goal, term, {}), text
     return True
 
 
