@@ -105,9 +105,9 @@ def eval_arith(term):
     own value (a cyclic binding) is an EvalError.
 
     Number fast paths: variables are dereferenced inline; a number is its
-    value; a binary operator on two numbers, the common ``N - 1``, is
-    applied at once, and ``+``, ``-`` and ``*`` on two ints skip
-    ``_apply``, whose checks cannot fire for them.
+    value; a whole expression that is one operator on two numbers, the
+    common ``N - 1``, is applied at once, and ``+``, ``-`` and ``*`` on
+    two ints skip ``_apply``, whose checks cannot fire for them.
     """
     t = term
     while type(t) is Var and t.ref is not None:
@@ -171,17 +171,9 @@ def eval_arith(term):
                 todo.append(args[0])
                 continue
             if len(args) == 2 and op in _BINARY:
-                a, b = args
-                while type(a) is Var and a.ref is not None:
-                    a = a.ref
-                while type(b) is Var and b.ref is not None:
-                    b = b.ref
-                if type(a) is Num and type(b) is Num:  # the common case
-                    values.append(_apply(op, a.value, b.value))
-                else:
-                    todo.append(op)
-                    todo.append(args[1])
-                    todo.append(args[0])
+                todo.append(op)
+                todo.append(args[1])
+                todo.append(args[0])
                 continue
         from mup.syntax import pretty  # mup.syntax imports this module
 

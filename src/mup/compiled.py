@@ -59,9 +59,8 @@ from itertools import count
 from types import CodeType, FunctionType
 
 from mup.kernel import (
-    Compound, Const, Num, Var, _var_ids, deref, occurs, rebuild, undo_to, unify,
+    TRUE, Compound, Const, Num, Var, _var_ids, deref, occurs, rebuild, undo_to, unify,
 )
-from mup.syntax import TRUE
 
 # The names generated code refers to, besides its parameters.
 _SCOPE = {

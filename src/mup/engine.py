@@ -35,10 +35,11 @@ succeeds and candidates remain, the choicepoint's continuation is a
 ``clauses`` frame that tries them, and every failure resumes the newest
 live choicepoint.  Committed choice plants a commit frame after the
 chosen disjunct; when control passes it, the choicepoint for the other
-disjunct is dropped (and, in ``first`` mode, the chosen disjunct's own
-choicepoints as well, which mirrors the cut-based encoding).  In soft
-mode the committed choicepoint is popped if it is on top of the stack,
-and else only loses its continuation.
+disjunct is dropped.  A ``#`` choicepoint keeps the ``#`` goal, all its
+trace needs.  In ``first`` mode a ``#`` drops the chosen disjunct's own
+choicepoints as well, which mirrors the cut-based encoding; a ``*->``
+never does.  Otherwise the committed choicepoint is popped if it is on
+top of the stack, and else only loses its continuation.
 
 A guard is decided without a choicepoint.  The comparisons (``<``,
 ``>``, ``=<`` and ``>=`` on two arguments) that make up or lead a
@@ -147,7 +148,7 @@ class QueryResult:
 #   ("clauses", goal, clauses, idx, depth, next)  -- try clauses[idx:]; only
 #       a choicepoint's continuation (and Engine.backchain's start): a
 #       call tries its first candidate where it is reduced
-#   ("commit", choicepoint, cp_index, first_mode, next)
+#   ("commit", choicepoint, cp_index, next)
 #   ("exit", depth, payload, next)     -- tracing only
 #   ("fail", None)                     -- resume the newest live choicepoint
 _FAIL = ("fail", None)
@@ -159,20 +160,21 @@ class _ChoicePoint:
     ``hb`` is the trail boundary while it is the newest choicepoint: a
     fresh variable id, so every variable older than the choicepoint is
     below it.  ``hits`` is set for ``#`` and ``*->`` only: the
-    depth-limit hit count at push time.  ``info`` holds a ``#``'s
-    disjuncts and depth for tracing.  A committed choicepoint has
+    depth-limit hit count at push time.  ``choice`` is the ``#`` goal
+    itself (None for ``;`` and ``*->``); its trace reads the depth from
+    ``cont``, the right side's frame.  A committed choicepoint has
     ``cont`` None and is never resumed; so has the run's own base, the
     bottom choicepoint.
     """
 
-    __slots__ = ("cont", "mark", "hb", "hits", "info")
+    __slots__ = ("cont", "mark", "hb", "hits", "choice")
 
-    def __init__(self, cont, mark, hits=None, info=None):
+    def __init__(self, cont, mark, hits=None, choice=None):
         self.cont = cont
         self.mark = mark
         self.hb = next(_var_ids)
         self.hits = hits
-        self.info = info
+        self.choice = choice
 
 
 class Engine:
@@ -236,13 +238,14 @@ class Engine:
     def _emit(self, kind, depth, payload):
         self.trace(TraceEvent(kind, depth, payload))
 
-    def _emit_choice(self, depth, taken, discarded):
-        """Trace a commit; ``taken`` and ``discarded`` are (side, goal)."""
-        self._emit("choice_taken", depth, "%s %s" % (taken[0], pretty_goal(taken[1])))
-        self._emit(
-            "choice_discarded", depth,
-            "%s %s" % (discarded[0], pretty_goal(discarded[1])),
-        )
+    def _emit_choice(self, depth, choice, taken):
+        """Trace the commit of the ``#`` goal ``choice`` to side ``taken``."""
+        left, right = choice.args
+        sides = [("left", left), ("right", right)]
+        if taken == "right":
+            sides.reverse()
+        for kind, (side, goal) in zip(("choice_taken", "choice_discarded"), sides):
+            self._emit(kind, depth, "%s %s" % (side, pretty_goal(goal)))
 
     def _emit_unify(self, values, depth, clause, goal):
         """Trace a head match; the source head prints as a renamed copy would."""
@@ -326,28 +329,22 @@ class Engine:
                                     if BUILTINS[(test.functor, 2)].fn(ctx, test.args):
                                         rest = after
                                         if rest is None and trace is not None:
-                                            self._emit_choice(
-                                                depth, ("left", left), ("right", right)
-                                            )
+                                            self._emit_choice(depth, goal, "left")
                                     else:
                                         if trace is not None:
-                                            self._emit_choice(
-                                                depth, ("right", right), ("left", left)
-                                            )
+                                            self._emit_choice(depth, goal, "right")
                                         cont = alt
                                         rest = None
                                 if rest is None:
                                     continue
-                                cp = _ChoicePoint(
-                                    alt, len(bindings), hits[0], (left, right, depth)
-                                )
-                                cont = ("commit", cp, len(cps), first_mode, cont)
+                                cp = _ChoicePoint(alt, len(bindings), hits[0], goal)
+                                cont = ("commit", cp, len(cps), cont)
                                 left = rest
                             elif (type(left) is Compound and left.functor == "*->"
                                   and len(left.args) == 2):
                                 cp = _ChoicePoint(alt, len(bindings), hits[0])
                                 left, then = left.args
-                                cont = ("commit", cp, len(cps), False,
+                                cont = ("commit", cp, len(cps),
                                         ("goal", then, depth, cutb, cont))
                             else:  # ";"
                                 cp = _ChoicePoint(alt, len(bindings))
@@ -395,8 +392,9 @@ class Engine:
                         cont = _FAIL
                         continue
                     if trace is not None:
-                        self._emit("backchain_enter", depth, pretty(goal))
-                        cont = ("exit", depth, pretty(goal), cont)
+                        payload = pretty(goal)
+                        self._emit("backchain_enter", depth, payload)
+                        cont = ("exit", depth, payload, cont)
                     clauses = pred.candidates(goal)
                     if type(clauses) is Clause:
                         # A lone candidate leaves no choicepoint, so its head
@@ -427,22 +425,23 @@ class Engine:
                             # The first branch was cut off by the depth limit,
                             # so its failure is not finite: do not fall through.
                             continue
-                        if trace is not None and cp.info is not None:
-                            left, right, depth = cp.info
-                            self._emit_choice(depth, ("right", right), ("left", left))
+                        if trace is not None and cp.choice is not None:
+                            self._emit_choice(cp.cont[2], cp.choice, "right")
                         cont = cp.cont
                         break
                     bindings.hb = cps[-1].hb
                     continue
 
                 elif tag == "commit":
-                    _, cp, index, first, cont = frame
+                    _, cp, index, cont = frame
                     if index < len(cps) and cps[index] is cp and cp.cont is not None:
+                        if trace is not None and cp.choice is not None:
+                            self._emit_choice(cp.cont[2], cp.choice, "left")
                         cp.cont = None
-                        if trace is not None and cp.info is not None:
-                            left, right, depth = cp.info
-                            self._emit_choice(depth, ("left", left), ("right", right))
-                        if first or index == len(cps) - 1:
+                        # In first mode a "#" also drops the left side's own
+                        # choicepoints; a "*->" never does.
+                        if (first_mode and cp.choice is not None
+                                or index == len(cps) - 1):
                             del cps[index:]
                             bindings.hb = cps[-1].hb
                     continue

@@ -1,13 +1,16 @@
 """Term kernel.
 
-Terms, the variable id counter, dereferencing, the binding store,
-first-order unification and ``rebuild``, the one bottom-up term walk:
-``resolve``, ``syntax.free_goal_vars``, ``syntax.subst_goal``, clause
-compilation and answer display are each a ``rebuild``.  ``terms``,
-``compiled``, ``builtins`` and ``engine`` build on these names;
-``kernel.unify``, ``kernel.undo_to`` and ``kernel.resolve`` are looked
-up as module attributes at call time, so ``mupbench`` can time them as
-layers.
+Terms, the two control atoms ``TRUE`` and ``CUT``, the variable id
+counter, dereferencing, the binding store, first-order unification and
+``rebuild``, the one bottom-up term walk: ``resolve``,
+``syntax.free_goal_vars``, ``syntax.subst_goal``, clause compilation
+and answer display are each a ``rebuild``.  ``terms``, ``compiled``,
+``builtins`` and ``engine`` build on these names.  The engine, the
+built-ins and answer display look ``kernel.unify``, ``kernel.undo_to``
+and ``kernel.resolve`` up as module attributes at call time, so
+``mupbench`` can time them as layers; generated head matchers bind
+``unify`` and ``undo_to`` once, through ``compiled._SCOPE``, so the
+``kernel.unify`` layer does not count their calls.
 
 Representation notes:
 
@@ -104,8 +107,10 @@ class Const:
         return "Const(%r)" % (self.name,)
 
 
-# Prolog's cut: made past the atom table, so no atom is the cut.  The
-# prolog dialect's reader reads a ``!`` that stands as a goal as this.
+# The two control atoms the engine knows by identity.  Every ``true`` is
+# ``TRUE``.  Prolog's cut is made past the atom table, so no atom is the
+# cut; the prolog dialect's reader reads a ``!`` that stands as a goal as it.
+TRUE = Const("true")
 CUT = object.__new__(Const)
 CUT.name = "!"
 

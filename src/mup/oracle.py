@@ -481,7 +481,7 @@ class SelftestReport:
     def summary(self):
         lines = [
             "selftest: %d cases, depth %d" % (self.cases, self.depth),
-            "  engine vs left-biased oracle, solution multisets: %d mismatches"
+            "  engine vs left-biased oracle, answer sequences: %d mismatches"
             % len(self.solution_mismatches),
             "  engine vs angelic oracle, success: %d mismatches"
             % len(self.success_mismatches),
@@ -489,10 +489,6 @@ class SelftestReport:
             % len(self.angelic_only),
         ]
         return "\n".join(lines)
-
-
-def _multiset(solutions):
-    return sorted(s.canonical_key() for s in solutions)
 
 
 def selftest(seed=0, cases=300, depth=10):
@@ -519,7 +515,7 @@ def selftest(seed=0, cases=300, depth=10):
             )
             if mode == "soft":
                 engine_success = bool(result.solutions)
-            if _multiset(result.solutions) != _multiset(expected) or (
+            if result.solutions != expected or (
                 (result.outcome == "limited") != limited
             ):
                 report.solution_mismatches.append((case, mode))

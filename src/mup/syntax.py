@@ -38,15 +38,14 @@ from math import isinf
 
 from mup import builtins as _builtins
 from mup.errors import LoadError, MupError, MupSyntaxError
-from mup.kernel import CUT, rebuild
+from mup.compiled import Predicate
+from mup.kernel import CUT, TRUE, rebuild
 from mup.terms import CONS, EMPTY_LIST, Compound, Const, Num, Var, fresh_var, mk_list
 
 # ---------------------------------------------------------------------------
 # Goals, clauses and programs
 
 
-# The goal the engine knows by identity: every ``true`` is this atom.
-TRUE = Const("true")
 _CUT_ATOM = Const("!")  # a goal ``!`` in the prolog dialect is ``CUT`` instead
 _NIL = Const(EMPTY_LIST)
 
@@ -109,8 +108,6 @@ class Program:
     __slots__ = ("clauses", "predicates")
 
     def __init__(self, clauses):
-        from mup.compiled import Predicate  # mup.compiled imports this module
-
         self.clauses = list(clauses)
         self.predicates = {}
         for clause in self.clauses:

@@ -27,10 +27,6 @@ def collect_goal(program, goal, **cfg_kwargs):
     return engine.solve_collect(goal, answer_vars)
 
 
-def multiset(solutions):
-    return sorted(s.canonical_key() for s in solutions)
-
-
 @pytest.fixture
 def member_choice():
     return parse_program("member(X,[Y|L]) :- (Y = X) # member(X,L).")

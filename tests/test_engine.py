@@ -33,7 +33,7 @@ from mup.syntax import (
 )
 from mup.terms import Compound, Const, Num, fresh_var
 
-from conftest import collect, collect_goal, multiset
+from conftest import collect, collect_goal
 
 
 def renders(program_text, query_text, **cfg):
@@ -319,7 +319,7 @@ def test_choice_exclusivity_direct():
         )
         left = collect_goal(parse_program(program_text), g0, commit_mode=mode)
         expected = left.solutions if mode == "soft" else left.solutions[:1]
-        assert multiset(whole.solutions) == multiset(expected)
+        assert whole.solutions == expected
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from mup.oracle import (
 from mup.syntax import free_goal_vars, parse_program, parse_query
 from mup.terms import Const
 
-from conftest import multiset
 from helpers import clause_equal
 
 
@@ -123,7 +122,7 @@ def test_bruteforce_matches_engine_on_examples(son_program):
         goal = goal_of(text)
         engine_sols = list(Engine(son_program).solve(goal))
         oracle_sols = count_solutions_bruteforce(son_program, goal, 10)
-        assert multiset(engine_sols) == multiset(oracle_sols)
+        assert engine_sols == oracle_sols
 
 
 ARITH_PROGRAM = """
@@ -302,6 +301,21 @@ def test_selftest_small():
     report = selftest(seed=5, cases=60, depth=10)
     assert report.ok
     assert report.cases == 60
+
+
+def test_selftest_compares_answers_in_order(monkeypatch):
+    # '#' is order-sensitive, so answers that differ only in their order
+    # are a mismatch: an engine that gave each query's answers reversed
+    # must fail the selftest.
+    solve_collect = Engine.solve_collect
+
+    def reversed_answers(self, goal, answer_vars=None):
+        result = solve_collect(self, goal, answer_vars)
+        result.solutions.reverse()
+        return result
+
+    monkeypatch.setattr(Engine, "solve_collect", reversed_answers)
+    assert not selftest(seed=0, cases=200, depth=12).ok
 
 
 def test_selftest_reports_corpus_verbatim():

@@ -10,7 +10,7 @@ from mup.syntax import format_program, parse_program, pretty_goal
 from mup.terms import Const
 from mup.transpile import translate
 
-from conftest import collect_goal, multiset
+from conftest import collect_goal
 
 
 def test_member_hard_cut_shape():
@@ -121,7 +121,7 @@ def test_max_translation_behaviour(max_program=None):
     )
     via_cut = Engine(translated).solve_collect(query.goal, query.answer_vars)
     assert [s.render() for s in direct.solutions] == ["M = 9"]
-    assert multiset(direct.solutions) == multiset(via_cut.solutions)
+    assert direct.solutions == via_cut.solutions
 
 
 CURATED = [
@@ -163,7 +163,7 @@ def test_conformance_curated(mode):
             program, SolveConfig(commit_mode=engine_mode)
         ).solve_collect(query.goal, query.answer_vars)
         via = Engine(translated).solve_collect(query.goal, query.answer_vars)
-        assert multiset(direct.solutions) == multiset(via.solutions), (
+        assert direct.solutions == via.solutions, (
             program_text,
             query_text,
             mode,
@@ -200,7 +200,7 @@ def test_conformance_generated_corpus(mode):
         via = Engine(translated, cfg).solve_collect(driver_goal, answer_vars)
         assert direct.outcome == "exhausted", case.describe()
         assert via.outcome == "exhausted"
-        assert multiset(direct.solutions) == multiset(via.solutions), (
+        assert direct.solutions == via.solutions, (
             case.describe(),
             mode,
         )
