@@ -14,10 +14,6 @@ from mup.engine import (
     QueryResult,
     SolveConfig,
     TraceEvent,
-    backchain,
-    run_query,
-    solve,
-    solve_choice,
 )
 from mup.errors import (
     ArithTypeError,
@@ -86,7 +82,6 @@ __all__ = [
     "TranslateError",
     "UnknownPredicateError",
     "Var",
-    "backchain",
     "count_solutions_bruteforce",
     "eval_arith",
     "kernel_impl",
@@ -97,10 +92,7 @@ __all__ = [
     "pretty_clause",
     "pretty_goal",
     "provable",
-    "run_query",
     "selftest",
-    "solve",
-    "solve_choice",
     "translate",
     "unify",
 ]

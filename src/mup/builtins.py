@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, field
 from math import isfinite
 
-from mup import kernel
+from mup import kernel, syntax
 from mup.errors import ArithTypeError, EvalError, InstantiationError
 from mup.terms import Compound, Const, Num, Var
 
@@ -175,10 +175,8 @@ def eval_arith(term):
                 todo.append(args[1])
                 todo.append(args[0])
                 continue
-        from mup.syntax import pretty  # mup.syntax imports this module
-
         raise ArithTypeError(
-            "not an arithmetic expression: %s" % pretty(kernel.resolve(t))
+            "not an arithmetic expression: %s" % syntax.pretty(kernel.resolve(t))
         )
     return values[0]
 
@@ -240,12 +238,10 @@ def _fail(ctx, args):
 
 
 def _read(ctx, args):
-    from mup.syntax import parse_term
-
     line = ctx.io.read_line()
     if line is None:
         return ctx.unify(args[0], Const(END_OF_FILE))
-    term = parse_term(line)
+    term = syntax.parse_term(line)
     return ctx.unify(args[0], term)
 
 
@@ -253,10 +249,8 @@ def _writer(quoted):
     """``write/1`` prints atoms bare; ``writeq/1`` quotes them to read back."""
 
     def run(ctx, args):
-        from mup.syntax import pretty
-
         term = kernel.resolve(args[0])
-        ctx.io.write(pretty(term, quoted=quoted))
+        ctx.io.write(syntax.pretty(term, quoted=quoted))
         return True
 
     return run

@@ -80,7 +80,7 @@ from mup.syntax import (
     CUT,
     TRUE,
     Clause,
-    free_goal_vars,
+    answer_vars_of,
     indicator,
     parse_query,
     pretty,
@@ -522,7 +522,7 @@ class Answers:
 def _search(engine, goal, answer_vars, ending):
     """The Solutions of ``goal``; ``ending`` gets the outcome and error."""
     if answer_vars is None:
-        answer_vars = [v for v in free_goal_vars(goal) if v.name != "_"]
+        answer_vars = answer_vars_of(goal)
     hits = [0]
     run = engine._run(("goal", goal, 0, 1, None), Bindings(), hits)
     left = engine.cfg.max_solutions
@@ -541,25 +541,3 @@ def _search(engine, goal, answer_vars, ending):
     finally:
         run.close()  # undoes the run's bindings
 
-
-# -- module-level convenience wrappers --------------------------------------
-
-
-def solve(program, goal, cfg=None, io=None, trace=None, answer_vars=None):
-    """Stream of Solutions for ``goal`` against ``program``."""
-    return Engine(program, cfg, io, trace).solve(goal, answer_vars)
-
-
-def backchain(clauses, program, atom, bindings, cfg=None, io=None, trace=None):
-    """Prove atomic ``atom`` by backchaining on the given clause group."""
-    return Engine(program, cfg, io, trace).backchain(atom, bindings, clauses)
-
-
-def solve_choice(program, left, right, bindings, cfg=None, io=None, trace=None):
-    """Committed choice between two goals on caller-owned bindings."""
-    return Engine(program, cfg, io, trace).solve_choice(left, right, bindings)
-
-
-def run_query(program, text, cfg=None, io=None, trace=None):
-    """Parse and run a query; returns QueryResult(solutions, outcome)."""
-    return Engine(program, cfg, io, trace).run_query(text)

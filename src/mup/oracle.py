@@ -32,9 +32,9 @@ from mup.syntax import (
     CUT,
     Program,
     TRUE,
+    answer_vars_of,
     connective,
     format_program,
-    free_goal_vars,
     pretty_goal,
 )
 from mup.terms import Compound, Const, Num, Solution, Var, fresh_var
@@ -186,7 +186,7 @@ def bruteforce_run(program, goal, depth, mode="soft", answer_vars=None):
     if mode not in ("soft", "first"):
         raise ValueError("mode must be 'soft' or 'first'")
     if answer_vars is None:
-        answer_vars = [v for v in free_goal_vars(goal) if v.name != "_"]
+        answer_vars = answer_vars_of(goal)
     hits = [0]
     solutions = []
     try:
@@ -498,9 +498,7 @@ def selftest(seed=0, cases=300, depth=10):
     report = SelftestReport(cases=cases, depth=depth)
     for i in range(cases):
         case = generate_case(seed * 1_000_003 + i)
-        answer_vars = [
-            v for v in free_goal_vars(case.goal) if v.name != "_"
-        ]
+        answer_vars = answer_vars_of(case.goal)
         engine_success = None
         for mode in ("soft", "first"):
             # Generated programs may leave predicates undefined; both

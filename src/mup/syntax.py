@@ -80,9 +80,6 @@ class Clause:
         self.body = body
         self.code = None
 
-    def indicator(self):
-        return indicator(self.head)
-
     def __repr__(self):
         return "Clause(%r, %r)" % (self.head, self.body)
 
@@ -111,7 +108,7 @@ class Program:
         self.clauses = list(clauses)
         self.predicates = {}
         for clause in self.clauses:
-            key = clause.indicator()
+            key = indicator(clause.head)
             pred = self.predicates.get(key)
             if pred is None:
                 if key in _builtins.BUILTINS or key in _CONTROL:
@@ -698,6 +695,11 @@ def free_goal_vars(goal):
     found = {}
     rebuild(goal, lambda var: found.setdefault(var.id, var))
     return list(found.values())
+
+
+def answer_vars_of(goal):
+    """A goal's default answer variables: its free variables but ``_``."""
+    return [v for v in free_goal_vars(goal) if v.name != "_"]
 
 
 def subst_goal(root, mapping):

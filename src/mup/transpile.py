@@ -1,8 +1,9 @@
 """Source-to-source translation to standard, cut-based Prolog.
 
 A clause body is a term, read by functor.  Every committed-choice goal
-``G0 # G1`` (a ``'#'/2`` compound among the body's connectives) becomes a
-call to a fresh auxiliary predicate carrying the goal's free variables:
+``G0 # G1`` (a ``'#'/2`` compound among the body's connectives, or in a
+side of a ``*->``) becomes a call to a fresh auxiliary predicate carrying
+the goal's free variables:
 
 * hard_cut mode emits the classic two-clause encoding of ``(G0, !) ; G1``::
 
@@ -22,11 +23,12 @@ import re
 
 from mup.errors import TranslateError
 from mup.syntax import (
+    CONNECTIVES,
     CUT,
     TRUE,
     Clause,
-    connective,
     free_goal_vars,
+    indicator,
     pretty_clause,
     subst_goal,
 )
@@ -35,6 +37,7 @@ from mup.terms import Compound, Const, Var
 MODES = ("hard_cut", "soft_cut")
 
 _AUX_PREFIX = "$choice_"
+_WALKED = CONNECTIVES | {"*->"}  # the nodes _tx_goal descends into
 
 
 def translate(program, mode="hard_cut", source_name=None):
@@ -46,7 +49,6 @@ def translate(program, mode="hard_cut", source_name=None):
     """
     if mode not in MODES:
         raise TranslateError("unknown translation mode %r" % (mode,))
-    _check_collisions(program)
 
     lines = []
     if source_name:
@@ -55,9 +57,10 @@ def translate(program, mode="hard_cut", source_name=None):
         lines.append("%% translated (mode: %s)" % (mode,))
     counter = [0]
     for clause in program.clauses:
-        clause = _uniquify_names(clause)
+        _check_name("predicate name", clause.head)
+        clause, order = _uniquify_names(clause)
         aux_acc = []
-        body = _tx_goal(clause.body, _clause_var_order(clause), counter, aux_acc, mode)
+        body = _tx_goal(clause.body, order, counter, aux_acc, mode)
         lines.append(pretty_clause(Clause(clause.head, body)))
         for aux in aux_acc:
             lines.append(pretty_clause(aux))
@@ -68,14 +71,15 @@ _VAR_NAME = re.compile(r"^[A-Z_][A-Za-z0-9_]*$")
 
 
 def _uniquify_names(clause):
-    """Give every distinct variable of the clause a distinct printable name.
+    """The clause with every distinct variable given a distinct printable
+    name, and its variables in first-occurrence order.
 
     Parsed clauses already satisfy this (the parser scopes names), but
     programmatic ASTs may carry duplicate or unprintable display names,
     which would silently merge or break variables when the emitted text
-    is read back.
+    is read back.  A renamed variable keeps its id.
     """
-    order = _clause_var_order(clause)
+    order = free_goal_vars(Compound(",", (clause.head, clause.body)))
     taken = {v.name for v in order}
     seen_names = set()
     mapping = {}
@@ -93,19 +97,22 @@ def _uniquify_names(clause):
         seen_names.add(candidate)
         taken.add(candidate)
         mapping[v.id] = Var(v.id, candidate)
-    if not mapping:
-        return clause
-    return Clause(subst_goal(clause.head, mapping), subst_goal(clause.body, mapping))
+    if mapping:
+        clause = Clause(subst_goal(clause.head, mapping), subst_goal(clause.body, mapping))
+    return clause, order
 
 
 def _tx_goal(goal, order, counter, aux_acc, mode):
     """``goal`` with every ``#`` replaced by a call to an auxiliary predicate.
 
-    Inner choices are translated (numbered and emitted) before the choices
-    around them.  ``todo`` holds goals still to translate and connectives
-    whose two sides are done; ``done`` holds translated goals.  A choice's
-    variables are those of its translated sides, in which an inner choice
-    is its auxiliary call, so each choice costs the size of its sides.
+    The walk descends into every connective and into a ``*->`` compound;
+    any other atom or compound is a call, checked against the auxiliary
+    namespace.  Inner choices are translated (numbered and emitted) before
+    the choices around them.  ``todo`` holds goals still to translate and
+    nodes whose two sides are done; ``done`` holds translated goals.  A
+    choice's variables are those of its translated sides, in which an
+    inner choice is its auxiliary call, so each choice costs the size of
+    its sides.
     """
     rank = {v.id: i for i, v in enumerate(order)}
     todo = [(goal, False)]
@@ -130,45 +137,20 @@ def _tx_goal(goal, order, counter, aux_acc, mode):
                 soft = Compound(";", (Compound("*->", (left, TRUE)), right))
                 aux_acc.append(Clause(head, soft))
             done.append(head)
-        elif connective(goal) in ("#", ",", ";"):
+        elif type(goal) is Compound and goal.functor in _WALKED and len(goal.args) == 2:
             todo.append((goal, True))
             todo.append((goal.args[1], False))
             todo.append((goal.args[0], False))
         else:
+            if type(goal) is Compound or type(goal) is Const:
+                _check_name("call to", goal)
             done.append(goal)
     return done[0]
 
 
-def _clause_var_order(clause):
-    """The clause's variables in first-occurrence order."""
-    return free_goal_vars(Compound(",", (clause.head, clause.body)))
-
-
-def _check_collisions(program):
-    for clause in program.clauses:
-        name = clause.indicator()[0]
-        if name.startswith(_AUX_PREFIX):
-            raise TranslateError(
-                "predicate name %r collides with the translator's "
-                "auxiliary namespace" % (name,)
-            )
-        for called in _called_names(clause.body):
-            if called.startswith(_AUX_PREFIX):
-                raise TranslateError(
-                    "call to %r collides with the translator's "
-                    "auxiliary namespace" % (called,)
-                )
-
-
-def _called_names(goal):
-    stack = [goal]
-    while stack:
-        goal = stack.pop()
-        if connective(goal) is not None or (  # or a soft if-then-else's condition
-            type(goal) is Compound and goal.functor == "*->" and len(goal.args) == 2
-        ):
-            stack.extend(reversed(goal.args))
-        elif type(goal) is Compound:
-            yield goal.functor
-        elif type(goal) is Const:
-            yield goal.name
+def _check_name(what, term):
+    name = indicator(term)[0]
+    if name.startswith(_AUX_PREFIX):
+        raise TranslateError(
+            "%s %r collides with the translator's auxiliary namespace" % (what, name)
+        )

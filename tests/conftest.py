@@ -6,7 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from mup.engine import Engine, SolveConfig
-from mup.syntax import free_goal_vars, parse_program, parse_query
+from mup.syntax import answer_vars_of, parse_program, parse_query
 
 
 def collect(program_text, query_text, **cfg_kwargs):
@@ -22,7 +22,7 @@ def collect(program_text, query_text, **cfg_kwargs):
 
 def collect_goal(program, goal, **cfg_kwargs):
     """Like collect, but for an already-built goal AST; returns QueryResult."""
-    answer_vars = [v for v in free_goal_vars(goal) if v.name != "_"]
+    answer_vars = answer_vars_of(goal)
     engine = Engine(program, SolveConfig(**cfg_kwargs))
     return engine.solve_collect(goal, answer_vars)
 

@@ -12,9 +12,6 @@ from mup.engine import (
     LIMITED,
     Engine,
     SolveConfig,
-    backchain,
-    solve,
-    solve_choice,
 )
 from mup import kernel
 from mup.builtins import BUILTINS
@@ -134,13 +131,13 @@ def test_true_and_cut_goals_are_the_interned_atoms():
 def test_backchain_unit_clause():
     program = parse_program("p.")
     b = Bindings()
-    assert len(list(backchain(None, program, Const("p"), b))) == 1
+    assert len(list(Engine(program).backchain(Const("p"), b))) == 1
 
 
 def test_backchain_two_step():
     program = parse_program("q :- r. r.")
     b = Bindings()
-    assert len(list(backchain(None, program, Const("q"), b))) == 1
+    assert len(list(Engine(program).backchain(Const("q"), b))) == 1
 
 
 def test_backchain_source_order():
@@ -148,7 +145,7 @@ def test_backchain_source_order():
     b = Bindings()
     x = fresh_var("X")
     found = []
-    for _ in backchain(None, program, Compound("p", (x,)), b):
+    for _ in Engine(program).backchain(Compound("p", (x,)), b):
         found.append(b.resolve(x))
     assert found == [Const("a"), Const("b")]
     assert b == [] and x.ref is None  # exhaustion restored the store
@@ -160,7 +157,7 @@ def test_backchain_explicit_clause_group():
     x = fresh_var("X")
     only_second = program.clauses[1]
     found = []
-    for _ in backchain(only_second, program, Compound("p", (x,)), b):
+    for _ in Engine(program).backchain(Compound("p", (x,)), b, only_second):
         found.append(b.resolve(x))
     assert found == [Const("b")]
 
@@ -219,7 +216,7 @@ def test_solve_choice_son_soft(son_program):
     left = Compound(",", (Compound("male", (tom,)), Compound("father", (y, tom))))
     right = Compound(",", (Compound("female", (tom,)), Compound("mother", (y, tom))))
     found = []
-    for _ in solve_choice(son_program, left, right, b):
+    for _ in Engine(son_program).solve_choice(left, right, b):
         found.append(b.resolve(y))
     assert found == [Const("bob"), Const("jim")]
 
@@ -228,7 +225,7 @@ def test_solve_choice_left_fails_right_chosen():
     program = parse_program("p.")
     b = Bindings()
     x = fresh_var("X")
-    stream = solve_choice(program, Const("fail"), Compound("=", (x, Num(1))), b)
+    stream = Engine(program).solve_choice(Const("fail"), Compound("=", (x, Num(1))), b)
     results = []
     for _ in stream:
         results.append(b.resolve(x))
@@ -370,7 +367,7 @@ def test_max_solutions_truncation():
 def test_a_stream_stops_after_max_solutions(limit):
     query = parse_query("n(X).")
     cfg = SolveConfig(max_solutions=limit)
-    answers = solve(parse_program("n(1). n(2). n(3)."), query.goal, cfg)
+    answers = Engine(parse_program("n(1). n(2). n(3)."), cfg).solve(query.goal)
     assert answers.outcome is None
     assert [s.render() for s in answers] == ["X = 1", "X = 2", "X = 3"][:limit]
     assert query.answer_vars[0].ref is None  # the run's bindings are undone

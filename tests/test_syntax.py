@@ -17,6 +17,7 @@ from mup.syntax import (
     Clause,
     Program,
     format_program,
+    indicator,
     parse_program,
     parse_query,
     parse_term,
@@ -33,7 +34,7 @@ from helpers import AstGen, clause_equal, term_equal
 def test_parse_max_clause_shape():
     program = parse_program("max(X,Y,M) :- (X >= Y, M = X) # (X < Y, M = Y).")
     clause = program.clauses[0]
-    assert clause.indicator() == ("max", 3)
+    assert indicator(clause.head) == ("max", 3)
     body = clause.body
     assert body.functor == "#"
     assert body.args[0].functor == ","
@@ -47,7 +48,7 @@ def test_parse_max_clause_shape():
 def test_parse_unit_clause():
     program = parse_program("p.")
     clause = program.clauses[0]
-    assert clause.indicator() == ("p", 0)
+    assert indicator(clause.head) == ("p", 0)
     assert clause.body is TRUE
 
 

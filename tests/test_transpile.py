@@ -1,16 +1,22 @@
+import hashlib
 import random
 import re
+from pathlib import Path
 
 import pytest
 
 from mup.engine import Engine, SolveConfig
 from mup.errors import TranslateError
 from mup.oracle import generate_case
-from mup.syntax import format_program, parse_program, pretty_goal
-from mup.terms import Const
+from mup.syntax import (
+    TRUE, Clause, Program, format_program, parse_program, parse_query, pretty_goal,
+)
+from mup.terms import Compound, Const, Num
 from mup.transpile import translate
 
 from conftest import collect_goal
+
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
 
 def test_member_hard_cut_shape():
@@ -46,13 +52,71 @@ def _squash(line):
     return re.sub(r"\s+", "", line)
 
 
+def assert_collides(program, message, mode="hard_cut"):
+    with pytest.raises(TranslateError) as info:
+        translate(program, mode)
+    assert str(info.value) == message + " collides with the translator's auxiliary namespace"
+
+
 def test_collision_with_aux_namespace():
-    program = parse_program("'$choice_1'(x).")
-    with pytest.raises(TranslateError):
-        translate(program, "hard_cut")
-    program = parse_program("p :- '$choice_9'.")
-    with pytest.raises(TranslateError):
-        translate(program, "hard_cut")
+    assert_collides(parse_program("'$choice_1'(x)."), "predicate name '$choice_1'")
+    assert_collides(parse_program("p :- '$choice_9'."), "call to '$choice_9'")
+    # A call under a nested '#' in a later clause.
+    program = parse_program("q. p(X) :- q # ((X = 1, '$choice_3'(X)) # true).")
+    assert_collides(program, "call to '$choice_3'")
+    # A call inside the condition of a programmatic '*->'.
+    cond = Compound(",", (Const("q"), Compound("$choice_3", (Num(1),))))
+    body = Compound(";", (Compound("*->", (cond, TRUE)), Const("q")))
+    program = Program([Clause(Const("q")), Clause(Const("p"), body)])
+    for mode in ("hard_cut", "soft_cut"):
+        assert_collides(program, "call to '$choice_3'", mode)
+
+
+@pytest.mark.parametrize("mode", ["hard_cut", "soft_cut"])
+def test_choice_inside_a_soft_if_then_else_is_translated(mode):
+    # p :- ((a # b) *-> true ; c) and q :- (fail *-> true ; (a # b)),
+    # built through the API: each '#' becomes an auxiliary call like any
+    # other.
+    choice = Compound("#", (Const("a"), Const("b")))
+    p_body = Compound(";", (Compound("*->", (choice, TRUE)), Const("c")))
+    q_body = Compound(";", (Compound("*->", (Const("fail"), TRUE)), choice))
+    program = Program([Clause(Const("a")), Clause(Const("c")),
+                       Clause(Const("p"), p_body), Clause(Const("q"), q_body)])
+    translated = parse_program(translate(program, mode), dialect="prolog")
+    engine_mode = "first" if mode == "hard_cut" else "soft"
+    for query in ("p.", "q.", "a.", "c."):
+        goal = parse_query(query).goal
+        direct = Engine(program, SolveConfig(commit_mode=engine_mode)).solve_collect(goal)
+        via = Engine(translated).solve_collect(goal)
+        assert direct.outcome == via.outcome == "exhausted"
+        assert [s.render() for s in direct.solutions] == ["true"]
+        assert direct.solutions == via.solutions, query
+
+
+def translation_digest(corpus_cases=2000):
+    """sha256 over the translation, in both modes, of every sample program
+    and of seed-0 corpus cases, each case's query wrapped in a driver
+    clause so that its choices are translated too."""
+    digest = hashlib.sha256()
+    for path in sorted(PROGRAMS.glob("*.mpl")):
+        program = parse_program(path.read_text(encoding="utf-8"))
+        for mode in ("hard_cut", "soft_cut"):
+            digest.update(translate(program, mode, source_name=path.name).encode())
+    for i in range(corpus_cases):
+        case = generate_case(i)
+        answer_vars = _answer_vars(case.goal)
+        head = Compound("query_entry", tuple(answer_vars)) if answer_vars else Const("query_entry")
+        wrapped = Program(case.program.clauses + [Clause(head, case.goal)])
+        for mode in ("hard_cut", "soft_cut"):
+            digest.update(translate(wrapped, mode).encode())
+    return digest.hexdigest()
+
+
+def test_translations_are_pinned():
+    # The transpiler's text may not drift: the digest covers both modes on
+    # every sample program and on the first 2,000 corpus cases of seed 0.
+    assert translation_digest() == (
+        "7b0062ea3e2dc39b0468f6c7762038dbf31213812e7278faa63c26a24f375995")
 
 
 def test_nested_choices_get_own_auxiliaries():
