@@ -6,9 +6,12 @@ import os
 import sys
 
 from mup.builtins import IoPorts
-from mup.engine import ERRORED, LIMITED, Engine, SolveConfig
+from mup.engine import (
+    COMMIT_MODES, ERRORED, LIMITED, UNKNOWN_MODES, Engine, SolveConfig,
+)
 from mup.errors import LoadError, MupError
 from mup.syntax import Program, parse_program, parse_query
+from mup.transpile import MODES, translate
 
 # What ``run`` and the shell say when a limit may have hidden answers.
 _LIMITED = "% search was limited"
@@ -16,7 +19,7 @@ _LIMITED = "% search was limited"
 
 def _engine_flags(parser):
     parser.add_argument(
-        "--commit", choices=("soft", "first"), default="soft",
+        "--commit", choices=COMMIT_MODES, default="soft",
         help="committed-choice mode: keep the chosen disjunct's "
              "alternatives (soft) or only its first solution (first)",
     )
@@ -39,7 +42,7 @@ def _engine_flags(parser):
         help="print one trace event per line on stderr",
     )
     parser.add_argument(
-        "--unknown", choices=("error", "fail"), default="error",
+        "--unknown", choices=UNKNOWN_MODES, default="error",
         help="treat calls to undefined predicates as an error or as failure",
     )
 
@@ -128,7 +131,7 @@ def build_parser():
     p_tr = sub.add_parser("translate", help="compile to cut-based Prolog")
     p_tr.add_argument("file", help="program file (.mpl)")
     p_tr.add_argument("-o", "--output", required=True, metavar="OUT.pl")
-    p_tr.add_argument("--mode", choices=("hard", "soft"), default="hard",
+    p_tr.add_argument("--mode", choices=MODES, default="hard_cut",
                       help="encoding of choice: (G,!);H or (G *-> true ; H)")
     p_tr.set_defaults(run=_cmd_translate)
 
@@ -178,11 +181,8 @@ def _cmd_run(args):
 
 
 def _cmd_translate(args):
-    from mup.transpile import translate
-
     program = _load_file(args.file)
-    mode = "hard_cut" if args.mode == "hard" else "soft_cut"
-    text = translate(program, mode, source_name=os.path.basename(args.file))
+    text = translate(program, args.mode, source_name=os.path.basename(args.file))
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(text)
     return 0
@@ -252,7 +252,7 @@ def repl_loop(program, cfg, inp=None, out=None, trace_on=False):
                 tracer = _tracer(parts[1] == "on", emit)
                 emit("trace %s\n" % parts[1])
                 continue
-            if len(parts) == 2 and parts[0] == "commit" and parts[1] in ("soft", "first"):
+            if len(parts) == 2 and parts[0] == "commit" and parts[1] in COMMIT_MODES:
                 cfg = dataclasses.replace(cfg, commit_mode=parts[1])
                 emit("commit mode: %s\n" % parts[1])
                 continue

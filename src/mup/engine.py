@@ -57,11 +57,7 @@ the newest choicepoint's, so a binding of a variable made since the
 newest choicepoint is not trailed, and a deterministic loop leaves no
 trail behind.  While a call still has more than one candidate, every
 binding of a head match is trailed, because a failed match is undone
-through the trail before the next candidate is tried.  Between the
-solutions of a stream, and after it, the boundary is ``kernel.ALL``, so
-the caller's bindings are all trailed.  A run nested on the same store
-(say, from a trace hook) thus leaves the outer run trailing more than it
-needs until its next choicepoint is pushed or popped, which is safe.
+through the trail before the next candidate is tried.
 
 Solutions come out of a lazy stream, ``Answers``: no search happens
 between pulls, and once the stream has ended it tells how.
@@ -81,7 +77,6 @@ from mup.syntax import (
     TRUE,
     Clause,
     answer_vars_of,
-    indicator,
     parse_query,
     pretty,
     pretty_goal,
@@ -94,8 +89,8 @@ LIMITED = "limited"
 ERRORED = "errored"
 
 _GUARD_TESTS = frozenset(("<", ">", "=<", ">="))
-_COMMIT_MODES = ("soft", "first")
-_UNKNOWN_MODES = ("error", "fail")
+COMMIT_MODES = ("soft", "first")
+UNKNOWN_MODES = ("error", "fail")
 
 
 @dataclass(frozen=True)
@@ -114,11 +109,11 @@ class SolveConfig:
     unknown_predicate: str = "error"
 
     def __post_init__(self):
-        if self.commit_mode not in _COMMIT_MODES:
-            raise ValueError("commit_mode must be one of %r" % (_COMMIT_MODES,))
-        if self.unknown_predicate not in _UNKNOWN_MODES:
+        if self.commit_mode not in COMMIT_MODES:
+            raise ValueError("commit_mode must be one of %r" % (COMMIT_MODES,))
+        if self.unknown_predicate not in UNKNOWN_MODES:
             raise ValueError(
-                "unknown_predicate must be one of %r" % (_UNKNOWN_MODES,)
+                "unknown_predicate must be one of %r" % (UNKNOWN_MODES,)
             )
         if self.depth_limit is not None and self.depth_limit < 1:
             raise ValueError("depth_limit must be >= 1")
@@ -146,8 +141,8 @@ class QueryResult:
 # Continuation frames (a linked list: each frame's last field is the next):
 #   ("goal", goal, depth, cut_barrier, next)
 #   ("clauses", goal, clauses, idx, depth, next)  -- try clauses[idx:]; only
-#       a choicepoint's continuation (and Engine.backchain's start): a
-#       call tries its first candidate where it is reduced
+#       a choicepoint's continuation: a call tries its first candidate
+#       where it is reduced
 #   ("commit", choicepoint, cp_index, next)
 #   ("exit", depth, payload, next)     -- tracing only
 #   ("fail", None)                     -- resume the newest live choicepoint
@@ -193,31 +188,7 @@ class Engine:
         stream.  ``goal`` is solved in place: its own variables hold the
         bindings until the stream ends, is closed or dropped."""
         ending = [None, None]
-        return Answers(_search(self, goal, answer_vars, ending), ending)
-
-    def backchain(self, atom, bindings, clauses=None):
-        """Prove the atomic goal ``atom`` against ``clauses``.
-
-        Yields once per successful derivation with ``bindings`` extended;
-        exhausting, closing or dropping the stream restores ``bindings``.
-        ``clauses`` defaults to the program's candidates for the atom,
-        taken from its first-argument index; clauses given here (a single
-        Clause is also accepted) are tried in the order given.
-        """
-        goal = kernel.deref(atom)
-        if type(goal) is Var or type(goal) is Num:
-            raise MupError("atomic goal expected, got %s" % pretty(goal))
-        if clauses is None:
-            pred = self.program.predicates.get(indicator(goal))
-            clauses = () if pred is None else pred.candidates(goal)
-        if not isinstance(clauses, (list, tuple)):  # a lone Clause
-            clauses = [clauses]
-        yield from self._run(("clauses", goal, clauses, 0, 0, None), bindings, [0])
-
-    def solve_choice(self, left, right, bindings):
-        """Run ``left # right`` on caller-owned bindings; yields per success."""
-        goal = Compound("#", (left, right))
-        yield from self._run(("goal", goal, 0, 1, None), bindings, [0])
+        return Answers(self._run(goal, answer_vars, ending), ending)
 
     def solve_collect(self, goal, answer_vars=None):
         """Collect up to max_solutions answers for an already-parsed goal."""
@@ -254,30 +225,41 @@ class Engine:
             "%s ~ %s" % (pretty(clause.head), pretty(goal)),
         )
 
-    def _run(self, cont, bindings, hits):
-        """Drive the machine on ``bindings``; yields None once per success.
-        However it ends, it undoes every binding it made to a variable
-        older than the run, and it leaves the boundary at ``kernel.ALL``.
-        A cut barrier in ``cont`` is at least 1, so a cut keeps the base."""
+    def _run(self, goal, answer_vars, ending):
+        """Drive the machine on ``goal`` in a store of its own; yields the
+        Solutions, at most ``max_solutions``, and ``ending`` gets the
+        outcome and error.  However it ends, it undoes the bindings of the
+        query's variables."""
+        if answer_vars is None:
+            answer_vars = answer_vars_of(goal)
         cfg = self.cfg
         trace = self.trace
         predicates = self.program.predicates
         occ = cfg.occurs_check
         depth_limit = cfg.depth_limit
         first_mode = cfg.commit_mode == "first"
+        quota = cfg.max_solutions  # Solutions still to give
+        hits = 0  # calls cut off by the depth limit
+        bindings = Bindings()
         ctx = BuiltinContext(bindings, self.io, occ)
         # The run's base is the bottom choicepoint: the query's own
         # variables are below its boundary, so they are undone at the end.
-        base = _ChoicePoint(None, len(bindings))
+        base = _ChoicePoint(None, 0)
         cps = [base]
         bindings.hb = base.hb
+        # The start frame's cut barrier is 1, so a cut keeps the base.
+        cont = ("goal", goal, 0, 1, None)
 
         try:
             while True:
                 if cont is None:
-                    bindings.hb = kernel.ALL
-                    yield None
-                    cont = _FAIL  # which sets the run's boundary again
+                    if quota == 0:  # an answer lay past max_solutions
+                        ending[0] = LIMITED
+                        return
+                    yield Solution.from_bindings(answer_vars)
+                    if quota is not None:
+                        quota -= 1
+                    cont = _FAIL
 
                 frame = cont
                 tag = frame[0]
@@ -337,12 +319,12 @@ class Engine:
                                         rest = None
                                 if rest is None:
                                     continue
-                                cp = _ChoicePoint(alt, len(bindings), hits[0], goal)
+                                cp = _ChoicePoint(alt, len(bindings), hits, goal)
                                 cont = ("commit", cp, len(cps), cont)
                                 left = rest
                             elif (type(left) is Compound and left.functor == "*->"
                                   and len(left.args) == 2):
-                                cp = _ChoicePoint(alt, len(bindings), hits[0])
+                                cp = _ChoicePoint(alt, len(bindings), hits)
                                 left, then = left.args
                                 cont = ("commit", cp, len(cps),
                                         ("goal", then, depth, cutb, cont))
@@ -388,7 +370,7 @@ class Engine:
                         cont = _FAIL
                         continue
                     if depth_limit is not None and depth + 1 > depth_limit:
-                        hits[0] += 1
+                        hits += 1
                         cont = _FAIL
                         continue
                     if trace is not None:
@@ -417,11 +399,12 @@ class Engine:
                     while True:
                         cp = cps.pop()
                         if not cps:  # the base is popped: the run has failed
+                            ending[0] = LIMITED if hits else EXHAUSTED
                             return
                         kernel.undo_to(bindings, cp.mark)
                         if cp.cont is None:
                             continue
-                        if cp.hits is not None and cp.hits != hits[0]:
+                        if cp.hits is not None and cp.hits != hits:
                             # The first branch was cut off by the depth limit,
                             # so its failure is not finite: do not fall through.
                             continue
@@ -481,10 +464,14 @@ class Engine:
                 body = fresh_rename(clause, values)
                 cont = ("goal", body, depth + 1, cutb, cont)
         except RecursionError:
-            raise MupError("term nested too deeply for the host stack") from None
+            # Raised in this handler, the MupError skips the one below.
+            ending[:] = ERRORED, MupError("term nested too deeply for the host stack")
+            raise ending[1] from None
+        except MupError as exc:
+            ending[:] = ERRORED, exc
+            raise
         finally:
             kernel.undo_to(bindings, base.mark)
-            bindings.hb = kernel.ALL
 
 
 class Answers:
@@ -497,47 +484,23 @@ class Answers:
     it ends, the run's bindings are undone and ``outcome`` stays as it is.
     """
 
-    # The search is a generator that does not refer to the stream: a cycle
+    # The run is a generator that does not refer to the stream: a cycle
     # would keep a dropped stream's bindings until the cyclic collector ran.
     # A for loop iterates the generator itself, with no call per answer.
-    __slots__ = ("_search", "_ending")
+    __slots__ = ("_solutions", "_ending")
 
-    def __init__(self, search, ending):
-        self._search = search
-        self._ending = ending  # [outcome, error], set when the search ends
+    def __init__(self, solutions, ending):
+        self._solutions = solutions
+        self._ending = ending  # [outcome, error], set when the run ends
 
     outcome = property(lambda self: self._ending[0])
     error = property(lambda self: self._ending[1])
 
     def __iter__(self):
-        return self._search
+        return self._solutions
 
     def __next__(self):
-        return next(self._search)
+        return next(self._solutions)
 
     def close(self):
-        self._search.close()
-
-
-def _search(engine, goal, answer_vars, ending):
-    """The Solutions of ``goal``; ``ending`` gets the outcome and error."""
-    if answer_vars is None:
-        answer_vars = answer_vars_of(goal)
-    hits = [0]
-    run = engine._run(("goal", goal, 0, 1, None), Bindings(), hits)
-    left = engine.cfg.max_solutions
-    try:
-        for _ in run:
-            if left == 0:  # an answer lay past max_solutions
-                ending[0] = LIMITED
-                return
-            yield Solution.from_bindings(answer_vars)
-            if left is not None:
-                left -= 1
-        ending[0] = LIMITED if hits[0] else EXHAUSTED
-    except MupError as exc:
-        ending[:] = ERRORED, exc
-        raise
-    finally:
-        run.close()  # undoes the run's bindings
-
+        self._solutions.close()

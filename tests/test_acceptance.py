@@ -18,7 +18,7 @@ from mup.oracle import _gen_goal, generate_case, generate_program, selftest
 from mup.syntax import (
     Clause,
     Program,
-    free_goal_vars,
+    answer_vars_of,
     parse_program,
     parse_query,
     pretty_clause,
@@ -134,11 +134,7 @@ def test_criterion_06_choice_exclusivity_500():
             cfg = SolveConfig(
                 commit_mode=mode, depth_limit=10, unknown_predicate="fail"
             )
-            avs = [
-                v
-                for v in free_goal_vars(Compound("#", (g0, g1)))
-                if v.name != "_"
-            ]
+            avs = answer_vars_of(Compound("#", (g0, g1)))
             whole = Engine(program, cfg).solve_collect(Compound("#", (g0, g1)), avs)
             left = Engine(program, cfg).solve_collect(g0, avs)
             if left.solutions:
@@ -200,7 +196,7 @@ def test_criterion_08_transpiler_conformance():
         rng = random.Random(8)
         for _ in range(50):
             case = generate_case(rng.randint(0, 10**9))
-            avs = [v for v in free_goal_vars(case.goal) if v.name != "_"]
+            avs = answer_vars_of(case.goal)
             head = (
                 Compound("query_entry", tuple(avs))
                 if avs

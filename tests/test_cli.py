@@ -194,7 +194,7 @@ def test_translate_command(tmp_path, capsys):
     src.write_text(MEMBER_MPL)
     dst = tmp_path / "member.pl"
     code, _, _ = run_cli(
-        ["translate", str(src), "-o", str(dst), "--mode", "hard"], capsys
+        ["translate", str(src), "-o", str(dst), "--mode", "hard_cut"], capsys
     )
     assert code == 0
     text = dst.read_text()
@@ -203,6 +203,18 @@ def test_translate_command(tmp_path, capsys):
     assert "hard_cut" in text.splitlines()[0]
     assert "'$choice_1'" in text
     parse_program(text, dialect="prolog")
+
+
+def test_translate_mode_takes_the_translator_names(tmp_path, capsys):
+    src = tmp_path / "member.mpl"
+    src.write_text(MEMBER_MPL)
+    dst = tmp_path / "member.pl"
+    argv = ["translate", str(src), "-o", str(dst), "--mode"]
+    assert run_cli(argv + ["soft_cut"], capsys)[0] == 0
+    text = dst.read_text()
+    assert "soft_cut" in text.splitlines()[0] and "*->" in text
+    code, _, err = run_cli(argv + ["soft"], capsys)
+    assert code == 2 and "invalid choice: 'soft'" in err
 
 
 def test_selftest_command(capsys):

@@ -16,7 +16,7 @@ from mup.engine import (
 from mup import kernel
 from mup.builtins import BUILTINS
 from mup.errors import (
-    InternalError, LoadError, MupError, MupSyntaxError, UnknownPredicateError,
+    LoadError, MupError, MupSyntaxError, UnknownPredicateError,
 )
 from mup.kernel import Bindings
 from mup.syntax import (
@@ -130,36 +130,20 @@ def test_true_and_cut_goals_are_the_interned_atoms():
 
 def test_backchain_unit_clause():
     program = parse_program("p.")
-    b = Bindings()
-    assert len(list(Engine(program).backchain(Const("p"), b))) == 1
+    assert len(list(Engine(program).solve(Const("p")))) == 1
 
 
 def test_backchain_two_step():
     program = parse_program("q :- r. r.")
-    b = Bindings()
-    assert len(list(Engine(program).backchain(Const("q"), b))) == 1
+    assert len(list(Engine(program).solve(Const("q")))) == 1
 
 
 def test_backchain_source_order():
     program = parse_program("p(a). p(b).")
-    b = Bindings()
     x = fresh_var("X")
-    found = []
-    for _ in Engine(program).backchain(Compound("p", (x,)), b):
-        found.append(b.resolve(x))
-    assert found == [Const("a"), Const("b")]
-    assert b == [] and x.ref is None  # exhaustion restored the store
-
-
-def test_backchain_explicit_clause_group():
-    program = parse_program("p(a). p(b).")
-    b = Bindings()
-    x = fresh_var("X")
-    only_second = program.clauses[1]
-    found = []
-    for _ in Engine(program).backchain(Compound("p", (x,)), b, only_second):
-        found.append(b.resolve(x))
-    assert found == [Const("b")]
+    answers = Engine(program).solve(Compound("p", (x,)), [x])
+    assert [s.assignments["X"] for s in answers] == [Const("a"), Const("b")]
+    assert x.ref is None  # exhaustion undid the call's binding
 
 
 @pytest.mark.parametrize("text, call, expected", [
@@ -170,14 +154,11 @@ def test_backchain_explicit_clause_group():
 def test_backchain_default_clauses(text, call, expected):
     # A one-clause predicate, and a first-argument key that selects one
     # clause of several (and two, across a variable-headed clause).
-    b = Bindings()
     atom = parse_query(call + ".").goal
     y = atom.args[1]
-    found = []
-    for _ in Engine(parse_program(text)).backchain(atom, b):
-        found.append(b.resolve(y))
-    assert found == expected
-    assert b == [] and y.ref is None
+    answers = Engine(parse_program(text)).solve(atom, [y])
+    assert [s.assignments["Y"] for s in answers] == expected
+    assert y.ref is None
 
 
 @pytest.mark.parametrize("q, call", [
@@ -210,26 +191,20 @@ def test_a_one_clause_predicate_under_a_depth_limit_reports_limited():
 
 def test_solve_choice_son_soft(son_program):
     # The two disjuncts of the son body, instantiated for tom.
-    b = Bindings()
     y = fresh_var("Y")
     tom = Const("tom")
     left = Compound(",", (Compound("male", (tom,)), Compound("father", (y, tom))))
     right = Compound(",", (Compound("female", (tom,)), Compound("mother", (y, tom))))
-    found = []
-    for _ in Engine(son_program).solve_choice(left, right, b):
-        found.append(b.resolve(y))
-    assert found == [Const("bob"), Const("jim")]
+    answers = Engine(son_program).solve(Compound("#", (left, right)), [y])
+    assert [s.assignments["Y"] for s in answers] == [Const("bob"), Const("jim")]
 
 
 def test_solve_choice_left_fails_right_chosen():
     program = parse_program("p.")
-    b = Bindings()
     x = fresh_var("X")
-    stream = Engine(program).solve_choice(Const("fail"), Compound("=", (x, Num(1))), b)
-    results = []
-    for _ in stream:
-        results.append(b.resolve(x))
-    assert results == [Num(1)]
+    goal = Compound("#", (Const("fail"), Compound("=", (x, Num(1)))))
+    answers = Engine(program).solve(goal, [x])
+    assert [s.assignments["X"] for s in answers] == [Num(1)]
 
 
 def test_solve_choice_first_mode(son_program):
@@ -237,12 +212,9 @@ def test_solve_choice_first_mode(son_program):
     tom = Const("tom")
     left = Compound(",", (Compound("male", (tom,)), Compound("father", (y, tom))))
     right = Compound(",", (Compound("female", (tom,)), Compound("mother", (y, tom))))
-    b = Bindings()
     engine = Engine(son_program, SolveConfig(commit_mode="first"))
-    found = []
-    for _ in engine.solve_choice(left, right, b):
-        found.append(b.resolve(y))
-    assert found == [Const("bob")]
+    answers = engine.solve(Compound("#", (left, right)), [y])
+    assert [s.assignments["Y"] for s in answers] == [Const("bob")]
 
 
 def test_choice_discard_trace_once(son_program):
@@ -399,6 +371,19 @@ def test_a_cyclic_answer_ends_the_stream_errored():
     assert answers.outcome == ERRORED
 
 
+def test_a_host_stack_overflow_ends_the_stream_errored():
+    # The run turns a RecursionError (here raised by the trace hook) into
+    # a MupError in its handler, so it must set the stream's ending there.
+    def hook(event):
+        raise RecursionError
+
+    query = parse_query("p(X).")
+    answers = Engine(parse_program("p(a)."), trace=hook).solve(query.goal)
+    with pytest.raises(MupError, match="host stack") as info:
+        next(answers)
+    assert answers.outcome == ERRORED and answers.error is info.value
+
+
 def test_unknown_predicate_error_and_fail():
     program = parse_program("p.")
     engine = Engine(program)
@@ -546,7 +531,7 @@ def test_conjunction_soundness_random():
     import random as _random
 
     from mup.oracle import generate_program, generate_query
-    from mup.syntax import free_goal_vars, subst_goal
+    from mup.syntax import answer_vars_of, subst_goal
 
     rng = _random.Random(6021023)
     checked = 0
@@ -556,7 +541,7 @@ def test_conjunction_soundness_random():
         if type(goal) is not Compound or goal.functor != ",":
             continue
         cfg = SolveConfig(depth_limit=10, unknown_predicate="fail")
-        avs = [v for v in free_goal_vars(goal) if v.name != "_"]
+        avs = answer_vars_of(goal)
         result = Engine(program, cfg).solve_collect(goal, avs)
         for sol in result.solutions:
             mapping = {
@@ -936,13 +921,20 @@ def test_a_copied_prolog_goal_keeps_its_cut():
 COUNTDOWN = "c(N) :- (N =< 0) # (M is N-1, c(M))."
 
 
-def test_deterministic_countdown_keeps_the_trail_short():
+def test_deterministic_countdown_keeps_the_trail_short(monkeypatch):
     # Each step's variables are younger than every choicepoint left, so
-    # their bindings are not trailed; every trace event samples the trail.
-    b = Bindings()
+    # their bindings are not trailed; every trace event samples the trail
+    # of the store the run makes.
+    stores = []
+
+    def recording_store():
+        stores.append(Bindings())
+        return stores[-1]
+
+    monkeypatch.setattr("mup.engine.Bindings", recording_store)
     sizes = []
-    engine = Engine(parse_program(COUNTDOWN), trace=lambda e: sizes.append(len(b)))
-    assert len(list(engine.backchain(Compound("c", (Num(2000),)), b))) == 1
+    engine = Engine(parse_program(COUNTDOWN), trace=lambda e: sizes.append(len(stores[-1])))
+    assert len(list(engine.solve(Compound("c", (Num(2000),))))) == 1
     assert len(sizes) > 2000 * 5
     assert max(sizes) <= 2
 
@@ -1023,58 +1015,92 @@ def test_answers_do_not_share_cells_with_the_run():
     assert x.args[0] is y  # one copy per variable across the answer
 
 
-@pytest.mark.parametrize("stream", ["backchain", "solve_choice"])
-def test_caller_bindings_survive_a_stream(stream):
-    program = parse_program("p(X, Y) :- q(X), Y = X. q(a). q(b).")
-    engine = Engine(program)
-    b = Bindings()
-    x, y, pre = fresh_var("X"), fresh_var("Y"), fresh_var("Pre")
-    b.bind(pre, Const("kept"))
-    atom = Compound("p", (x, y))
-    if stream == "backchain":
-        answers = engine.backchain(atom, b)
-    else:
-        answers = engine.solve_choice(atom, Compound("=", (x, Const("c"))), b)
-    found = []
-    for _ in answers:
-        found.append(b.resolve(y))
-        # Between answers the caller's bindings are all trailed, even of a
-        # variable made after the stream started.
-        late = fresh_var("Late")
-        mark = b.checkpoint()
-        b.bind(late, Const("late"))
-        assert b[-1] is late
-        b.undo_to(mark)
-        assert late.ref is None
-    assert found == [Const("a"), Const("b")]
-    assert b == [pre] and pre.ref == Const("kept")
-    assert x.ref is None and y.ref is None
-    assert b.hb == kernel.ALL
-
-
-def test_a_stream_run_from_a_trace_hook_on_the_same_store():
-    # Every trace event of the outer run starts and drains an inner run on
-    # the same store.  The outer run then trails more than it needs, which
-    # must change neither its answers nor the store it leaves.
+def test_a_stream_run_from_a_trace_hook():
+    # Every trace event of the outer run starts and drains an inner run,
+    # which must change neither the outer run's answers nor its undoing.
     program = parse_program(
         "p(X, Y) :- q(X), r(X, Z), Y = Z. q(a). q(b). r(a, 1). r(b, 2). r(b, 3)."
     )
-    b = Bindings()
     inner = []
 
     def hook(event):
         z = fresh_var("Z")
-        inner.append([b.resolve(z) for _ in Engine(program).backchain(Compound("q", (z,)), b)])
+        answers = Engine(program).solve(Compound("q", (z,)), [z])
+        inner.append([s.assignments["Z"] for s in answers])
 
     x, y = fresh_var("X"), fresh_var("Y")
     atom = Compound("p", (x, y))
-    expected = [(b.resolve(x), b.resolve(y)) for _ in Engine(program).backchain(atom, b)]
-    found = [(b.resolve(x), b.resolve(y)) for _ in Engine(program, trace=hook).backchain(atom, b)]
-    assert found == expected == [
+
+    def pairs(engine):
+        return [(s.assignments["X"], s.assignments["Y"]) for s in engine.solve(atom, [x, y])]
+
+    assert pairs(Engine(program, trace=hook)) == pairs(Engine(program)) == [
         (Const("a"), Num(1)), (Const("b"), Num(2)), (Const("b"), Num(3))]
     assert len(inner) > 10 and all(run == [Const("a"), Const("b")] for run in inner)
-    assert b == [] and b.hb == kernel.ALL
     assert x.ref is None and y.ref is None
+
+
+CALLER_PROGRAM = "p(X, Y) :- q(X), Y = X. q(a). q(b)."
+
+
+def _caller_goal(stream, x, y):
+    """``p(X, Y)``, or ``p(X, Y) # X = c`` for the ``choice`` stream."""
+    goal = Compound("p", (x, y))
+    if stream == "choice":
+        goal = Compound("#", (goal, Compound("=", (x, Const("c")))))
+    return goal
+
+
+@pytest.mark.parametrize("stream", ["atom", "choice"])
+def test_caller_bindings_survive_a_stream(stream):
+    # A run keeps its trail in a store of its own: a caller's store, used
+    # between the answers, is neither trailed into nor undone by the run.
+    b = Bindings()
+    x, y, pre = fresh_var("X"), fresh_var("Y"), fresh_var("Pre")
+    b.bind(pre, Const("kept"))
+    found = []
+    for _ in Engine(parse_program(CALLER_PROGRAM)).solve(_caller_goal(stream, x, y), [y]):
+        found.append(b.resolve(y))
+        late = fresh_var("Late")
+        mark = b.checkpoint()
+        b.bind(late, Const("late"))
+        assert b == [pre, late]
+        b.undo_to(mark)
+        assert late.ref is None
+    assert found == [Const("a"), Const("b")]
+    assert b == [pre] and b.hb == kernel.ALL and pre.ref is Const("kept")
+    assert x.ref is None and y.ref is None
+
+
+def test_a_callers_mark_taken_inside_a_stream_holds_after_it():
+    b = Bindings()
+    x, kept = fresh_var("X"), fresh_var("Kept")
+    marks = []
+    for _ in Engine(parse_program("p(a).")).solve(Compound("p", (x,)), [x]):
+        marks.append(b.checkpoint())
+        b.bind(kept, x.ref)
+    assert marks == [0] and x.ref is None and kept.ref is Const("a")
+    b.undo_to(marks[0])
+    assert b == [] and kept.ref is None
+
+
+@pytest.mark.parametrize("stream", ["atom", "choice"])
+def test_two_streams_of_one_engine_interleave(stream):
+    # Each run owns its store, so two suspended runs of one engine do not
+    # undo each other's bindings when they are advanced in turn.
+    engine = Engine(parse_program(CALLER_PROGRAM))
+    x1, y1, x2, y2 = (fresh_var(name) for name in ("X1", "Y1", "X2", "Y2"))
+    first = engine.solve(_caller_goal(stream, x1, y1), [x1, y1])
+    second = engine.solve(_caller_goal(stream, x2, y2), [x2, y2])
+    pairs = []
+    for one, two in zip(first, second):
+        pairs.append((one.render(), two.render(), x1.ref, x2.ref))
+    assert pairs == [
+        ("X1 = a, Y1 = a", "X2 = a, Y2 = a", Const("a"), Const("a")),
+        ("X1 = b, Y1 = b", "X2 = b, Y2 = b", Const("b"), Const("b")),
+    ]
+    assert list(second) == [] and first.outcome == second.outcome == EXHAUSTED
+    assert all(var.ref is None for var in (x1, y1, x2, y2))
 
 
 # ---------------------------------------------------------------------------
@@ -1092,14 +1118,6 @@ def test_solve_config_rejects_bad_values(field, value):
         SolveConfig(**{field: value})
 
 
-@pytest.mark.parametrize("atom", [fresh_var("G"), Num(3)])
-def test_backchain_rejects_a_non_callable_atom(atom):
-    b = Bindings()
-    with pytest.raises(MupError, match="atomic goal expected"):
-        next(Engine(parse_program("p.")).backchain(atom, b))
-    assert b == [] and b.hb == kernel.ALL
-
-
 @pytest.mark.parametrize("term, message", [
     (fresh_var("G"), "goal is an unbound variable"),
     (Num(3), "number is not a callable goal: 3"),
@@ -1112,14 +1130,13 @@ def test_calling_a_non_callable_term_is_an_error(term, message):
     )
     result = collect_goal(program, term)
     assert result.outcome == "errored" and message in str(result.error)
-    # On caller-owned bindings the error unwinds through the run's base:
-    # the bindings made before it are undone.
-    b = Bindings()
+    # Under a choice the error unwinds through the run's base: the
+    # bindings made before it are undone.
     x = fresh_var("X")
     left = Compound(",", (Compound("p", (x,)), term))
     with pytest.raises(MupError, match=message):
-        list(Engine(program).solve_choice(left, TRUE, b))
-    assert b == [] and b.hb == kernel.ALL and x.ref is None
+        list(Engine(program).solve(Compound("#", (left, TRUE))))
+    assert x.ref is None
 
 
 @pytest.mark.parametrize("goal", ["p(a)", None, (Const("p"),)])
@@ -1172,15 +1189,3 @@ def test_a_connective_as_data_unifies_and_renders_canonically():
     assert [s.render() for s in result.solutions] == ["X = ','(q, r), Y = ','(q, r)"]
     result = Engine(parse_program("")).run_query("X = ','(q, r), Y = ','(q, r), X = Y.")
     assert [s.render() for s in result.solutions] == ["X = ','(q, r), Y = ','(q, r)"]
-
-
-def test_a_mark_taken_inside_a_stream_is_stale_after_it():
-    b = Bindings()
-    x = fresh_var("X")
-    marks = []
-    for _ in Engine(parse_program("p(a).")).backchain(Compound("p", (x,)), b):
-        marks.append(b.checkpoint())
-    assert marks == [1] and b == [] and x.ref is None
-    with pytest.raises(InternalError, match="stale"):
-        b.undo_to(marks[0])
-    assert b == [] and b.hb == kernel.ALL

@@ -14,7 +14,7 @@ from mup.oracle import (
     provable,
     selftest,
 )
-from mup.syntax import free_goal_vars, parse_program, parse_query
+from mup.syntax import answer_vars_of, parse_program, parse_query
 from mup.terms import Const
 
 from helpers import clause_equal
@@ -219,7 +219,7 @@ def corpus_digest(cases, depth=12):
     for i in range(cases):
         case = generate_case(i)
         digest.update(case.describe().encode())
-        answer_vars = [v for v in free_goal_vars(case.goal) if v.name != "_"]
+        answer_vars = answer_vars_of(case.goal)
         for mode in ("soft", "first"):
             cfg = SolveConfig(commit_mode=mode, depth_limit=depth,
                               unknown_predicate="fail")

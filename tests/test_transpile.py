@@ -9,7 +9,8 @@ from mup.engine import Engine, SolveConfig
 from mup.errors import TranslateError
 from mup.oracle import generate_case
 from mup.syntax import (
-    TRUE, Clause, Program, format_program, parse_program, parse_query, pretty_goal,
+    TRUE, Clause, Program, answer_vars_of, format_program, parse_program, parse_query,
+    pretty_goal,
 )
 from mup.terms import Compound, Const, Num
 from mup.transpile import translate
@@ -104,7 +105,7 @@ def translation_digest(corpus_cases=2000):
             digest.update(translate(program, mode, source_name=path.name).encode())
     for i in range(corpus_cases):
         case = generate_case(i)
-        answer_vars = _answer_vars(case.goal)
+        answer_vars = answer_vars_of(case.goal)
         head = Compound("query_entry", tuple(answer_vars)) if answer_vars else Const("query_entry")
         wrapped = Program(case.program.clauses + [Clause(head, case.goal)])
         for mode in ("hard_cut", "soft_cut"):
@@ -247,7 +248,7 @@ def test_conformance_generated_corpus(mode):
     checked = 0
     for i in range(60):
         case = generate_case(rng.randint(0, 10**9))
-        answer_vars = _answer_vars(case.goal)
+        answer_vars = answer_vars_of(case.goal)
         if answer_vars:
             head = Compound("query_entry", tuple(answer_vars))
         else:
@@ -270,12 +271,6 @@ def test_conformance_generated_corpus(mode):
         )
         checked += 1
     assert checked == 60
-
-
-def _answer_vars(goal):
-    from mup.syntax import free_goal_vars
-
-    return [v for v in free_goal_vars(goal) if v.name != "_"]
 
 
 @pytest.mark.parametrize("mode", ["hard_cut", "soft_cut"])
