@@ -46,8 +46,9 @@ stacks wherever a term's size is unbounded.  Atoms, functor names, slot
 names and ground parts are passed in as default arguments rather than
 written into the source, so clauses that differ only in those share one
 code object: ``CODE`` caches each function's code by its source.  A
-clause without variables gets no code; its head is unified with the call
-by ``kernel.unify`` and its body is used as it is.
+head without variables gets no matcher: ``match_head`` matches it with
+the call in place, argument by argument.  A clause without variables
+gets no code at all, and its body is used as it is.
 
 ``Predicate`` keeps a predicate's clauses in source order and indexes
 them on the first head argument, as the WAM's ``switch_on_term`` does;
@@ -92,15 +93,46 @@ def match_head(clause, goal, trail, occurs_check):
 
     Returns the values ``build_body`` needs, or None with its bindings
     undone, like the kernel's ``unify``.  Compiles the clause on its
-    first try.
+    first try.  A compound head without variables, a fact's, is matched
+    here in place, argument by argument, as the WAM's ``get_constant``
+    does: an unbound call argument is bound to the head's (which needs no
+    occurrence check, being ground), an atom matches itself and a number
+    an equal one of its type, and only a compound argument goes to
+    ``kernel.unify``.
     """
     code = clause.code
     if code is None:
         code = compile_clause(clause)
     match = code[0]
-    if match is None:  # a head without variables
-        return () if unify(clause.head, goal, trail, occurs_check) else None
-    return match(goal, trail, occurs_check)
+    if match is not None:
+        return match(goal, trail, occurs_check)
+    head = clause.head  # without variables
+    if type(head) is not Compound or type(goal) is not Compound:
+        return () if unify(head, goal, trail, occurs_check) else None
+    if goal.functor != head.functor or len(goal.args) != len(head.args):
+        return None
+    mark = len(trail)
+    for h, t in zip(head.args, goal.args):
+        while type(t) is Var:
+            u = t.ref
+            if u is None:
+                t.ref = h
+                if t.id < trail.hb:
+                    trail.append(t)
+                break
+            t = u
+        else:
+            if t is h:
+                continue
+            th = type(h)
+            if th is Num:
+                if type(t) is Num and type(t.value) is type(h.value) and t.value == h.value:
+                    continue
+            elif th is not Const and unify(h, t, trail, occurs_check):  # a compound
+                continue
+            undo_to(trail, mark)
+            return None
+    return ()
 
 
 def build_body(clause, values):

@@ -6,7 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from mup.engine import Engine, SolveConfig
-from mup.syntax import answer_vars_of, parse_program, parse_query
+from mup.syntax import answer_vars_of, parse_program
 
 
 def collect(program_text, query_text, **cfg_kwargs):

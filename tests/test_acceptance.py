@@ -8,13 +8,11 @@ output capture is off (-s).
 import random
 import time
 
-import pytest
-
 from mup.builtins import IoPorts
 from mup.cli import main
 from mup.engine import Engine, SolveConfig
 from mup.kernel import Bindings, unify
-from mup.oracle import _gen_goal, generate_case, generate_program, selftest
+from mup.oracle import _gen_goal, generate_case, generate_program
 from mup.syntax import (
     Clause,
     Program,

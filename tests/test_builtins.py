@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mup.builtins import BUILTINS, BuiltinContext, IoPorts, eval_arith
-from mup.engine import Engine, SolveConfig
+from mup.engine import Engine
 from mup.errors import ArithTypeError, EvalError, InstantiationError, LoadError
 from mup.kernel import Bindings
 from mup.syntax import _CONTROL, TRUE, Clause, Program, parse_program, parse_query

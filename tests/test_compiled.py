@@ -299,6 +299,121 @@ def test_generated_code_agrees_with_unify_when_the_call_is_cyclic(monkeypatch):
     agrees_with_unify_on_cyclic_calls()
 
 
+# ---------------------------------------------------------------------------
+# A head without variables, matched in place by match_head
+
+GROUND_TERMS = st.one_of(st.sampled_from(LEAVES), terms_over([]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_head_without_variables_agrees_with_unify(data):
+    arity = data.draw(st.integers(1, 3))
+    call_arity = data.draw(st.sampled_from([arity] * 5 + [arity % 3 + 1]))
+    call = Compound("p", data.draw(CALL_ARGS[call_arity]))
+    store = Bindings()
+    for var, terms in zip(CALL_VARS, BINDINGS):
+        if data.draw(st.booleans()):
+            kernel.unify(var, data.draw(terms), store)
+    # Half of the head's arguments are the call's with each unbound
+    # variable made an atom or a number, so that heads match often.
+    ground = lambda var: data.draw(st.sampled_from(LEAVES))
+    args = []
+    for i in range(arity):
+        if i < call_arity and data.draw(st.booleans()):
+            args.append(kernel.rebuild(call.args[i], ground))
+        else:
+            args.append(data.draw(GROUND_TERMS))
+    head = Compound("p", args)
+    clause = Clause(head, data.draw(st.one_of(st.just(kernel.TRUE), BODIES)))
+    start = store.checkpoint()
+    start_cells = cells(call)
+    try:
+        for occurs_check in (True, False):
+            ok = kernel.unify(head, call, store, occurs_check)
+            if ok:
+                expected = _shape([call])
+                store.undo_to(start)
+            values = match_head(clause, call, store, occurs_check)
+            assert clause.code[0] is None  # no generated matcher
+            assert ok == (values is not None)
+            if ok:
+                assert values == () and _shape([call]) == expected
+                store.undo_to(start)
+            else:
+                assert same_cells(start_cells) and len(store) == start
+    finally:
+        store.undo_to(0)  # the call's variables are shared by every example
+
+
+def fact(text):
+    return parse_program(text).clauses[0]
+
+
+def test_head_without_variables_fails_on_a_repeated_call_variable():
+    x = fresh_var("X")
+    store = Bindings()
+    assert match_head(fact("f(a, b)."), Compound("f", (x, x)), store, False) is None
+    assert x.ref is None and store == []
+
+
+@pytest.mark.parametrize(
+    "head, call", [("p(1).", Num(1.0)), ("p(1.0).", Num(1)), ("p(1).", Num(2))])
+def test_head_without_variables_checks_a_number_by_type_and_value(head, call):
+    store = Bindings()
+    assert match_head(fact(head), Compound("p", (call,)), store, False) is None
+    assert store == []
+
+
+def test_head_without_variables_binds_inside_a_compound_argument():
+    y = fresh_var("Y")
+    store = Bindings()
+    call = Compound("p", (Compound("f", (y,)),))
+    assert match_head(fact("p(f(a))."), call, store, True) == ()
+    assert y.ref is Const("a") and store == [y]
+
+
+def test_head_without_variables_follows_a_bound_chain():
+    a, b = fresh_var("A"), fresh_var("B")
+    store = Bindings()
+    store.bind(a, b)
+    call = Compound("p", (a,))
+    assert match_head(fact("p(x)."), call, store, False) == ()
+    assert a.ref is b and b.ref is Const("x") and store == [a, b]
+    store.undo_to(1)
+    store.bind(b, Const("x"))
+    assert match_head(fact("p(y)."), call, store, False) is None
+    assert b.ref is Const("x") and store == [a, b]
+
+
+def test_head_without_variables_trails_only_cells_below_the_boundary():
+    a, b = fresh_var("A"), fresh_var("B")  # B is younger
+    clause = fact("p(1, a).")
+    store = Bindings()
+    store.hb = b.id  # B is made after the newest choicepoint: not trailed
+    assert match_head(clause, Compound("p", (a, b)), store, False) == ()
+    assert a.ref == Num(1) and b.ref is Const("a") and store == [a]
+
+
+def test_atomic_fact_matches_without_kernel_unify(monkeypatch):
+    calls = []
+
+    def counting_unify(*args):
+        calls.append(args)
+        return kernel.unify(*args)
+
+    monkeypatch.setattr(mup.compiled, "unify", counting_unify)
+    x, y = fresh_var("X"), fresh_var("Y")
+    store = Bindings()
+    assert match_head(fact("p(1, a)."), Compound("p", (x, Const("a"))), store, False) == ()
+    assert match_head(fact("p(2, b)."), Compound("p", (y, Const("a"))), store, False) is None
+    assert x.ref == Num(1) and y.ref is None and store == [x]
+    assert calls == []
+    # A compound argument still goes to the kernel.
+    assert match_head(fact("q(f(a))."), Compound("q", (x,)), store, False) is None
+    assert len(calls) == 1
+
+
 DEEP_HEAD = "p([A, B, C, D, E | T], T, A)."  # five list cells deep
 
 

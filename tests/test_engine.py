@@ -1,7 +1,6 @@
 import copy
 import dataclasses
 import hashlib
-import itertools
 import re
 
 import pytest

@@ -1,5 +1,4 @@
 import hashlib
-import random
 
 import pytest
 from hypothesis import given, settings

@@ -26,7 +26,7 @@ from mup.syntax import (
     pretty_goal,
     tokenize,
 )
-from mup.terms import Compound, Const, Num, Var, fresh_var
+from mup.terms import Compound, Const, Num, fresh_var
 
 from helpers import AstGen, clause_equal, term_equal
 

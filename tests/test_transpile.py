@@ -10,12 +10,9 @@ from mup.errors import TranslateError
 from mup.oracle import generate_case
 from mup.syntax import (
     TRUE, Clause, Program, answer_vars_of, format_program, parse_program, parse_query,
-    pretty_goal,
 )
 from mup.terms import Compound, Const, Num
 from mup.transpile import translate
-
-from conftest import collect_goal
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from mup.kernel import Bindings, unify
-from mup.terms import Compound, Const, Num, Var, fresh_var
+from mup.terms import Compound, Const, Num, fresh_var
 
 from helpers import (
     cells,
