@@ -31,8 +31,9 @@ generates the source of two Python functions and ``compile()``s it:
   ``_DEPTH``, a compound is built with fresh variables and unified as a
   repeated slot is.  A binding is trailed as ``kernel.bind`` trails it,
   only if the cell is below the trail's boundary.  The matcher returns
-  the values of the slots the body needs, or None with its trailed
-  bindings undone.
+  the values of the slots the body needs, or None.  On failure it leaves
+  its bindings as they are: as in the WAM, the caller undoes them through
+  the trail.
 * The body builder takes those values and builds the body, giving each
   slot that only the body has a fresh variable, left to right.  A body
   that is one variable (a programmatic ``Clause(p(G), G)``) is built as
@@ -60,7 +61,7 @@ from itertools import count
 from types import CodeType, FunctionType
 
 from mup.kernel import (
-    TRUE, Compound, Const, Num, Var, _var_ids, deref, occurs, rebuild, undo_to, unify,
+    Compound, Const, Num, Var, _var_ids, deref, occurs, rebuild, unify,
 )
 
 # The names generated code refers to, besides its parameters.
@@ -71,7 +72,6 @@ _SCOPE = {
     "Num": Num,
     "Var": Var,
     "occurs": occurs,
-    "undo_to": undo_to,
     "unify": unify,
 }
 
@@ -91,14 +91,14 @@ _NO_CODE = (None, None)
 def match_head(clause, goal, trail, occurs_check):
     """Match the head of ``clause`` with the dereferenced call ``goal``.
 
-    Returns the values ``build_body`` needs, or None with its bindings
-    undone, like the kernel's ``unify``.  Compiles the clause on its
-    first try.  A compound head without variables, a fact's, is matched
-    here in place, argument by argument, as the WAM's ``get_constant``
-    does: an unbound call argument is bound to the head's (which needs no
-    occurrence check, being ground), an atom matches itself and a number
-    an equal one of its type, and only a compound argument goes to
-    ``kernel.unify``.
+    Returns the values ``build_body`` needs, or None.  A failed match
+    leaves its bindings for the caller to undo, to a trail mark taken
+    before the call.  Compiles the clause on its first try.  A compound
+    head without variables, a fact's, is matched here in place, argument
+    by argument, as the WAM's ``get_constant`` does: an unbound call
+    argument is bound to the head's (which needs no occurrence check,
+    being ground), an atom matches itself and a number an equal one of
+    its type, and only a compound argument goes to ``kernel.unify``.
     """
     code = clause.code
     if code is None:
@@ -111,7 +111,6 @@ def match_head(clause, goal, trail, occurs_check):
         return () if unify(head, goal, trail, occurs_check) else None
     if goal.functor != head.functor or len(goal.args) != len(head.args):
         return None
-    mark = len(trail)
     for h, t in zip(head.args, goal.args):
         while type(t) is Var:
             u = t.ref
@@ -130,7 +129,6 @@ def match_head(clause, goal, trail, occurs_check):
                     continue
             elif th is not Const and unify(h, t, trail, occurs_check):  # a compound
                 continue
-            undo_to(trail, mark)
             return None
     return ()
 
@@ -146,16 +144,6 @@ def build_body(clause, values):
 
 def compile_clause(clause):
     """Set the clause's ``code`` (matcher, builder) and return it."""
-    head = clause.head
-    body = clause.body
-    if body is TRUE:
-        # Fast path for facts with atomic arguments, the bulk of a table.
-        for arg in head.args if type(head) is Compound else ():
-            if type(arg) is not Const and type(arg) is not Num:
-                break
-        else:
-            clause.code = _NO_CODE
-            return _NO_CODE
     slots = {}  # var id -> slot number
     names = []  # slot number -> variable name
 
@@ -166,8 +154,8 @@ def compile_clause(clause):
             names.append(var.name)
         return slot
 
-    head_t = rebuild(head, leaf, _template)
-    body_t = rebuild(body, leaf, _template)
+    head_t = rebuild(clause.head, leaf, _template)
+    body_t = rebuild(clause.body, leaf, _template)
     code = _generate(head_t, body_t, names) if names else _NO_CODE
     clause.code = code
     return code
@@ -290,23 +278,16 @@ def _matcher_lines(template, names):
     two unbound cells to the older.  A compound argument down to
     ``_DEPTH`` levels is one block, whose read mode nests the blocks of
     its own compound arguments one level deeper; below that, a compound
-    is built and unified as a repeated slot is.
+    is built and unified as a repeated slot is.  Every failure is
+    ``return None``, leaving the bindings made so far to the caller.
     """
     consts = []
     k = _namer(consts)
     have = set()  # the slots filled so far
     temps = count()
-    bound = False  # whether a step before this one may have bound anything
-    undo = False  # whether some failure must undo bindings
-
-    def fail(pad):
-        nonlocal undo
-        undo = undo or bound
-        return pad + ("return undo_to(trail, mark)" if bound else "return None")
 
     def read(children, source, depth, pad):
         """Read mode: the arguments ``children`` of ``source``, left to right."""
-        nonlocal bound
         targets = ["x%d" % next(temps) for _ in children]
         out = []
         for i, node in enumerate(children):
@@ -320,44 +301,38 @@ def _matcher_lines(template, names):
             elif nt is Compound:  # without variables: shared, never copied
                 value = k(node)
             elif nt is not tuple:
-                out.extend(_constant_lines(node, targets[i], pad, k, fail))
-                bound = True
+                out.extend(_constant_lines(node, targets[i], pad, k))
                 continue
             elif depth < _DEPTH:
                 out.extend(block(node, targets[i], depth + 1, pad))
                 continue
             else:
                 value = _build(node, names, have, k, temps, out, pad)[0]
-            out.extend(_get_value_lines(value, targets[i], pad, fail))
-            bound = True
+            out.extend(_get_value_lines(value, targets[i], pad))
         return ["%s%s = %s.args" % (pad, _tuple(targets)[1:-1], source)] + out
 
     def block(node, source, depth, pad):
         """Match the head compound ``node`` with ``source`` in read or write mode."""
-        nonlocal bound
         functor, children = node
         before = set(have)
-        entry = bound
         inner = pad + "    "
         out = _deref_lines(pad, source)
         out.append("%sif type(t) is Compound:" % pad)
         out.append("%sif t.functor != %s or len(t.args) != %d:"
                    % (inner, k(functor), len(children)))
-        out.append(fail(inner + "    "))
+        out.append("%s    return None" % inner)
         out.extend(read(children, "t", depth, inner))
-        bound = entry
         out.append("%selif type(t) is Var:" % pad)
         expr, reused = _build(node, names, before, k, temps, out, inner)
         if reused:  # the compound may hold the variable it is bound to
             out.append("%sb = %s" % (inner, expr))
             out.append("%sif occ and occurs(t, b):" % inner)
-            out.append(fail(inner + "    "))
+            out.append("%s    return None" % inner)
             expr = "b"
         out.append("%st.ref = %s" % (inner, expr))
         out.extend(_trail_lines(inner))
         out.append("%selse:" % pad)
-        out.append(fail(inner))
-        bound = True
+        out.append("%sreturn None" % inner)
         return out
 
     functor, children = template
@@ -367,8 +342,6 @@ def _matcher_lines(template, names):
         "        return None",
     ]
     lines.extend(read(children, "goal", 0, "    "))
-    if undo:
-        lines.insert(0, "    mark = len(trail)")
     return lines, consts, have
 
 
@@ -385,7 +358,7 @@ def _trail_lines(pad, var="t"):
     return ["%sif %s.id < trail.hb:" % (pad, var), "%s    trail.append(%s)" % (pad, var)]
 
 
-def _get_value_lines(value, source, pad, fail):
+def _get_value_lines(value, source, pad):
     """Unify the head's ``value`` with the call's ``source``, inline.
 
     The WAM's ``get_value``: both sides are dereferenced, and an unbound
@@ -402,15 +375,15 @@ def _get_value_lines(value, source, pad, fail):
     ):
         out.append("%selif %s:" % (pad, test))
         out.append("%sif occ and occurs(%s, %s):" % (inner, var, other))
-        out.append(fail(inner + "    "))
+        out.append("%s    return None" % inner)
         out.append("%s%s.ref = %s" % (inner, var, other))
         out.extend(_trail_lines(inner, var))
     out.append("%selif not unify(s, t, trail, occ):" % pad)
-    out.append(fail(inner))
+    out.append("%sreturn None" % inner)
     return out
 
 
-def _constant_lines(node, source, pad, k, fail):
+def _constant_lines(node, source, pad, k):
     """Read mode for an atom or a number of the head."""
     const = k(node)
     out = _deref_lines(pad, source)
@@ -424,7 +397,7 @@ def _constant_lines(node, source, pad, k, fail):
         test = "type(t) is not Num or t.value != %s or type(t.value) is not %s" % (
             k(value), type(value).__name__)
     out.append("%selif %s:" % (pad, test))
-    out.append(fail(pad + "    "))
+    out.append("%s    return None" % pad)
     return out
 
 

@@ -55,9 +55,10 @@ the choicepoint and commit frame as above.  ``;`` and the condition of
 Trailing is conditional (``kernel.Bindings``).  The store's boundary is
 the newest choicepoint's, so a binding of a variable made since the
 newest choicepoint is not trailed, and a deterministic loop leaves no
-trail behind.  While a call still has more than one candidate, every
-binding of a head match is trailed, because a failed match is undone
-through the trail before the next candidate is tried.
+trail behind.  A head matcher only binds: when it fails, the engine
+undoes its bindings to the trail mark taken before the match, ahead of
+the trace event and of the next candidate.  So while a call still has
+more than one candidate, every binding of a head match is trailed.
 
 Solutions come out of a lazy stream, ``Answers``: no search happens
 between pulls, and once the stream has ended it tells how.
@@ -381,14 +382,17 @@ class Engine:
                     if type(clauses) is Clause:
                         # A lone candidate leaves no choicepoint, so its head
                         # match trails by the boundary as it stands.
+                        mark = len(bindings)
                         values = _kunify(clauses, goal, bindings, occ)
-                        if trace is not None:
-                            self._emit_unify(values, depth, clauses, goal)
                         if values is None:
+                            while len(bindings) > mark:
+                                bindings.pop().ref = None
                             cont = _FAIL
                         else:
                             body = fresh_rename(clauses, values)
                             cont = ("goal", body, depth + 1, len(cps), cont)
+                        if trace is not None:
+                            self._emit_unify(values, depth, clauses, goal)
                         continue
                     idx = 0
 
@@ -439,7 +443,7 @@ class Engine:
                 # if other candidates remain.
                 mark = len(bindings)
                 # While other candidates remain, a failed match is undone
-                # through the trail, so every binding is trailed.
+                # here through the trail, so every binding is trailed.
                 last = len(clauses) - 1
                 if idx < last:
                     bindings.hb = kernel.ALL
@@ -447,15 +451,19 @@ class Engine:
                     clause = clauses[idx]
                     idx += 1
                     values = _kunify(clause, goal, bindings, occ)
-                    if trace is not None:
-                        self._emit_unify(values, depth, clause, goal)
                     if values is not None:
                         break
+                    while len(bindings) > mark:  # undo the failed match
+                        bindings.pop().ref = None
+                    if trace is not None:
+                        self._emit_unify(None, depth, clause, goal)
                     if idx == last:  # the last candidate is left
                         bindings.hb = cps[-1].hb
                 else:
                     cont = _FAIL
                     continue
+                if trace is not None:
+                    self._emit_unify(values, depth, clause, goal)
                 cutb = len(cps)
                 if idx <= last:
                     cp = _ChoicePoint(("clauses", goal, clauses, idx, depth, cont), mark)

@@ -9,8 +9,9 @@ and answer display are each a ``rebuild``.  ``terms``, ``compiled``,
 built-ins and answer display look ``kernel.unify``, ``kernel.undo_to``
 and ``kernel.resolve`` up as module attributes at call time, so
 ``mupbench`` can time them as layers; generated head matchers bind
-``unify`` and ``undo_to`` once, through ``compiled._SCOPE``, so the
-``kernel.unify`` layer does not count their calls.
+``unify`` once, through ``compiled._SCOPE``, so the ``kernel.unify``
+layer does not count their calls.  A head match does not undo itself:
+the engine undoes a failed one inline, through the trail.
 
 Representation notes:
 

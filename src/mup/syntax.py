@@ -480,10 +480,11 @@ class _Reader:
         if (
             type(head) is Compound
             and head.functor in _NOT_CALLABLE
-            and head.functor not in ("is", "mod")
+            and not (head.functor == "is" and len(head.args) == 2)
         ):
-            # Word operators fall through so that redefining a built-in
-            # like is/2 surfaces as the load-time error it is.
+            # is/2 falls through so that redefining the built-in surfaces
+            # as the load-time error it is; no goal could call any other
+            # operator head.
             self.fail("clause head cannot be an operator", tok)
         return Clause(head, body)
 

@@ -232,18 +232,23 @@ BINDINGS = [terms_over(CALL_VARS[i + 1:]) for i in range(len(CALL_VARS))]
 def check_against_a_renamed_clause(data, bindings, occurs_checks):
     """Match a drawn clause with a drawn call, by the generated code and by
     ``kernel.unify`` on a renamed copy; both must succeed or fail alike and
-    leave the call and the body in the same shape.  Each call variable may
-    first be bound to a term drawn from its entry of ``bindings``."""
+    leave the call and the body in the same shape, and undoing to the mark
+    taken before the match must restore every cell of the call.  Each call
+    variable may first be bound to a term drawn from its entry of
+    ``bindings``."""
     arity = data.draw(st.integers(1, 3))
     head = Compound("p", data.draw(HEAD_ARGS[arity]))
     body = data.draw(BODIES)
     call_arity = data.draw(st.sampled_from([arity] * 5 + [arity % 3 + 1]))
     call = Compound("p", data.draw(CALL_ARGS[call_arity]))
     clause = Clause(head, body)
+    # Every draw comes before the first binding: a draw may end the
+    # example, and a binding left then would outlive it.
+    drawn = [data.draw(terms) if data.draw(st.booleans()) else None for terms in bindings]
     store = Bindings()
-    for var, terms in zip(CALL_VARS, bindings):
-        if data.draw(st.booleans()):
-            kernel.unify(var, data.draw(terms), store)
+    for var, term in zip(CALL_VARS, drawn):
+        if term is not None:
+            kernel.unify(var, term, store)
     start = store.checkpoint()
     start_cells = cells(call)
     try:
@@ -259,9 +264,8 @@ def check_against_a_renamed_clause(data, bindings, occurs_checks):
             assert ok == (values is not None)
             if ok:
                 assert _shape([call, build_body(clause, values)]) == expected
-                store.undo_to(start)
-            else:
-                assert same_cells(start_cells) and len(store) == start
+            store.undo_to(start)  # a failed match leaves this to its caller
+            assert same_cells(start_cells)
     finally:
         store.undo_to(0)  # the call's variables are shared by every example
 
@@ -307,28 +311,35 @@ GROUND_TERMS = st.one_of(st.sampled_from(LEAVES), terms_over([]))
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
-def test_head_without_variables_agrees_with_unify(data):
+def head_without_variables_agrees_with_unify(failed_after_binding, data):
     arity = data.draw(st.integers(1, 3))
     call_arity = data.draw(st.sampled_from([arity] * 5 + [arity % 3 + 1]))
     call = Compound("p", data.draw(CALL_ARGS[call_arity]))
+    # Some heads take every argument of the call, made ground as below,
+    # but the last, an atom no call holds, so that a match may bind and
+    # then fail.
+    clash = arity > 1 and call_arity == arity and data.draw(st.booleans())
     store = Bindings()
-    for var, terms in zip(CALL_VARS, BINDINGS):
-        if data.draw(st.booleans()):
-            kernel.unify(var, data.draw(terms), store)
-    # Half of the head's arguments are the call's with each unbound
-    # variable made an atom or a number, so that heads match often.
-    ground = lambda var: data.draw(st.sampled_from(LEAVES))
-    args = []
-    for i in range(arity):
-        if i < call_arity and data.draw(st.booleans()):
-            args.append(kernel.rebuild(call.args[i], ground))
-        else:
-            args.append(data.draw(GROUND_TERMS))
-    head = Compound("p", args)
-    clause = Clause(head, data.draw(st.one_of(st.just(kernel.TRUE), BODIES)))
-    start = store.checkpoint()
-    start_cells = cells(call)
-    try:
+    try:  # a draw may end the example: its bindings must not outlive it
+        for var, terms in zip(CALL_VARS, BINDINGS):
+            if data.draw(st.booleans()):
+                kernel.unify(var, data.draw(terms), store)
+        # Half of the head's arguments are the call's with each unbound
+        # variable made an atom or a number, so that heads match often.
+        ground = lambda var: data.draw(st.sampled_from(LEAVES))
+        args = []
+        for i in range(arity):
+            if clash:
+                args.append(Const("clash") if i == arity - 1
+                            else kernel.rebuild(call.args[i], ground))
+            elif i < call_arity and data.draw(st.booleans()):
+                args.append(kernel.rebuild(call.args[i], ground))
+            else:
+                args.append(data.draw(GROUND_TERMS))
+        head = Compound("p", args)
+        clause = Clause(head, data.draw(st.one_of(st.just(kernel.TRUE), BODIES)))
+        start = store.checkpoint()
+        start_cells = cells(call)
         for occurs_check in (True, False):
             ok = kernel.unify(head, call, store, occurs_check)
             if ok:
@@ -339,11 +350,19 @@ def test_head_without_variables_agrees_with_unify(data):
             assert ok == (values is not None)
             if ok:
                 assert values == () and _shape([call]) == expected
-                store.undo_to(start)
-            else:
-                assert same_cells(start_cells) and len(store) == start
+            elif len(store) > start:
+                failed_after_binding.append(head)
+            store.undo_to(start)  # a failed match leaves this to its caller
+            assert same_cells(start_cells)
     finally:
         store.undo_to(0)  # the call's variables are shared by every example
+
+
+def test_head_without_variables_agrees_with_unify():
+    failed_after_binding = []
+    head_without_variables_agrees_with_unify(failed_after_binding)
+    # Undoing must then restore cells that the failed match bound.
+    assert len(failed_after_binding) >= 80
 
 
 def fact(text):
@@ -354,7 +373,8 @@ def test_head_without_variables_fails_on_a_repeated_call_variable():
     x = fresh_var("X")
     store = Bindings()
     assert match_head(fact("f(a, b)."), Compound("f", (x, x)), store, False) is None
-    assert x.ref is None and store == []
+    store.undo_to(0)  # a failed match leaves this to its caller
+    assert x.ref is None
 
 
 @pytest.mark.parametrize(
@@ -407,6 +427,7 @@ def test_atomic_fact_matches_without_kernel_unify(monkeypatch):
     store = Bindings()
     assert match_head(fact("p(1, a)."), Compound("p", (x, Const("a"))), store, False) == ()
     assert match_head(fact("p(2, b)."), Compound("p", (y, Const("a"))), store, False) is None
+    store.undo_to(1)  # a failed match leaves this to its caller
     assert x.ref == Num(1) and y.ref is None and store == [x]
     assert calls == []
     # A compound argument still goes to the kernel.

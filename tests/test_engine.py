@@ -969,6 +969,26 @@ def test_failed_head_match_is_undone_for_young_variables(call, facts):
         assert renders(program, "t(R).", commit_mode=mode) == ["R = z"]
 
 
+@pytest.mark.parametrize("program, expected", [
+    ("p(A, A, x). p(B, C, y).", ["true"]),  # tried in the candidate loop
+    ("p(A, A, x).", []),  # a lone candidate
+])
+def test_the_engine_undoes_a_failed_head_match_before_its_trace(program, expected):
+    # The head binds V to U, then fails on x = y and leaves that binding:
+    # the engine undoes it before the trace event and the next candidate.
+    query = parse_query("p(U, V, y).")
+    v = query.goal.args[1]
+    fails = []
+
+    def hook(event):
+        if event.kind == "unify_fail":
+            fails.append((event.payload, v.ref))
+
+    answers = Engine(parse_program(program), trace=hook).solve(query.goal, query.answer_vars)
+    assert [s.render() for s in answers] == expected
+    assert fails == [("p(A, A, x) ~ p(U, V, y)", None)]
+
+
 @pytest.mark.parametrize("program, dialect", [
     ("u(R) :- (A = 1, fail # A = 2), R = A.", "choice"),
     ("u(R) :- (A = 1, fail ; A = 2), R = A.", "choice"),

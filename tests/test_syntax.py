@@ -359,6 +359,15 @@ def test_builtin_redefinition_rejected_at_load():
         parse_program("write(_).")
 
 
+@pytest.mark.parametrize("text", ["mod(a, b).", "is(a)."])
+def test_a_head_no_goal_could_call_is_rejected(text):
+    # Only is/2 passes the operator check, to fail as a built-in.
+    with pytest.raises(MupSyntaxError, match="clause head cannot be an operator"):
+        parse_program(text)
+    with pytest.raises(MupSyntaxError, match="cannot be called as a goal"):
+        parse_query(text)
+
+
 def test_program_index_source_order():
     program = parse_program("p(a). q(x). p(b). p(c).")
     names = [pretty(c.head) for c in program.clauses_for("p", 1)]
