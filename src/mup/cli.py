@@ -158,6 +158,9 @@ def main(argv=None):
     except (MupError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("% interrupted", file=sys.stderr)
+        return 130
 
 
 def _cmd_run(args):
@@ -170,8 +173,7 @@ def _cmd_run(args):
     for solution in result.solutions:
         print("%s." % solution.render())
     if result.outcome == ERRORED:
-        print("error: %s" % result.error, file=sys.stderr)
-        return 2
+        raise result.error  # main prints it
     if result.outcome == LIMITED:
         print(_LIMITED, file=sys.stderr)
     if not result.solutions:
@@ -266,10 +268,11 @@ def repl_loop(program, cfg, inp=None, out=None, trace_on=False):
 def _enumerate_answers(engine, text, inp, emit, end_line):
     """Show the answers of query ``text`` one per ';', as ``run`` collects them.
 
-    After ``max_solutions`` answers, or when the depth limit cut the search
-    off, the shell says that the search was limited.
+    The shell says when ``max_solutions`` or the depth limit cut the search
+    off, and Ctrl-C ends the query, not the session.
     """
     shown = 0
+    answers = None
     try:
         query = parse_query(text)
         answers = engine.solve(query.goal, query.answer_vars)
@@ -277,13 +280,19 @@ def _enumerate_answers(engine, text, inp, emit, end_line):
             end_line()  # separate program output (write/1) from the answer
             emit(solution.render())
             if inp.readline().strip() != ";":
-                answers.close()
                 emit(".\n")
                 return
             emit(";\n")
     except MupError as exc:
         emit("error: %s\n" % exc)
         return
+    except KeyboardInterrupt:
+        end_line()
+        emit("% interrupted\n")
+        return
+    finally:
+        if answers is not None:
+            answers.close()  # undoes the run's bindings
     end_line()
     if answers.outcome == LIMITED:
         emit(_LIMITED + "\n")

@@ -9,15 +9,16 @@ variables is kept as it is (shared, never copied), and any other
 compound becomes a ``(functor, children)`` pair.  From the templates it
 generates the source of two Python functions and ``compile()``s it:
 
-* The head matcher takes the call and the trail.  It reads the head's
-  arguments left to right, in the order of the WAM's ``get`` instructions
-  (Warren 1983; Ait-Kaci 1991).  A slot's first occurrence takes the
-  call's subterm as it is; a later one is the WAM's ``get_value``, inline:
-  both sides are dereferenced, an unbound side is bound (the younger cell
-  to the older if both are unbound, after an occurrence check when the
-  occurs check is on), and only two non-variables go to
-  ``kernel.unify``.  An atom or a number is checked or bound in place,
-  an atom by identity, as there is one object per atom.
+* The head matcher takes the call, whose name and arity the engine's
+  lookup has matched, and the trail.  Like the WAM's clause code, it
+  reads the call's arguments left to right, in the order of its ``get``
+  instructions (Warren 1983; Ait-Kaci 1991).  A slot's first occurrence
+  takes the call's subterm as it is; a later one is the WAM's
+  ``get_value``, inline: both sides are dereferenced, an unbound side is
+  bound (the younger cell to the older if both are unbound, after an
+  occurrence check when the occurs check is on), and only two
+  non-variables go to ``kernel.unify``.  An atom or a number is checked
+  or bound in place, an atom by identity (one object per atom).
   Each compound argument, down to ``_DEPTH`` levels, is one block that
   dereferences the call's subterm once.  If that is a compound, the block
   checks functor and arity and reads the arguments, a compound argument
@@ -91,6 +92,7 @@ _NO_CODE = (None, None)
 def match_head(clause, goal, trail, occurs_check):
     """Match the head of ``clause`` with the dereferenced call ``goal``.
 
+    ``goal`` has the head's name and arity, which are not tested here.
     Returns the values ``build_body`` needs, or None.  A failed match
     leaves its bindings for the caller to undo, to a trail mark taken
     before the call.  Compiles the clause on its first try.  A compound
@@ -100,17 +102,13 @@ def match_head(clause, goal, trail, occurs_check):
     being ground), an atom matches itself and a number an equal one of
     its type, and only a compound argument goes to ``kernel.unify``.
     """
-    code = clause.code
-    if code is None:
-        code = compile_clause(clause)
+    code = clause.code or compile_clause(clause)
     match = code[0]
     if match is not None:
         return match(goal, trail, occurs_check)
     head = clause.head  # without variables
-    if type(head) is not Compound or type(goal) is not Compound:
-        return () if unify(head, goal, trail, occurs_check) else None
-    if goal.functor != head.functor or len(goal.args) != len(head.args):
-        return None
+    if type(head) is not Compound or type(goal) is not Compound:  # p/0: p or p()
+        return () if head is goal else None
     for h, t in zip(head.args, goal.args):
         while type(t) is Var:
             u = t.ref
@@ -179,15 +177,13 @@ def _generate(head_t, body_t, names):
     if type(body_t) is tuple or type(body_t) is int:  # an int: a variable body
         consts = []
         lines = []
-        expr, reused = _build(body_t, names, head_slots, _namer(consts), count(), lines,
-                              "    ")
+        expr, reused = _build(body_t, names, head_slots, _namer(consts), count(), lines, "    ")
         lines.append("    return " + expr)
         values = sorted(reused)
         build = _function("build", ["v%d" % i for i in values], consts, lines)
     if type(head_t) is tuple:
         head_lines.append("    return " + _tuple(["v%d" % i for i in values]))
-        match = _function("match", ["goal", "trail", "occ"], head_consts,
-                          head_lines)
+        match = _function("match", ["goal", "trail", "occ"], head_consts, head_lines)
     return (match, build)
 
 
@@ -335,14 +331,7 @@ def _matcher_lines(template, names):
         out.append("%sreturn None" % inner)
         return out
 
-    functor, children = template
-    lines = [
-        "    if type(goal) is not Compound or goal.functor != %s or len(goal.args) != %d:"
-        % (k(functor), len(children)),
-        "        return None",
-    ]
-    lines.extend(read(children, "goal", 0, "    "))
-    return lines, consts, have
+    return read(template[1], "goal", 0, "    "), consts, have
 
 
 def _deref_lines(pad, source, var="t"):

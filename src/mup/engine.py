@@ -12,16 +12,17 @@ a goal slot (only programmatic goals have one) calls the term it is
 bound to.
 
 Backchaining works on clauses compiled to Python code the first time
-they are tried (``mup.compiled``).  The call's dereferenced first
-argument selects the candidates from the predicate's first-argument
-index, in source order, and the first is tried where the call is
-reduced.  For each candidate the clause's generated head matcher runs
-first; only when it succeeds does the generated body builder make the
-body (parts without variables are shared, not copied), which is reduced
-one level deeper.  No clause is copied just to fail, and when no other
-candidate remains no choicepoint is left behind.  A lone candidate comes
-bare, not in a sequence, and is tried on its own path, which has no
-choicepoint to consider.  ``_kunify`` (head matching) and
+they are tried (``mup.compiled``).  Only the lookup by name and arity
+matches a call to its predicate; head matching trusts it.  The call's
+dereferenced first argument selects the candidates from the predicate's
+first-argument index, in source order, and the first is tried where the
+call is reduced.  For each candidate the clause's generated head matcher
+runs first; only when it succeeds does the generated body builder make
+the body (parts without variables are shared, not copied), which is
+reduced one level deeper.  No clause is copied just to fail, and when no
+other candidate remains no choicepoint is left behind.  A lone candidate
+comes bare, not in a sequence, and is tried on its own path, which has
+no choicepoint to consider.  ``_kunify`` (head matching) and
 ``fresh_rename`` (body building) are looked up as module globals at run
 time, so ``mupbench`` can time them as layers.
 

@@ -2,8 +2,11 @@ import io
 import os
 import re
 import resource
+import select
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -632,3 +635,86 @@ def test_run_separates_program_output_from_answers(tmp_path, capsys):
     code, out, _ = run_cli(["run", str(path), "-q", "greet."], capsys)
     assert code == 0
     assert out == "hello\ntrue.\n"
+
+
+# ---------------------------------------------------------------------------
+# Ctrl-C: SIGINT sent to a child process, never to the test runner
+
+INTERRUPTIBLE = "p(1).\nloop :- write(go), nl, spin.\nspin :- spin.\n"
+
+
+def start_interruptible(tmp_path, *argv):
+    """A child ``mup`` with unbuffered output, over ``INTERRUPTIBLE``."""
+    path = tmp_path / "loop.mpl"
+    path.write_text(INTERRUPTIBLE)
+    return subprocess.Popen(
+        [sys.executable, "-u", "-m", "mup.cli", argv[0], str(path), *argv[1:]],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=child_env(), preexec_fn=_limit_child_memory,
+    )
+
+
+def read_until(proc, marker, timeout=60):
+    """The child's output up to and including ``marker``, read as it comes."""
+    data = b""
+    deadline = time.monotonic() + timeout
+    while marker not in data:
+        assert time.monotonic() < deadline, data
+        if select.select([proc.stdout], [], [], 1)[0]:
+            chunk = os.read(proc.stdout.fileno(), 4096)
+            assert chunk, data  # the child ended first
+            data += chunk
+    return data
+
+
+def interrupt(proc, query=None, then=b""):
+    """SIGINT to the child once its query runs (``query``, if given, is typed
+    at the REPL's prompt); its output and stderr after it reads ``then``."""
+    try:
+        if query is not None:
+            read_until(proc, b"?- ")
+            proc.stdin.write(query)
+            proc.stdin.flush()
+        out = read_until(proc, b"go\n")
+        proc.send_signal(signal.SIGINT)
+        rest, err = proc.communicate(then, timeout=60)
+    finally:
+        proc.kill()
+    return (out + rest).decode(), err.decode()
+
+
+def test_ctrl_c_ends_the_query_and_keeps_the_repl(tmp_path):
+    proc = start_interruptible(tmp_path, "repl")
+    out, err = interrupt(proc, b"loop.\n", then=b"p(X).\n.\n:quit.\n")
+    assert proc.returncode == 0, err
+    assert out.startswith("go\n% interrupted\n?- ") and "X = 1.\n" in out
+    assert "Traceback" not in err
+
+
+def test_ctrl_c_ends_run_with_status_130(tmp_path):
+    proc = start_interruptible(tmp_path, "run", "-q", "loop.")
+    out, err = interrupt(proc)
+    assert proc.returncode == 130
+    assert out == "go\n" and err == "% interrupted\n"
+
+
+class InterruptedConsole(io.StringIO):
+    """Console input that raises KeyboardInterrupt on its ``at``-th line."""
+
+    def __init__(self, script, at):
+        super().__init__(script)
+        self.left = at
+
+    def readline(self):
+        self.left -= 1
+        if self.left == 0:
+            raise KeyboardInterrupt
+        return super().readline()
+
+
+def test_ctrl_c_while_the_shell_waits_for_more_answers_keeps_the_session():
+    out = io.StringIO()
+    console = InterruptedConsole("member(X,[a,b]).\nmember(X,[c]).\n.\n:quit.\n", at=2)
+    repl_loop(parse_program(MEMBER_MPL), SolveConfig(), inp=console, out=out)
+    assert "X = a\n% interrupted\n?- " in out.getvalue()
+    assert "X = c." in out.getvalue()

@@ -230,7 +230,8 @@ BINDINGS = [terms_over(CALL_VARS[i + 1:]) for i in range(len(CALL_VARS))]
 
 
 def check_against_a_renamed_clause(data, bindings, occurs_checks):
-    """Match a drawn clause with a drawn call, by the generated code and by
+    """Match a drawn clause with a drawn call of the same predicate, as the
+    engine's lookup guarantees, by the generated code and by
     ``kernel.unify`` on a renamed copy; both must succeed or fail alike and
     leave the call and the body in the same shape, and undoing to the mark
     taken before the match must restore every cell of the call.  Each call
@@ -239,8 +240,7 @@ def check_against_a_renamed_clause(data, bindings, occurs_checks):
     arity = data.draw(st.integers(1, 3))
     head = Compound("p", data.draw(HEAD_ARGS[arity]))
     body = data.draw(BODIES)
-    call_arity = data.draw(st.sampled_from([arity] * 5 + [arity % 3 + 1]))
-    call = Compound("p", data.draw(CALL_ARGS[call_arity]))
+    call = Compound("p", data.draw(CALL_ARGS[arity]))
     clause = Clause(head, body)
     # Every draw comes before the first binding: a draw may end the
     # example, and a binding left then would outlive it.
@@ -313,12 +313,11 @@ GROUND_TERMS = st.one_of(st.sampled_from(LEAVES), terms_over([]))
 @given(data=st.data())
 def head_without_variables_agrees_with_unify(failed_after_binding, data):
     arity = data.draw(st.integers(1, 3))
-    call_arity = data.draw(st.sampled_from([arity] * 5 + [arity % 3 + 1]))
-    call = Compound("p", data.draw(CALL_ARGS[call_arity]))
+    call = Compound("p", data.draw(CALL_ARGS[arity]))  # of the head's predicate
     # Some heads take every argument of the call, made ground as below,
     # but the last, an atom no call holds, so that a match may bind and
     # then fail.
-    clash = arity > 1 and call_arity == arity and data.draw(st.booleans())
+    clash = arity > 1 and data.draw(st.booleans())
     store = Bindings()
     try:  # a draw may end the example: its bindings must not outlive it
         for var, terms in zip(CALL_VARS, BINDINGS):
@@ -332,7 +331,7 @@ def head_without_variables_agrees_with_unify(failed_after_binding, data):
             if clash:
                 args.append(Const("clash") if i == arity - 1
                             else kernel.rebuild(call.args[i], ground))
-            elif i < call_arity and data.draw(st.booleans()):
+            elif data.draw(st.booleans()):
                 args.append(kernel.rebuild(call.args[i], ground))
             else:
                 args.append(data.draw(GROUND_TERMS))
@@ -541,10 +540,13 @@ def test_index_size_stays_linear_when_variables_interleave():
 
 
 def test_zero_argument_compound_head_is_not_indexed():
-    # Only the API builds p(); it shares the indicator p/0 with the atom.
-    program = Program([Clause(Compound("p", ()))])
-    result = Engine(program).solve_collect(Compound("p", ()), [])
-    assert len(result.solutions) == 1
+    # Only the API builds p(); it shares the indicator p/0 with the atom,
+    # so the lookup sends each to the other's clauses, which do not match.
+    atom, empty = Const("p"), Compound("p", ())
+    for head, call, count in ((empty, empty, 1), (atom, atom, 1),
+                              (empty, atom, 0), (atom, empty, 0)):
+        result = Engine(Program([Clause(head)])).solve_collect(call, [])
+        assert result.error is None and len(result.solutions) == count
 
 
 def test_empty_bucket_still_enters_the_predicate():

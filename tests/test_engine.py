@@ -2,9 +2,12 @@ import copy
 import dataclasses
 import hashlib
 import re
+from pathlib import Path
 
 import pytest
 
+import mup.compiled
+import mup.engine
 from mup.engine import (
     ERRORED,
     EXHAUSTED,
@@ -13,16 +16,19 @@ from mup.engine import (
     SolveConfig,
 )
 from mup import kernel
-from mup.builtins import BUILTINS
+from mup.builtins import BUILTINS, IoPorts
+from mup.compiled import match_head
 from mup.errors import (
     LoadError, MupError, MupSyntaxError, UnknownPredicateError,
 )
 from mup.kernel import Bindings
+from mup.oracle import selftest
 from mup.syntax import (
     CUT,
     Clause,
     Program,
     TRUE,
+    indicator,
     parse_program,
     parse_query,
     pretty,
@@ -699,6 +705,51 @@ def test_golden_trace_head_mismatch():
     assert [s.render() for s in result.solutions] == ["true"]
     assert result.outcome == "exhausted"
     assert events == GOLDEN_MISMATCH_TRACE
+
+
+# ---------------------------------------------------------------------------
+# The predicate lookup alone matches a call to its clauses
+
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
+SAMPLE_QUERIES = {
+    "f.mpl": ["f(1,Y).", "f(5,Y)."],
+    "max.mpl": ["max(3,9,M).", "max(9,3,M)."],
+    "member_choice.mpl": ["member(X,[a,b,a])."],
+    "member_classic.mpl": ["member(X,[a,b,a])."],
+    "rprime.mpl": ["rprime."],
+    "son.mpl": ["son(tom,Y).", "son(ann,Y).", "son(X,Y)."],
+}
+
+
+def test_head_matching_only_meets_calls_of_the_clause_predicate(monkeypatch):
+    # A head matcher does not test the call's name and arity: the engine
+    # must only hand it calls of the predicate it looked up.
+    tries = {}
+
+    def checked(clause, goal, trail, occurs_check):
+        assert indicator(goal) == indicator(clause.head), (pretty(clause.head), pretty(goal))
+        tries[label] = tries.get(label, 0) + 1
+        return match_head(clause, goal, trail, occurs_check)
+
+    monkeypatch.setattr(mup.engine, "_kunify", checked)
+    for name, queries in SAMPLE_QUERIES.items():
+        label = name
+        program = parse_program((PROGRAMS / name).read_text(encoding="utf-8"))
+        for query in queries:
+            io = IoPorts.scripted(["7."])
+            assert Engine(program, io=io).run_query(query).error is None
+    label = "golden"
+    for query in ("t(X, R, S).", "r(a, 2).", "r(X, Y).", "c(X, R)."):
+        golden_events(query)
+    label = "p/1 and p/2"
+    program = parse_program("p(a). p(X, Y) :- p(X), p(Y). p(b). q :- p(a, b), p(c).")
+    for query in ("p(X).", "p(X, Y).", "p(b, a).", "q.", "p(X), p(X, X)."):
+        Engine(program).run_query(query)
+    label = "selftest"
+    assert selftest(seed=0, cases=300, depth=12).ok
+    assert sorted(tries) == sorted([*SAMPLE_QUERIES, "golden", "p/1 and p/2", "selftest"])
+    assert not any("goal.functor" in source or "len(goal.args)" in source
+                   for source in mup.compiled.CODE)
 
 
 # ---------------------------------------------------------------------------
