@@ -86,9 +86,11 @@ def _writer(out, flush=False):
             except (AttributeError, ValueError):
                 pass
 
-    def end_line():
-        if last_char[0] != "\n":
+    def end_line(read=False):
+        """End an open line; after ``read``, only note that input ended it."""
+        if last_char[0] != "\n" and not read:
             write("\n")
+        last_char[0] = "\n"
 
     return write, end_line
 
@@ -235,6 +237,7 @@ def repl_loop(program, cfg, inp=None, out=None, trace_on=False):
         if not line:
             emit("\n")
             return
+        end_line(read=True)
         line = line.strip()
         if not line:
             continue
@@ -284,6 +287,7 @@ def _enumerate_answers(engine, text, inp, emit, end_line):
                 return
             emit(";\n")
     except MupError as exc:
+        end_line()
         emit("error: %s\n" % exc)
         return
     except KeyboardInterrupt:

@@ -53,8 +53,9 @@ the call in place, argument by argument.  A clause without variables
 gets no code at all, and its body is used as it is.
 
 ``Predicate`` keeps a predicate's clauses in source order and indexes
-them on the first head argument, as the WAM's ``switch_on_term`` does;
-an atom keys by itself.
+them on the first head argument; an atom keys by itself.  Its dispatch
+is fixed at load for its shape, as the WAM's ``switch_on_term`` is, and
+a key that no block holds gets one prebuilt default.
 """
 
 import builtins
@@ -62,7 +63,7 @@ from itertools import count
 from types import CodeType, FunctionType
 
 from mup.kernel import (
-    Compound, Const, Num, Var, _var_ids, deref, occurs, rebuild, unify,
+    Compound, Const, Num, Var, _var_ids, occurs, rebuild, unify,
 )
 
 # The names generated code refers to, besides its parameters.
@@ -413,64 +414,90 @@ def index_key(term):
 
 
 class Predicate:
-    """A predicate's clauses in source order, indexed on the first argument.
+    """A predicate's clauses in source order, and its dispatch.
 
     As in the WAM, the clauses fall into blocks, in source order: a clause
     whose first argument is a variable is a block of its own, and each run
     of other clauses is one dict from key to the run's clauses with that
     key (one clause is held bare, which saves a list per key of a large
     table).  Index memory and load time stay linear in the clause count.
-    Clauses are compiled on their first try, not here.
+    Clauses are compiled on their first try, not here, and the list they
+    come in is kept, not copied.
+
+    A loaded program does not change, so the dispatch is fixed here for
+    the predicate's shape, as ``switch_on_term`` is.  ``held`` is None
+    without keyed heads, the one run's dict, or, with mixed blocks, the
+    keys that some run holds, each mapped to None: merge the blocks.
+    ``miss`` is what any other key gets: () or the variable-first clauses.
     """
 
-    __slots__ = ("clauses", "blocks", "keyed")
+    __slots__ = ("clauses", "blocks", "every", "held", "miss")
 
-    def __init__(self):
-        self.clauses = []
-        self.blocks = []
-        self.keyed = False
-
-    def add(self, clause):
-        self.clauses.append(clause)
-        head = clause.head
-        key = None
-        if type(head) is Compound and head.args:
-            key = index_key(head.args[0])
-        if key is None:
-            self.blocks.append(clause)
-            return
-        self.keyed = True
-        run = self.blocks[-1] if self.blocks else None
-        if type(run) is not dict:
-            run = {}
-            self.blocks.append(run)
-        bucket = run.get(key)
-        if bucket is None:
-            run[key] = clause
-        elif type(bucket) is list:
-            bucket.append(clause)
-        else:
-            run[key] = [bucket, clause]
+    def __init__(self, clauses):
+        self.clauses = clauses
+        self.blocks = blocks = []
+        for clause in clauses:
+            head = clause.head
+            key = None
+            if type(head) is Compound and head.args:
+                key = index_key(head.args[0])
+            if key is None:
+                blocks.append(clause)
+                continue
+            run = blocks[-1] if blocks else None
+            if type(run) is not dict:
+                run = {}
+                blocks.append(run)
+            bucket = run.get(key)
+            if bucket is None:
+                run[key] = clause
+            elif type(bucket) is list:
+                bucket.append(clause)
+            else:
+                run[key] = [bucket, clause]
+        self.every = clauses[0] if len(clauses) == 1 else clauses
+        self.held = self.miss = None  # no keyed heads
+        runs = [block for block in blocks if type(block) is dict]
+        if len(blocks) == 1 and runs:
+            self.held, self.miss = runs[0], ()
+        elif runs:
+            free = tuple(block for block in blocks if type(block) is not dict)
+            self.held = dict.fromkeys(key for run in runs for key in run)
+            self.miss = free[0] if len(free) == 1 else free
 
     def candidates(self, goal):
-        """The clauses that may match the dereferenced call ``goal``, in
-        source order: the bare Clause when only one may, else a sequence."""
-        if self.keyed:  # a head has a first argument, so the call is a compound
-            key = index_key(deref(goal.args[0]))
-            if key is not None:
-                blocks = self.blocks
-                if len(blocks) == 1:  # one run of keyed clauses, held by key
-                    return blocks[0].get(key, ())
-                found = []
-                for block in blocks:
-                    if type(block) is not dict:
-                        found.append(block)
-                        continue
-                    bucket = block.get(key)
-                    if type(bucket) is list:
-                        found.extend(bucket)
-                    elif bucket is not None:
-                        found.append(bucket)
-                return found[0] if len(found) == 1 else found
-        clauses = self.clauses
-        return clauses[0] if len(clauses) == 1 else clauses
+        """The clauses that may match the dereferenced call ``goal``, in source
+        order, a lone one bare.  The first argument is keyed inline."""
+        held = self.held
+        if held is None:
+            return self.every
+        t = goal.args[0]  # a head has a first argument, so the call does
+        while type(t) is Var:
+            t = t.ref
+            if t is None:
+                return self.every
+        tt = type(t)
+        if tt is Compound:
+            key = (t.functor, len(t.args))
+        elif tt is Const:
+            key = t
+        elif tt is Num:
+            key = t.value
+            if type(key) is not int:
+                key = (key,)
+        else:  # not a term: no key, as ``index_key`` has none for it
+            return self.every
+        found = held.get(key, self.miss)
+        if found is not None:
+            return found
+        found = []
+        for block in self.blocks:
+            if type(block) is not dict:
+                found.append(block)
+                continue
+            bucket = block.get(key)
+            if type(bucket) is list:
+                found.extend(bucket)
+            elif bucket is not None:
+                found.append(bucket)
+        return found[0] if len(found) == 1 else found

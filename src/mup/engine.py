@@ -13,9 +13,9 @@ bound to.
 
 Backchaining works on clauses compiled to Python code the first time
 they are tried (``mup.compiled``).  Only the lookup by name and arity
-matches a call to its predicate; head matching trusts it.  The call's
-dereferenced first argument selects the candidates from the predicate's
-first-argument index, in source order, and the first is tried where the
+matches a call to its predicate; head matching trusts it.  The
+predicate's dispatch, fixed at load, picks the candidates by the call's
+first argument, in source order, and the first is tried where the
 call is reduced.  For each candidate the clause's generated head matcher
 runs first; only when it succeeds does the generated body builder make
 the body (parts without variables are shared, not copied), which is

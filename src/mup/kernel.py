@@ -79,6 +79,9 @@ class Var:
     def __hash__(self):
         return hash(self.id)
 
+    def __reduce__(self):  # every pickle protocol, the cell's binding too
+        return (Var, (self.id, self.name), (None, {"ref": self.ref}))
+
     def __repr__(self):
         return "Var(%d, %r)" % (self.id, self.name)
 
@@ -133,6 +136,9 @@ class Num:
     def __hash__(self):
         return hash((type(self.value).__name__, self.value))
 
+    def __reduce__(self):
+        return (Num, (self.value,))
+
     def __repr__(self):
         return "Num(%r)" % (self.value,)
 
@@ -182,6 +188,9 @@ class Compound:
             else:
                 h = hash((h, hash(t)))
         return h
+
+    def __reduce__(self):
+        return (Compound, (self.functor, self.args))
 
     def __repr__(self):
         return "Compound(%r, %r)" % (self.functor, self.args)

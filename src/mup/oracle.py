@@ -103,7 +103,10 @@ def _rename_vars(term, mapping):
             mapping[term.id] = new
         return new
     if tt is Compound:
-        return Compound(term.functor, [_rename_vars(a, mapping) for a in term.args])
+        args = [_rename_vars(a, mapping) for a in term.args]
+        if all(map(operator.is_, args, term.args)):
+            return term  # no variable below: share it
+        return Compound(term.functor, args)
     return term
 
 

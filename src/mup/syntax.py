@@ -98,25 +98,26 @@ class Program:
     """Ordered clause store with a (name, arity) index.
 
     Clause order is source order; the engine tries candidates in that
-    order.  ``predicates`` holds each predicate's clauses and
-    first-argument index (see ``mup.compiled``), built in the same pass.
+    order.  ``predicates`` holds each predicate's clauses, index and
+    dispatch (see ``mup.compiled``), made once all its clauses are read.
     """
 
     __slots__ = ("clauses", "predicates")
 
     def __init__(self, clauses):
         self.clauses = list(clauses)
-        self.predicates = {}
+        groups = {}
         for clause in self.clauses:
             key = indicator(clause.head)
-            pred = self.predicates.get(key)
-            if pred is None:
+            group = groups.get(key)
+            if group is None:
                 if key in _builtins.BUILTINS or key in _CONTROL:
                     raise LoadError(
                         "cannot redefine built-in predicate %s/%d" % key
                     )
-                pred = self.predicates[key] = Predicate()
-            pred.add(clause)
+                group = groups[key] = []
+            group.append(clause)
+        self.predicates = {key: Predicate(group) for key, group in groups.items()}
 
     def clauses_for(self, name, arity):
         pred = self.predicates.get((name, arity))

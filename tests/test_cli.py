@@ -264,6 +264,16 @@ def test_repl_enumerates_on_semicolon():
     assert "false." in text
 
 
+def test_repl_answer_follows_the_prompt_on_its_line():
+    text = run_repl("p(X).\n;\n;\n", "p(a). p(b).\n")
+    assert text.endswith("\n?- X = a;\nX = b;\nfalse.\n?- \n")
+    # Output of write/1 still ends its line before the answer or an error.
+    text = run_repl("write(hi), X = 1.\n.\n", "p.\n")
+    assert text.endswith("\n?- hi\nX = 1.\n?- \n")
+    text = run_repl("write(hi), X is foo.\n", "p.\n")
+    assert text.endswith("\n?- hi\nerror: not an arithmetic expression: foo\n?- \n")
+
+
 def test_repl_simple_equality():
     text = run_repl("X = a.\n.\n:quit.\n")
     assert "X = a." in text

@@ -539,6 +539,68 @@ def test_index_size_stays_linear_when_variables_interleave():
     assert answers(text, "p(7, Y).") == ["Y = b"] * 7 + ["Y = a"] + ["Y = b"] * 1993
 
 
+# First head arguments for the dispatch property, each with its key: an
+# int and the float equal to it, atoms, f/1 (twice), f/2, g/1 and a variable.
+FIRST_ARGS = [("1", "int"), ("1.0", "float"), ("a", "a"), ("b", "b"), ("f(x)", "f/1"),
+              ("f(y)", "f/1"), ("f(x, y)", "f/2"), ("g(x)", "g/1"), ("X", None)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    heads=st.lists(st.sampled_from(FIRST_ARGS), min_size=1, max_size=8),
+    call=st.sampled_from(FIRST_ARGS),
+    chain=st.integers(0, 3),
+)
+def test_dispatch_gives_the_clauses_of_the_calls_key_in_source_order(heads, call, chain):
+    text = " ".join("p(%s, %d)." % (head, i) for i, (head, _) in enumerate(heads))
+    program = parse_program(text)
+    # The call's first argument: unbound, or bound directly or through a
+    # chain of variables.
+    arg = parse_query("q(%s)." % call[0]).goal.args[0]
+    for _ in range(chain):
+        link = fresh_var("L")
+        link.ref = arg
+        arg = link
+    got = program.predicates[("p", 2)].candidates(Compound("p", (arg, fresh_var("Y"))))
+    expected = [clause for clause, (_, key) in zip(program.clauses, heads)
+                if key is None or call[1] is None or key == call[1]]
+    if len(expected) == 1:
+        assert got is expected[0]
+    else:
+        assert type(got) is not Clause
+        assert [id(c) for c in got] == [id(c) for c in expected]
+
+
+def test_misses_on_a_mixed_predicate_get_one_prebuilt_default():
+    pred = parse_program(MIXED).predicates[("p", 2)]
+    first, second = (pred.candidates(parse_query("p(%s, Y)." % key).goal)
+                     for key in ("3", "f(a)"))
+    assert first is second
+    assert [clause.head.args[1] for clause in first] == [Const("v"), Const("w")]
+    countdown = parse_program("d(N) :- N > 0, M is N - 1, d(M). d(0).")
+    pred = countdown.predicates[("d", 1)]
+    assert pred.candidates(parse_query("d(5).").goal) is countdown.clauses[0]
+    assert pred.candidates(parse_query("d(0).").goal) == list(countdown.clauses)
+
+
+def test_dispatch_gives_every_clause_for_a_first_argument_that_is_no_term():
+    # Only the API can build such a call; it keys like a variable.
+    program = parse_program("p(1). p(X).")
+    result = Engine(program).solve_collect(Compound("p", (None,)), [])
+    assert result.error is None and len(result.solutions) == 1
+    assert program.predicates[("p", 1)].candidates(Compound("p", (None,))) \
+        is program.predicates[("p", 1)].clauses
+
+
+def test_predicate_holds_one_sequence_of_its_clauses():
+    program = parse_program("p(1). p(X). q(a). r.")
+    for key, count in ((("p", 1), 2), (("q", 1), 1), (("r", 0), 1)):
+        pred = program.predicates[key]
+        assert len(pred.clauses) == count
+    assert program.predicates[("p", 1)].candidates(parse_query("p(Z).").goal) \
+        is program.predicates[("p", 1)].clauses
+
+
 def test_zero_argument_compound_head_is_not_indexed():
     # Only the API builds p(); it shares the indicator p/0 with the atom,
     # so the lookup sends each to the other's clauses, which do not match.

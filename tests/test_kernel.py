@@ -308,13 +308,26 @@ def test_copies_and_pickles_keep_the_interned_atoms(k):
 
 
 def test_copies_and_pickles_keep_the_cut(k):
-    # Protocols 0 and 1 cannot pickle a compound, whose class has slots.
     backs = [copy.copy, copy.deepcopy] + [
         lambda t, protocol=protocol: pickle.loads(pickle.dumps(t, protocol))
-        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
     ]
     goal = k.Compound(",", (k.Const("p"), k.CUT))
     for back in backs:
         assert back(k.CUT) is k.CUT
         assert back(goal).args[1] is k.CUT
         assert back(k.Const("!")) is k.Const("!") is not k.CUT
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_terms_pickle_at_every_protocol(k, protocol):
+    x, y = k.Var(5, "X"), k.Var(6, "Y")
+    x.ref = k.Compound("f", (x, y, k.Const("a"), k.CUT, k.Num(1), k.Num(1.0)))
+    back = pickle.loads(pickle.dumps(x, protocol))
+    assert (back.id, back.name) == (5, "X")
+    value = back.ref
+    assert value.functor == "f" and value.args[0] is back  # the cycle is kept
+    assert (value.args[1].id, value.args[1].name, value.args[1].ref) == (6, "Y", None)
+    assert value.args[2] is k.Const("a") and value.args[3] is k.CUT
+    assert [type(n.value) for n in value.args[4:]] == [int, float]
+    assert value.args[4:] == (k.Num(1), k.Num(1.0))
